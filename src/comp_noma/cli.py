@@ -41,6 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"command line: key 'workers': must be >= 1, "
+                              f"got {args.workers}")
         if args.config is not None:
             try:
                 with open(args.config, "r", encoding="utf-8") as handle:

@@ -118,6 +118,9 @@ def _raw_pairs(text: str) -> dict:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        if key in pairs:
+            raise ConfigError(f"line {lineno}: key '{key}' already set on "
+                              f"{pairs[key][1]}")
         pairs[key] = (value.strip(), f"line {lineno}")
     return pairs
 
@@ -181,6 +184,8 @@ def _validate(cfg: SweepConfig, raw: dict) -> None:
             fail(key, f"must lie in (0, 1], got {value}")
     if cfg.trials < 1:
         fail("trials", f"must be >= 1, got {cfg.trials}")
+    if not 0 <= cfg.seed < 2 ** 64:
+        fail("seed", f"must lie in [0, 2**64), got {cfg.seed}")
     if cfg.steps < 2:
         fail("steps", f"must be >= 2, got {cfg.steps}")
     if not cfg.from_value < cfg.to_value:

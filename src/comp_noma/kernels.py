@@ -32,6 +32,7 @@ _MIX_B = np.uint64(0x94D049BB133111EB)
 _ONE = np.uint64(1)
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _TO_UNIT = 2.0 ** -53
+_LINKS_GOLDEN = np.uint64((N_LINKS * 0x9E3779B97F4A7C15) & _SEED_MASK)
 
 
 def _gains_impl(seed, start_trial, n, sigma_hat):
@@ -96,62 +97,136 @@ def _rates_impl(gains, scheme_code, alpha, beta, rho, upsilon, band, eps_sums):
     return out
 
 
+# Draws per block of the draw kernel: two links of a full chunk. Its two
+# uint64 scratch buffers (128 KB each) stay in the core's cache through the
+# passes of the SplitMix64 finalizer; of 1, 2, 3, 6 and 18 links per block,
+# two ran fastest.
+_DRAW_BLOCK = 2 * CHUNK_TRIALS
+
+
 def gains_chunk_numpy(seed, start_trial, n, sigma_hat):
-    """Estimated channel power gains for trials [start_trial, start_trial+n)."""
-    trials = np.uint64(start_trial) + np.arange(n, dtype=np.uint64)
-    links = np.arange(N_LINKS, dtype=np.uint64)
-    counters = trials[:, None] * np.uint64(N_LINKS) + links[None, :]
-    z = np.uint64(seed & _SEED_MASK) + (counters + _ONE) * _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B
-    z ^= z >> np.uint64(31)
-    unit = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * _TO_UNIT
-    gains = -np.log(unit) * np.asarray(sigma_hat).reshape(1, N_LINKS)
-    return gains.reshape(n, N_BS, N_USERS)
+    """Estimated channel power gains for trials [start_trial, start_trial+n).
+
+    The (n, 3, 6) result is a view of link-major memory: each link's gains
+    over the chunk are contiguous, which is the layout rates_chunk_numpy
+    reads. Values do not depend on the layout.
+    """
+    # Counter of (trial t, link l) is t*N_LINKS + l; the SplitMix64 input
+    # seed + (counter+1)*GOLDEN splits, mod 2**64, into a per-trial and a
+    # per-link term.
+    trial_term = np.arange(start_trial, start_trial + n, dtype=np.uint64)
+    trial_term *= _LINKS_GOLDEN
+    link_term = np.arange(1, N_LINKS + 1, dtype=np.uint64) * _GOLDEN
+    link_term += np.uint64(seed & _SEED_MASK)
+    # -log(u) * s == log(u) * -s exactly: IEEE negation is exact.
+    neg_sigma = -np.asarray(sigma_hat, dtype=np.float64).reshape(N_LINKS, 1)
+
+    out = np.empty((N_LINKS, n))
+    rows = max(1, _DRAW_BLOCK // max(n, 1))
+    z = np.empty((min(rows, N_LINKS), n), dtype=np.uint64)
+    shifted = np.empty_like(z)
+    for lo in range(0, N_LINKS, rows):
+        hi = min(lo + rows, N_LINKS)
+        zb, sb, gb = z[:hi - lo], shifted[:hi - lo], out[lo:hi]
+        np.add(link_term[lo:hi, None], trial_term, out=zb)
+        np.right_shift(zb, np.uint64(30), out=sb)
+        zb ^= sb
+        zb *= _MIX_A
+        np.right_shift(zb, np.uint64(27), out=sb)
+        zb ^= sb
+        zb *= _MIX_B
+        np.right_shift(zb, np.uint64(31), out=sb)
+        zb ^= sb
+        zb >>= np.uint64(11)
+        # The top 53 bits fit int64, whose conversion to float64 is exact
+        # and faster than uint64's.
+        np.copyto(gb, zb.view(np.int64), casting="unsafe")
+        gb += 0.5
+        gb *= _TO_UNIT
+        np.log(gb, out=gb)
+        gb *= neg_sigma[lo:hi]
+    return out.reshape(N_BS, N_USERS, n).transpose(2, 0, 1)
 
 
-_DIAG = np.arange(N_BS)
+def _log2_ratio(out, den, scale):
+    """out <- scale * log2(1 + out/den), in place; out holds the numerator."""
+    out /= den
+    out += 1.0
+    np.log2(out, out=out)
+    if scale is not None:
+        out *= scale
 
 
 def rates_chunk_numpy(gains, scheme_code, alpha, beta, rho, upsilon, band, eps_sums):
-    """Per-user bandwidth-normalized rates (n, 6) for one scheme."""
+    """Per-user bandwidth-normalized rates (n, 6) for one scheme.
+
+    The result is a view of user-major memory: each user's rates over the
+    chunk are contiguous. Each SINR is evaluated in the left-to-right order
+    of its formula, so every rate is reproducible to the last bit.
+    """
+    if scheme_code not in (OMA_CODE, NOMA_CODE, VPNOMA_CODE, COMP_VPNOMA_CODE):
+        raise ValueError(f"unknown scheme code {scheme_code!r}")
+    n = gains.shape[0]
+    # Row i*N_USERS + u is link (BS i, user u); copied only when the gains
+    # are not link-major already.
+    g = np.ascontiguousarray(np.transpose(gains, (1, 2, 0))).reshape(N_LINKS, n)
+    near_serving = g[0::N_USERS + 1]        # links (j, j)
+    far_serving = g[N_BS::N_USERS + 1]      # links (k, 3 + k)
+    cross = g[0:N_BS] + g[N_USERS:N_USERS + N_BS]
+    cross += g[2 * N_USERS:2 * N_USERS + N_BS]
+    cross -= near_serving
+    total = g[N_BS:N_USERS] + g[N_USERS + N_BS:2 * N_USERS]
+    total += g[2 * N_USERS + N_BS:]
     arho = alpha * rho
     brho = beta * rho
-    residual = rho * upsilon
-    near = gains[:, :, :N_BS]
-    serving_n = near[:, _DIAG, _DIAG]
-    cross_n = near.sum(axis=1) - serving_n
-    noise_n = rho * eps_sums[:N_BS]
-    far = gains[:, :, N_BS:]
-    total_f = far.sum(axis=1)
-    serving_f = far[:, _DIAG, _DIAG]
-    noise_f = rho * eps_sums[N_BS:]
     band = np.asarray(band)
-    band_sum = band[0] + band[1] + band[2]
 
-    out = np.empty((gains.shape[0], N_USERS))
-    if scheme_code in (COMP_VPNOMA_CODE, VPNOMA_CODE):
-        sinr = arho * serving_n / (arho * cross_n + noise_n + residual + 1.0)
-        out[:, :N_BS] = band_sum * np.log2(1.0 + sinr)
-        if scheme_code == COMP_VPNOMA_CODE:
-            sinr = brho * total_f / (arho * total_f + noise_f + 1.0)
-            out[:, N_BS:] = band * np.log2(1.0 + sinr)
-        else:
-            den = arho * total_f + brho * (total_f - serving_f) + noise_f + 1.0
-            out[:, N_BS:] = band * np.log2(1.0 + brho * serving_f / den)
+    out = np.empty((N_USERS, n))
+    near, far = out[:N_BS], out[N_BS:]
+    if scheme_code == OMA_CODE:
+        near_signal, near_cross, near_scale = rho, rho, 0.5
     elif scheme_code == NOMA_CODE:
-        sinr = arho * serving_n / (rho * cross_n + noise_n + residual + 1.0)
-        out[:, :N_BS] = np.log2(1.0 + sinr)
-        den = arho * serving_f + rho * (total_f - serving_f) + noise_f + 1.0
-        out[:, N_BS:] = np.log2(1.0 + (1.0 - alpha) * rho * serving_f / den)
-    elif scheme_code == OMA_CODE:
-        sinr = rho * serving_n / (rho * cross_n + noise_n + 1.0)
-        out[:, :N_BS] = 0.5 * np.log2(1.0 + sinr)
-        den = rho * (total_f - serving_f) + noise_f + 1.0
-        out[:, N_BS:] = 0.5 * np.log2(1.0 + rho * serving_f / den)
+        near_signal, near_cross, near_scale = arho, rho, None
     else:
-        raise ValueError(f"unknown scheme code {scheme_code!r}")
-    return out
+        near_signal, near_cross = arho, arho
+        near_scale = band[0] + band[1] + band[2]
+    np.multiply(near_serving, near_signal, out=near)
+    cross *= near_cross
+    cross += (rho * eps_sums[:N_BS])[:, None]
+    if scheme_code != OMA_CODE:
+        cross += rho * upsilon
+    cross += 1.0
+    _log2_ratio(near, cross, near_scale)
+
+    if scheme_code == COMP_VPNOMA_CODE:
+        np.multiply(total, brho, out=far)
+        den = total
+        den *= arho
+        far_scale = band[:, None]
+    elif scheme_code == VPNOMA_CODE:
+        interference = total - far_serving
+        interference *= brho
+        den = total
+        den *= arho
+        den += interference
+        np.multiply(far_serving, brho, out=far)
+        far_scale = band[:, None]
+    elif scheme_code == NOMA_CODE:
+        interference = total - far_serving
+        interference *= rho
+        den = far_serving * arho
+        den += interference
+        np.multiply(far_serving, (1.0 - alpha) * rho, out=far)
+        far_scale = None
+    else:
+        den = total - far_serving
+        den *= rho
+        np.multiply(far_serving, rho, out=far)
+        far_scale = 0.5
+    den += (rho * eps_sums[N_BS:])[:, None]
+    den += 1.0
+    _log2_ratio(far, den, far_scale)
+    return out.T
 
 
 try:
@@ -160,7 +235,7 @@ try:
     _HAVE_NUMBA = True
     _gains_numba = njit(cache=True, nogil=True)(_gains_impl)
     _rates_numba = njit(cache=True, nogil=True)(_rates_impl)
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is an optional extra: pip install .[numba]
     _HAVE_NUMBA = False
     _gains_numba = None
     _rates_numba = None

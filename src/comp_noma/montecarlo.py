@@ -45,6 +45,8 @@ def estimate_esc(layout: NetworkLayout, stats: LinkStatistics,
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
     chunk = kernels.CHUNK_TRIALS
     n_chunks = (trials + chunk - 1) // chunk
     chunk_sums = np.zeros(n_chunks)
@@ -61,13 +63,21 @@ def estimate_esc(layout: NetworkLayout, stats: LinkStatistics,
         gains = kernels.sample_gains(seed, start, count, stats.sigma_hat)
         rates = kernels.scheme_rates(gains, code, params.alpha, params.beta,
                                      params.rho, params.upsilon, band, eps_sums)
-        totals = rates.sum(axis=1)
+        # Sums run user by user and trial by trial, as rates.sum(axis=1) and
+        # rates.sum(axis=0) do on a C-ordered array, over whatever layout the
+        # kernel returns: results stay bit-identical.
+        by_user = rates.T
+        totals = by_user[0] + by_user[1]
+        for row in by_user[2:]:
+            totals += row
         chunk_sums[index] = totals.sum()
-        chunk_sumsq[index] = (totals * totals).sum()
-        chunk_user_sums[index] = rates.sum(axis=0)
+        totals *= totals
+        chunk_sumsq[index] = totals.sum()
+        chunk_user_sums[index] = np.cumsum(by_user, axis=1)[:, -1]
 
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, n_chunks)
+    if pool_size > 1:
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
             list(pool.map(run_chunk, range(n_chunks)))
     else:
         for index in range(n_chunks):

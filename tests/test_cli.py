@@ -84,3 +84,11 @@ def test_workers_flag_reproduces_serial_output(tmp_path):
     assert main(args + ["--out", str(serial)]) == 0
     assert main(args + ["--out", str(threaded), "--workers", "8"]) == 0
     assert serial.read_bytes() == threaded.read_bytes()
+
+
+def test_nonpositive_workers_exit_2(tmp_path, capsys):
+    for workers in ("0", "-3"):
+        assert main(["--workers", workers, "--out",
+                     str(tmp_path / "x.csv")]) == 2
+        assert "key 'workers'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

@@ -38,6 +38,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"line 3: key 'sigma_eps'"):
             parse_config("alpha=0.1\n# pad\nsigma_eps=tiny")
 
+    def test_duplicated_key_names_key_and_both_lines(self):
+        with pytest.raises(ConfigError,
+                           match=r"line 3: key 'trials' already set on line 1"):
+            parse_config("trials=10\nalpha=0.1\ntrials=20")
+
+    def test_seed_must_lie_in_64_bit_range(self):
+        assert parse_config("seed=0").seed == 0
+        assert parse_config(f"seed={2**64 - 1}").seed == 2**64 - 1
+        for seed in (-1, 2**64, 2**64 + 1):
+            with pytest.raises(ConfigError, match=r"line 2: key 'seed'"):
+                parse_config(f"alpha=0.1\nseed={seed}")
+            with pytest.raises(ConfigError, match=r"command line: key 'seed'"):
+                parse_config("", {"seed": str(seed)})
+
     def test_sweep_kind_sets_range_defaults(self):
         cfg = parse_config("sweep=alpha")
         assert cfg.sweep_kind is SweepKind.ALPHA
@@ -74,9 +88,8 @@ class TestParseConfig:
 
 
 def small_config(**extra):
-    text = "trials=400\nsteps=3\nschemes=comp-vpnoma,vpnoma\n"
-    text += "".join(f"{k}={v}\n" for k, v in extra.items())
-    return parse_config(text)
+    keys = {"trials": 400, "steps": 3, "schemes": "comp-vpnoma,vpnoma", **extra}
+    return parse_config("".join(f"{k}={v}\n" for k, v in keys.items()))
 
 
 class TestRunSweep:

@@ -1,8 +1,11 @@
+import sys
+
 import pytest
 
 from comp_noma import (SchemeId, SystemParams, compare_schemes, db_to_linear,
                        estimate_esc, sample_realization, total_esc_closed,
                        total_instantaneous)
+from comp_noma import kernels, montecarlo
 from comp_noma.geometry import USERS
 
 
@@ -38,6 +41,64 @@ def test_worker_count_does_not_change_results(default_layout, default_stats,
             <= 1e-9 * max(serial.per_user_mean[user], 1e-30)
     assert threaded.ci95_halfwidth == pytest.approx(serial.ci95_halfwidth,
                                                     rel=1e-9)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.token)
+def test_two_workers_reproduce_one_exactly(default_layout, default_stats,
+                                           params_20db, scheme):
+    """Kernels allocate their buffers per call, so threads share none."""
+    trials = 4 * kernels.CHUNK_TRIALS + 123   # five chunks, the last partial
+    serial = estimate_esc(default_layout, default_stats, params_20db, scheme,
+                          trials=trials, seed=6, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = estimate_esc(default_layout, default_stats, params_20db,
+                                scheme, trials=trials, seed=6, workers=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.mean_total == serial.mean_total
+    assert threaded.ci95_halfwidth == serial.ci95_halfwidth
+    assert threaded.per_user_mean == serial.per_user_mean
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records its size, starts no thread."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+def test_pool_size_is_clamped_to_chunk_count(monkeypatch, default_layout,
+                                             default_stats, params_20db):
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    trials = 2 * kernels.CHUNK_TRIALS + 1
+    for workers in (2, 3, 10 ** 9):
+        estimate_esc(default_layout, default_stats, params_20db,
+                     SchemeId.OMA, trials=trials, seed=1, workers=workers)
+    estimate_esc(default_layout, default_stats, params_20db, SchemeId.OMA,
+                 trials=kernels.CHUNK_TRIALS, seed=1, workers=10 ** 9)
+    assert _RecordingPool.sizes == [2, 3, 3]
+
+
+def test_nonpositive_workers_rejected(default_layout, default_stats,
+                                      params_20db):
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            estimate_esc(default_layout, default_stats, params_20db,
+                         SchemeId.OMA, trials=10, seed=1, workers=workers)
 
 
 def test_mean_total_equals_per_user_sum(default_layout, default_stats,
