@@ -13,7 +13,6 @@ from .geometry import (FAR_USERS, NEAR_USERS, USERS, NetworkLayout,
 from .harness import (ConfigError, ResultRow, SweepConfig, SweepKind,
                       db_to_linear, emit_plot, parse_config, read_results,
                       run_sweep, write_results)
-from .kernels import active_backend, set_backend
 from .montecarlo import EscEstimate, compare_schemes, estimate_esc
 from .schemes import (RateBreakdown, SchemeId, SystemParams, far_rate_comp,
                       near_rate_subband, total_instantaneous)
@@ -22,11 +21,11 @@ __all__ = [
     "ChannelRealization", "ConfigError", "DegenerateRatesError", "EscEstimate",
     "FAR_USERS", "InfeasibleCsiError", "LinkStatistics", "NEAR_USERS",
     "NetworkLayout", "RateBreakdown", "ResultRow", "SchemeId", "SweepConfig",
-    "SweepKind", "SystemParams", "USERS", "active_backend", "build_layout",
+    "SweepKind", "SystemParams", "USERS", "build_layout",
     "compare_schemes", "db_to_linear", "derive_link_statistics",
     "distance_matrix", "emit_plot", "estimate_esc", "exp_integral_ei",
     "far_esc_closed", "far_rate_comp", "hypoexp_log2_mean", "link_distance",
     "near_esc_closed", "near_rate_subband", "parse_config", "read_results",
-    "run_sweep", "sample_realization", "set_backend", "total_esc_closed",
+    "run_sweep", "sample_realization", "total_esc_closed",
     "total_instantaneous", "write_results",
 ]

@@ -7,6 +7,7 @@ which enter the SINR denominators as deterministic rho * sigma_eps terms.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -76,9 +77,16 @@ def derive_link_statistics(layout: NetworkLayout, pathloss_exponent=4.0,
     return LinkStatistics(sigma_hat, eps, v)
 
 
+def check_seed(seed: int) -> None:
+    """Reject seeds the 64-bit counter stream would otherwise wrap or round."""
+    if not isinstance(seed, Integral) or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def sample_realization(stats: LinkStatistics, trial_index: int,
                        seed: int) -> ChannelRealization:
     """Draw all 18 gains for one trial; a pure function of (seed, trial, link)."""
+    check_seed(seed)
     if trial_index < 0:
         raise ValueError(f"trial index must be nonnegative, got {trial_index}")
     gains = kernels.sample_gains(seed, trial_index, 1, stats.sigma_hat)

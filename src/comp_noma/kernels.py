@@ -1,13 +1,10 @@
 """Hot numeric kernels: counter-based fading draws and batched scheme rates.
 
-Everything the Monte-Carlo estimator does per trial lives here, in two
-interchangeable backends: numba @njit loops (default whenever numba imports)
-and vectorized numpy. Set COMP_NOMA_NUMBA=0 to force the numpy path; both
-backends consume the same counter stream, so a draw depends only on
-(seed, trial, link) and never on call order, chunking, or thread count.
+Everything the Monte-Carlo estimator does per trial lives here, as one
+vectorized numpy path. Draws come from a counter-based stream, so a draw
+depends only on (seed, trial, link) and never on call order, chunking, or
+thread count.
 """
-
-import os
 
 import numpy as np
 
@@ -29,72 +26,8 @@ COMP_VPNOMA_CODE = 3
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
-_ONE = np.uint64(1)
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _TO_UNIT = 2.0 ** -53
-_LINKS_GOLDEN = np.uint64((N_LINKS * 0x9E3779B97F4A7C15) & _SEED_MASK)
-
-
-def _gains_impl(seed, start_trial, n, sigma_hat):
-    out = np.empty((n, N_BS, N_USERS))
-    for t in range(n):
-        base = np.uint64(start_trial + t) * np.uint64(N_LINKS)
-        for i in range(N_BS):
-            for u in range(N_USERS):
-                c = base + np.uint64(i * N_USERS + u)
-                z = seed + (c + _ONE) * _GOLDEN
-                z = (z ^ (z >> np.uint64(30))) * _MIX_A
-                z = (z ^ (z >> np.uint64(27))) * _MIX_B
-                z = z ^ (z >> np.uint64(31))
-                unit = (np.float64(z >> np.uint64(11)) + 0.5) * _TO_UNIT
-                out[t, i, u] = -np.log(unit) * sigma_hat[i, u]
-    return out
-
-
-def _rates_impl(gains, scheme_code, alpha, beta, rho, upsilon, band, eps_sums):
-    n = gains.shape[0]
-    out = np.empty((n, N_USERS))
-    arho = alpha * rho
-    brho = beta * rho
-    band_sum = band[0] + band[1] + band[2]
-    residual = rho * upsilon
-    for t in range(n):
-        for j in range(N_BS):
-            serving = gains[t, j, j]
-            cross = 0.0
-            for i in range(N_BS):
-                if i != j:
-                    cross += gains[t, i, j]
-            noise = rho * eps_sums[j]
-            if scheme_code == COMP_VPNOMA_CODE or scheme_code == VPNOMA_CODE:
-                sinr = arho * serving / (arho * cross + noise + residual + 1.0)
-                out[t, j] = band_sum * np.log2(1.0 + sinr)
-            elif scheme_code == NOMA_CODE:
-                sinr = arho * serving / (rho * cross + noise + residual + 1.0)
-                out[t, j] = np.log2(1.0 + sinr)
-            else:
-                sinr = rho * serving / (rho * cross + noise + 1.0)
-                out[t, j] = 0.5 * np.log2(1.0 + sinr)
-        for k in range(N_BS):
-            u = N_BS + k
-            serving = gains[t, k, u]
-            total = 0.0
-            for i in range(N_BS):
-                total += gains[t, i, u]
-            noise = rho * eps_sums[u]
-            if scheme_code == COMP_VPNOMA_CODE:
-                sinr = brho * total / (arho * total + noise + 1.0)
-                out[t, u] = band[k] * np.log2(1.0 + sinr)
-            elif scheme_code == VPNOMA_CODE:
-                den = arho * total + brho * (total - serving) + noise + 1.0
-                out[t, u] = band[k] * np.log2(1.0 + brho * serving / den)
-            elif scheme_code == NOMA_CODE:
-                den = arho * serving + rho * (total - serving) + noise + 1.0
-                out[t, u] = np.log2(1.0 + (1.0 - alpha) * rho * serving / den)
-            else:
-                den = rho * (total - serving) + noise + 1.0
-                out[t, u] = 0.5 * np.log2(1.0 + rho * serving / den)
-    return out
+_LINKS_GOLDEN = np.uint64(N_LINKS * 0x9E3779B97F4A7C15 % 2**64)
 
 
 # Draws per block of the draw kernel: two links of a full chunk. Its two
@@ -104,11 +37,11 @@ def _rates_impl(gains, scheme_code, alpha, beta, rho, upsilon, band, eps_sums):
 _DRAW_BLOCK = 2 * CHUNK_TRIALS
 
 
-def gains_chunk_numpy(seed, start_trial, n, sigma_hat):
+def sample_gains(seed, start_trial, n, sigma_hat):
     """Estimated channel power gains for trials [start_trial, start_trial+n).
 
     The (n, 3, 6) result is a view of link-major memory: each link's gains
-    over the chunk are contiguous, which is the layout rates_chunk_numpy
+    over the chunk are contiguous, which is the layout scheme_rates
     reads. Values do not depend on the layout.
     """
     # Counter of (trial t, link l) is t*N_LINKS + l; the SplitMix64 input
@@ -117,7 +50,7 @@ def gains_chunk_numpy(seed, start_trial, n, sigma_hat):
     trial_term = np.arange(start_trial, start_trial + n, dtype=np.uint64)
     trial_term *= _LINKS_GOLDEN
     link_term = np.arange(1, N_LINKS + 1, dtype=np.uint64) * _GOLDEN
-    link_term += np.uint64(seed & _SEED_MASK)
+    link_term += np.uint64(seed)
     # -log(u) * s == log(u) * -s exactly: IEEE negation is exact.
     neg_sigma = -np.asarray(sigma_hat, dtype=np.float64).reshape(N_LINKS, 1)
 
@@ -157,7 +90,7 @@ def _log2_ratio(out, den, scale):
         out *= scale
 
 
-def rates_chunk_numpy(gains, scheme_code, alpha, beta, rho, upsilon, band, eps_sums):
+def scheme_rates(gains, scheme_code, alpha, beta, rho, upsilon, band, eps_sums):
     """Per-user bandwidth-normalized rates (n, 6) for one scheme.
 
     The result is a view of user-major memory: each user's rates over the
@@ -229,61 +162,6 @@ def rates_chunk_numpy(gains, scheme_code, alpha, beta, rho, upsilon, band, eps_s
     return out.T
 
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-    _gains_numba = njit(cache=True, nogil=True)(_gains_impl)
-    _rates_numba = njit(cache=True, nogil=True)(_rates_impl)
-except ImportError:  # numba is an optional extra: pip install .[numba]
-    _HAVE_NUMBA = False
-    _gains_numba = None
-    _rates_numba = None
-
-
-def gains_chunk_numba(seed, start_trial, n, sigma_hat):
-    return _gains_numba(np.uint64(seed & _SEED_MASK), start_trial, n,
-                        np.ascontiguousarray(sigma_hat, dtype=np.float64))
-
-
-def rates_chunk_numba(gains, scheme_code, alpha, beta, rho, upsilon, band, eps_sums):
-    return _rates_numba(np.ascontiguousarray(gains), scheme_code,
-                        float(alpha), float(beta), float(rho), float(upsilon),
-                        np.ascontiguousarray(band, dtype=np.float64),
-                        np.ascontiguousarray(eps_sums, dtype=np.float64))
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("COMP_NOMA_NUMBA", "1").strip().lower() not in (
-        "0", "false", "no", "off")
-
-
-_BACKEND = "numba" if (_HAVE_NUMBA and _env_enabled()) else "numpy"
-
-
 def active_backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    """Switch between the 'numba' and 'numpy' kernel paths at runtime."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not installed")
-    _BACKEND = name
-
-
-def sample_gains(seed, start_trial, n, sigma_hat):
-    if _BACKEND == "numba":
-        return gains_chunk_numba(seed, start_trial, n, sigma_hat)
-    return gains_chunk_numpy(seed, start_trial, n, sigma_hat)
-
-
-def scheme_rates(gains, scheme_code, alpha, beta, rho, upsilon, band, eps_sums):
-    if _BACKEND == "numba":
-        return rates_chunk_numba(gains, scheme_code, alpha, beta, rho, upsilon,
-                                 band, eps_sums)
-    return rates_chunk_numpy(gains, scheme_code, alpha, beta, rho, upsilon,
-                             band, eps_sums)
+    """Name of the numeric path the kernels run on; there is one."""
+    return "numpy"

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .analytic import total_esc_closed
-from .channel import LinkStatistics
+from .channel import LinkStatistics, check_seed
 from .geometry import USERS, NetworkLayout
 from .schemes import SchemeId, SystemParams
 
@@ -47,6 +47,7 @@ def estimate_esc(layout: NetworkLayout, stats: LinkStatistics,
         raise ValueError(f"trials must be a positive integer, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
+    check_seed(seed)
     chunk = kernels.CHUNK_TRIALS
     n_chunks = (trials + chunk - 1) // chunk
     chunk_sums = np.zeros(n_chunks)

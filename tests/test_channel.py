@@ -89,6 +89,15 @@ def test_negative_trial_index_rejected(default_stats):
         sample_realization(default_stats, -1, seed=0)
 
 
+def test_seed_must_be_a_64_bit_integer(default_stats):
+    for seed in (-1, 2**64, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            sample_realization(default_stats, 0, seed=seed)
+    top = sample_realization(default_stats, 3, seed=2**64 - 1)
+    assert np.array_equal(
+        top.gain, kernels.sample_gains(2**64 - 1, 3, 1, default_stats.sigma_hat)[0])
+
+
 def test_gain_moments_and_independence():
     # exponential with mean sigma_hat: mean, variance and cross-correlation
     stats = uniform_stats(1.0)

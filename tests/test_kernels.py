@@ -1,67 +1,24 @@
 import hashlib
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from comp_noma import (SchemeId, SystemParams, active_backend, build_layout,
-                       derive_link_statistics, estimate_esc, set_backend)
+from comp_noma import SystemParams, build_layout, derive_link_statistics
 from comp_noma import kernels
-
-
-def test_env_flag_selects_numpy_fallback():
-    env = dict(os.environ, COMP_NOMA_NUMBA="0")
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import comp_noma; print(comp_noma.active_backend())"],
-        capture_output=True, text=True, env=env, timeout=600)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "numpy"
-
-
-def test_default_backend_prefers_numba():
-    pytest.importorskip("numba")
-    env = dict(os.environ)
-    env.pop("COMP_NOMA_NUMBA", None)
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import comp_noma; print(comp_noma.active_backend())"],
-        capture_output=True, text=True, env=env, timeout=600)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "numba"
-
-
-def test_backends_produce_matching_estimates(default_layout, default_stats,
-                                             params_20db):
-    pytest.importorskip("numba")
-    original = active_backend()
-    try:
-        set_backend("numba")
-        fast = estimate_esc(default_layout, default_stats, params_20db,
-                            SchemeId.COMP_VPNOMA, trials=20_000, seed=8)
-        set_backend("numpy")
-        slow = estimate_esc(default_layout, default_stats, params_20db,
-                            SchemeId.COMP_VPNOMA, trials=20_000, seed=8)
-    finally:
-        set_backend(original)
-    assert slow.mean_total == pytest.approx(fast.mean_total, rel=1e-9)
-    assert slow.ci95_halfwidth == pytest.approx(fast.ci95_halfwidth, rel=1e-6)
 
 
 def test_chunked_and_whole_stream_agree():
     sigma = np.linspace(0.2, 2.0, 18).reshape(3, 6)
-    whole = kernels.gains_chunk_numpy(5, 0, 3 * kernels.CHUNK_TRIALS, sigma)
-    pieces = [kernels.gains_chunk_numpy(5, i * kernels.CHUNK_TRIALS,
-                                        kernels.CHUNK_TRIALS, sigma)
+    whole = kernels.sample_gains(5, 0, 3 * kernels.CHUNK_TRIALS, sigma)
+    pieces = [kernels.sample_gains(5, i * kernels.CHUNK_TRIALS,
+                                   kernels.CHUNK_TRIALS, sigma)
               for i in range(3)]
     assert np.array_equal(whole, np.concatenate(pieces))
 
 
 def test_unit_interval_draws_are_strictly_inside():
     sigma = np.ones((3, 6))
-    gains = kernels.gains_chunk_numpy(123, 0, 50_000, sigma)
+    gains = kernels.sample_gains(123, 0, 50_000, sigma)
     assert np.all(gains > 0.0)
     assert np.all(np.isfinite(gains))
 
@@ -143,7 +100,7 @@ def _rate_case(name):
 
 @pytest.mark.parametrize("seed, start, n", sorted(GAINS_DIGESTS))
 def test_gains_are_bit_exact(default_stats, seed, start, n):
-    gains = kernels.gains_chunk_numpy(seed, start, n, default_stats.sigma_hat)
+    gains = kernels.sample_gains(seed, start, n, default_stats.sigma_hat)
     assert gains.shape == (n, kernels.N_BS, kernels.N_USERS)
     assert _digest(gains) == GAINS_DIGESTS[(seed, start, n)]
 
@@ -151,14 +108,14 @@ def test_gains_are_bit_exact(default_stats, seed, start, n):
 @pytest.mark.parametrize("name, code", sorted(RATES_DIGESTS))
 def test_rates_are_bit_exact_in_any_gains_layout(name, code):
     stats, params, seed = _rate_case(name)
-    gains = kernels.gains_chunk_numpy(seed, 0, kernels.CHUNK_TRIALS,
-                                      stats.sigma_hat)
+    gains = kernels.sample_gains(seed, 0, kernels.CHUNK_TRIALS,
+                                 stats.sigma_hat)
     band = np.asarray(params.band_fractions)
     eps_sums = stats.sigma_eps.sum(axis=0)
     for rho, expected in zip(RATE_RHOS, RATES_DIGESTS[(name, code)]):
         for layout in (gains, np.ascontiguousarray(gains)):
-            rates = kernels.rates_chunk_numpy(layout, code, params.alpha,
-                                              params.beta, rho, params.upsilon,
-                                              band, eps_sums)
+            rates = kernels.scheme_rates(layout, code, params.alpha,
+                                         params.beta, rho, params.upsilon,
+                                         band, eps_sums)
             assert rates.shape == (kernels.CHUNK_TRIALS, kernels.N_USERS)
             assert _digest(rates) == expected, (name, code, rho)

@@ -101,6 +101,17 @@ def test_nonpositive_workers_rejected(default_layout, default_stats,
                          SchemeId.OMA, trials=10, seed=1, workers=workers)
 
 
+def test_seed_must_be_a_64_bit_integer(default_layout, default_stats,
+                                       params_20db):
+    for seed in (-1, 2**64, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            estimate_esc(default_layout, default_stats, params_20db,
+                         SchemeId.OMA, trials=10, seed=seed)
+    top = estimate_esc(default_layout, default_stats, params_20db,
+                       SchemeId.OMA, trials=10, seed=2**64 - 1)
+    assert top.seed == 2**64 - 1
+
+
 def test_mean_total_equals_per_user_sum(default_layout, default_stats,
                                         params_20db):
     estimate = estimate_esc(default_layout, default_stats, params_20db,

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from comp_noma import (ChannelRealization, LinkStatistics, SchemeId,
-                       SystemParams, far_rate_comp, near_rate_subband,
-                       total_instantaneous)
+                       SystemParams, build_layout, derive_link_statistics,
+                       far_rate_comp, near_rate_subband, total_instantaneous)
 from comp_noma import kernels
 from comp_noma.geometry import USERS
+from oracles import gains_reference, rates_reference
 
 FAR_COMP_EXAMPLE = 0.56681323938036405  # (1/3) * log2(1 + 9/4)
 
@@ -254,32 +255,28 @@ class TestTotalInstantaneous:
         assert rate_a / 0.5 == pytest.approx(rate_c / 0.2, rel=1e-12)
 
 
-class TestKernelBackends:
-    def test_backends_agree_on_all_schemes(self, rng, default_stats):
-        pytest.importorskip("numba")
-        gains = kernels.gains_chunk_numpy(77, 0, 500, default_stats.sigma_hat)
-        band = np.array([1 / 3, 1 / 3, 1 / 3])
-        eps_sums = default_stats.sigma_eps.sum(axis=0)
-        for code in range(4):
-            a = kernels.rates_chunk_numpy(gains, code, 0.1, 0.3, 100.0, 0.01,
-                                          band, eps_sums)
-            b = kernels.rates_chunk_numba(gains, code, 0.1, 0.3, 100.0, 0.01,
-                                          band, eps_sums)
-            assert np.allclose(a, b, rtol=5e-13, atol=1e-300)
+class TestKernelOracles:
+    @pytest.mark.parametrize("seed, start, n",
+                             [(123, 40, 300), (2**64 - 1, 12345, 200),
+                              (0, 0, 100)])
+    def test_gains_match_reference(self, default_stats, seed, start, n):
+        gains = kernels.sample_gains(seed, start, n, default_stats.sigma_hat)
+        expected = gains_reference(seed, start, n, default_stats.sigma_hat)
+        assert np.array_equal(gains, expected)
 
-    def test_gains_backends_agree(self, default_stats):
-        pytest.importorskip("numba")
-        a = kernels.gains_chunk_numpy(123, 40, 300, default_stats.sigma_hat)
-        b = kernels.gains_chunk_numba(123, 40, 300, default_stats.sigma_hat)
-        assert np.allclose(a, b, rtol=5e-13, atol=0.0)
-
-    def test_backend_switch_roundtrip(self):
-        import comp_noma
-        original = comp_noma.active_backend()
-        try:
-            comp_noma.set_backend("numpy")
-            assert comp_noma.active_backend() == "numpy"
-        finally:
-            comp_noma.set_backend(original)
-        with pytest.raises(ValueError, match="backend"):
-            comp_noma.set_backend("gpu")
+    @pytest.mark.parametrize("code", range(4))
+    def test_rates_match_reference_on_all_schemes(self, code):
+        stats = derive_link_statistics(
+            build_layout(1.0, (0.3, 0.5, 0.7), (0.8, 0.95, 0.9)), 3.5, 0.001,
+            overrides={(1, "A"): 0.004, (3, "2"): 0.0})
+        params = SystemParams(alpha=0.07, upsilon=0.03,
+                              band_fractions=(0.2, 0.3, 0.5))
+        gains = kernels.sample_gains(77, 0, 300, stats.sigma_hat)
+        band = np.asarray(params.band_fractions)
+        eps_sums = stats.sigma_eps.sum(axis=0)
+        for rho in (1.0, 100.0, 1e4):
+            args = (code, params.alpha, params.beta, rho, params.upsilon,
+                    band, eps_sums)
+            np.testing.assert_allclose(kernels.scheme_rates(gains, *args),
+                                       rates_reference(gains, *args),
+                                       rtol=5e-13, atol=0.0)
