@@ -81,13 +81,13 @@ def _e1_scaled(z: float) -> float:
     return _e1_scaled_cf(z)
 
 
-def _ensure_distinct(rates: np.ndarray) -> np.ndarray:
+def _ensure_distinct(rates: list) -> list:
     n = len(rates)
     if n == 1:
         return rates
-    order = np.argsort(rates, kind="stable")
-    ranked = rates[order]
-    adjusted = rates.astype(float).copy()
+    order = sorted(range(n), key=rates.__getitem__)
+    ranked = [rates[i] for i in order]
+    adjusted = list(rates)
     changed = False
     start = 0
     while start < n:
@@ -104,11 +104,29 @@ def _ensure_distinct(rates: np.ndarray) -> np.ndarray:
         start = end + 1
     if not changed:
         return rates
-    if len(np.unique(adjusted)) != n:
+    if len(set(adjusted)) != n:
         raise DegenerateRatesError(
-            f"rates remain exactly duplicated after perturbation: "
-            f"{adjusted.tolist()}")
+            f"rates remain exactly duplicated after perturbation: {adjusted}")
     return adjusted
+
+
+def _log2_mean(rates: list, shift: float, e1: dict) -> float:
+    # e1 maps each argument z to exp(z)E1(z) for the caller's lifetime, so
+    # the rates several users share are evaluated once.
+    rates = _ensure_distinct(rates)
+    ln_shift = math.log(shift)
+    acc = 0.0
+    for i, k_i in enumerate(rates):
+        weight = 1.0
+        for h, k_h in enumerate(rates):
+            if h != i:
+                weight *= k_h / (k_h - k_i)
+        z = shift * k_i
+        scaled = e1.get(z)
+        if scaled is None:
+            scaled = e1[z] = _e1_scaled(z)
+        acc += (ln_shift + scaled) * weight
+    return acc / _LN2
 
 
 def hypoexp_log2_mean(rates, shift: float) -> float:
@@ -126,22 +144,30 @@ def hypoexp_log2_mean(rates, shift: float) -> float:
     shift = float(shift)
     if not shift >= 1.0:
         raise ValueError(f"shift must be >= 1, got {shift}")
-    rates = _ensure_distinct(rates)
-
-    ln_shift = math.log(shift)
-    acc = 0.0
-    for i, k_i in enumerate(rates):
-        weight = 1.0
-        for h, k_h in enumerate(rates):
-            if h != i:
-                weight *= k_h / (k_h - k_i)
-        acc += (ln_shift + _e1_scaled(shift * k_i)) * weight
-    return acc / _LN2
+    return _log2_mean(rates.tolist(), shift, {})
 
 
-def _near_shift(stats: LinkStatistics, params: SystemParams, col: int) -> float:
-    return params.rho * float(stats.sigma_eps[:, col].sum()) \
+def _near_value(stats: LinkStatistics, params: SystemParams, j: int,
+                e1: dict) -> float:
+    # rate of near user j over the whole band, before its band fraction
+    shift = params.rho * float(stats.sigma_eps[:, j].sum()) \
         + params.rho * params.upsilon + 1.0
+    scale = params.alpha * params.rho
+    k = _ensure_distinct([1.0 / (scale * s) for s in stats.sigma_hat[:, j].tolist()])
+    return _log2_mean(k, shift, e1) - _log2_mean(k[:j] + k[j + 1:], shift, e1)
+
+
+def _far_value(stats: LinkStatistics, params: SystemParams, u: int,
+               e1: dict) -> float:
+    # rate of far user u (3..5) over the whole band, before its band fraction
+    shift = params.rho * float(stats.sigma_eps[:, u].sum()) + 1.0
+    sigma = stats.sigma_hat[:, u].tolist()
+    signal = (params.alpha + params.beta) * params.rho
+    interference = params.alpha * params.rho
+    signal_rates = _ensure_distinct([1.0 / (signal * s) for s in sigma])
+    interference_rates = _ensure_distinct([1.0 / (interference * s) for s in sigma])
+    return _log2_mean(signal_rates, shift, e1) \
+        - _log2_mean(interference_rates, shift, e1)
 
 
 def near_esc_closed(stats: LinkStatistics, params: SystemParams,
@@ -152,9 +178,7 @@ def near_esc_closed(stats: LinkStatistics, params: SystemParams,
         raise ValueError(f"{cell!r} is not a near user (expected 1, 2 or 3)")
     if not 1 <= subband <= 3:
         raise ValueError(f"sub-band index must be 1..3, got {subband}")
-    shift = _near_shift(stats, params, j)
-    k = _ensure_distinct(1.0 / (params.alpha * params.rho * stats.sigma_hat[:, j]))
-    value = hypoexp_log2_mean(k, shift) - hypoexp_log2_mean(np.delete(k, j), shift)
+    value = _near_value(stats, params, j, {})
     return max(params.band_fractions[subband - 1] * value, 0.0)
 
 
@@ -163,21 +187,22 @@ def far_esc_closed(stats: LinkStatistics, params: SystemParams, far_user) -> flo
     u = user_index(far_user)
     if u < 3:
         raise ValueError(f"{far_user!r} is not a far user (expected A, B or C)")
-    shift = params.rho * float(stats.sigma_eps[:, u].sum()) + 1.0
-    sigma = stats.sigma_hat[:, u]
-    signal_rates = _ensure_distinct(
-        1.0 / ((params.alpha + params.beta) * params.rho * sigma))
-    interference_rates = _ensure_distinct(1.0 / (params.alpha * params.rho * sigma))
-    value = hypoexp_log2_mean(signal_rates, shift) \
-        - hypoexp_log2_mean(interference_rates, shift)
+    value = _far_value(stats, params, u, {})
     return max(params.band_fractions[u - 3] * value, 0.0)
 
 
 def total_esc_closed(stats: LinkStatistics, params: SystemParams) -> float:
-    """Exact ergodic sum capacity of JT-CoMP VP-NOMA over all six users."""
+    """Exact ergodic sum capacity of JT-CoMP VP-NOMA over all six users.
+
+    Adds the same twelve terms, in the same order, as summing near_esc_closed
+    over sub-bands and cells and far_esc_closed over far users; each near
+    user's rate and each exp(z)E1(z) argument is evaluated once per call.
+    """
+    e1 = {}
+    near = [_near_value(stats, params, j, e1) for j in range(3)]
     total = 0.0
-    for subband, far_user in enumerate("ABC", start=1):
-        for cell in (1, 2, 3):
-            total += near_esc_closed(stats, params, cell, subband)
-        total += far_esc_closed(stats, params, far_user)
+    for u, band in enumerate(params.band_fractions, start=3):
+        for value in near:
+            total += max(band * value, 0.0)
+        total += max(band * _far_value(stats, params, u, e1), 0.0)
     return total

@@ -64,9 +64,10 @@ def estimate_esc(layout: NetworkLayout, stats: LinkStatistics,
         gains = kernels.sample_gains(seed, start, count, stats.sigma_hat)
         rates = kernels.scheme_rates(gains, code, params.alpha, params.beta,
                                      params.rho, params.upsilon, band, eps_sums)
-        # Sums run user by user and trial by trial, as rates.sum(axis=1) and
-        # rates.sum(axis=0) do on a C-ordered array, over whatever layout the
-        # kernel returns: results stay bit-identical.
+        # by_user is the kernel's contiguous user-major (6, count) buffer.
+        # Per-trial totals add the users in order, as rates.sum(axis=1) does,
+        # which keeps mean_total and ci95_halfwidth bit-identical to a
+        # C-ordered reduction; per-user sums are numpy's pairwise row sums.
         by_user = rates.T
         totals = by_user[0] + by_user[1]
         for row in by_user[2:]:
@@ -74,7 +75,7 @@ def estimate_esc(layout: NetworkLayout, stats: LinkStatistics,
         chunk_sums[index] = totals.sum()
         totals *= totals
         chunk_sumsq[index] = totals.sum()
-        chunk_user_sums[index] = np.cumsum(by_user, axis=1)[:, -1]
+        chunk_user_sums[index] = by_user.sum(axis=1)
 
     pool_size = min(workers, n_chunks)
     if pool_size > 1:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from comp_noma import (DegenerateRatesError, LinkStatistics, SchemeId,
                        SystemParams, build_layout, derive_link_statistics,
                        estimate_esc, exp_integral_ei, far_esc_closed,
                        hypoexp_log2_mean, near_esc_closed, total_esc_closed)
-from comp_noma import kernels
+from comp_noma import analytic, kernels
 from oracles import (erlang2_log2_mean_quad, hypoexp_log2_mean_quad,
                      separated_rates)
 
@@ -200,8 +201,8 @@ class TestClosedFormStructure:
                 parts.append(near_esc_closed(default_stats, params_20db,
                                              cell, subband))
             parts.append(far_esc_closed(default_stats, params_20db, far_user))
-        assert total_esc_closed(default_stats, params_20db) == pytest.approx(
-            sum(parts), rel=1e-14)
+        # the same twelve terms added in the same order
+        assert total_esc_closed(default_stats, params_20db) == sum(parts)
         assert len(parts) == 12 and all(p >= 0.0 for p in parts)
 
     def test_total_nondecreasing_in_rho(self, default_stats):
@@ -241,3 +242,116 @@ class TestClosedFormStructure:
             near_esc_closed(default_stats, params_20db, "A", 1)
         with pytest.raises(ValueError, match="far user"):
             far_esc_closed(default_stats, params_20db, 2)
+
+
+def closed_form_inputs():
+    """(stats, params) inputs by group: the three sweep grids, uneven band
+    fractions, random layouts with per-link error overrides, and rates that
+    sit within 1e-4 of each other so that the spread fires in the near and
+    far functions and again inside the log-mean."""
+    def stats_at(near=(0.5,) * 3, far=(0.95,) * 3, sigma_eps=0.001,
+                 overrides=None):
+        return derive_link_statistics(build_layout(1.0, near, far), 4.0,
+                                      sigma_eps, overrides)
+
+    def params_at(alpha=0.1, rho_db=20.0, upsilon=0.01,
+                  band_fractions=(1.0 / 3.0,) * 3):
+        return SystemParams(alpha=float(alpha), rho=10.0 ** (rho_db / 10.0),
+                            upsilon=upsilon, band_fractions=band_fractions)
+
+    default = stats_at()
+    groups = {
+        "radius": [(stats_at(near=(r,) * 3), params_at())
+                   for r in np.linspace(0.1, 0.9, 200)],
+        "rho": [(default, params_at(rho_db=x)) for x in np.linspace(0, 40, 41)],
+        "alpha": [(default, params_at(alpha=a))
+                  for a in np.linspace(0.05, 0.24, 20)],
+        "bands": [(default, params_at(band_fractions=b))
+                  for b in ((0.2, 0.3, 0.5), (0.5, 0.25, 0.25),
+                            (0.1, 0.1, 0.8))],
+    }
+    rng = np.random.default_rng(5150)
+    layouts = []
+    for _ in range(40):
+        overrides = {(int(rng.integers(1, 4)), user): float(rng.uniform(0.0, 0.01))
+                     for user in rng.choice(list("123ABC"), size=3, replace=False)}
+        stats = stats_at(tuple(rng.uniform(0.1, 0.9, 3)),
+                         tuple(rng.uniform(0.6, 1.0, 3)),
+                         float(rng.uniform(1e-4, 3e-3)), overrides)
+        params = params_at(rng.uniform(0.02, 0.24), rng.uniform(0.0, 40.0),
+                           rng.uniform(0.0, 0.05),
+                           tuple(rng.dirichlet((2.0, 2.0, 2.0))))
+        layouts.append((stats, params))
+    groups["random"] = layouts
+    # Each link column holds two equal variances and a third just past where
+    # the spread moves one of them. In the first input the moved rate then
+    # sits within the spread's gap of the third, for near and far users; in
+    # the second the near user's serving link is the odd one, so its rates
+    # are spread differently with and without that link.
+    gap = 1.0 + 5e-5 + 1e-9
+    coincident = np.array([[0.5, 0.5, 0.5 / gap] * 2, [0.5, 0.5 / gap, 0.5] * 2,
+                           [0.5 / gap, 0.5, 0.5] * 2])
+    serving_apart = np.empty((3, 6))
+    for j, s in enumerate((0.5, 0.7, 0.9)):
+        serving_apart[:, j] = s
+        serving_apart[j, j] = s / gap
+    serving_apart[:, 3:] = rng.uniform(0.1, 1.0, (3, 3))
+    groups["coincident"] = [
+        (LinkStatistics(sigma_hat, np.full((3, 6), 0.001), 4.0), params_at())
+        for sigma_hat in (coincident, serving_apart)]
+    return groups
+
+
+def closed_form_values(stats, params):
+    values = [total_esc_closed(stats, params)]
+    values += [near_esc_closed(stats, params, cell, subband)
+               for cell in (1, 2, 3) for subband in (1, 2, 3)]
+    values += [far_esc_closed(stats, params, far) for far in "ABC"]
+    return values
+
+
+CLOSED_FORM_INPUTS = closed_form_inputs()
+CLOSED_FORM_DIGESTS = {
+    "radius": "aef90951090635bb21c2c874829984f117902eb0b652dbc68a0fc794792ecee3",
+    "rho": "c8017aff32f7fd3ca6e9defa79e5ceb8d28f5728a070641e387c9439395449aa",
+    "alpha": "13a336232987e162e0f81339ca0e11c45d1917362e6d0b8a3577c5b494a615d8",
+    "bands": "b2308d35896f3f1f1a1fdaebbd84da44bdfbc73d99de75e8ebe6093efe6488d1",
+    "random": "13561723b0c62b4137e368742e5d83dc280428cbc857de912b4f16510355cf40",
+    "coincident": "fe3e49248f48afba80228ab77063b620c5b263a2918c23b3b3029c730c733021",
+}
+
+
+@pytest.mark.parametrize("group", list(CLOSED_FORM_INPUTS))
+def test_closed_form_is_bit_exact(group):
+    # SHA-256 of the float64 bytes of total_esc_closed, the nine
+    # near_esc_closed values and the three far_esc_closed values per input;
+    # frozen from the implementation that evaluated every user and sub-band
+    # separately, so any change to the arithmetic or its order shows here.
+    values = [closed_form_values(stats, params)
+              for stats, params in CLOSED_FORM_INPUTS[group]]
+    digest = hashlib.sha256(np.array(values, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == CLOSED_FORM_DIGESTS[group]
+
+
+def test_total_evaluates_each_e1_argument_once(monkeypatch, default_stats,
+                                               params_20db):
+    # 27 = three rates per near user plus three signal and three interference
+    # rates per far user, since a near user's rates without its serving link
+    # are a subset of its own. When the spread inside the log-mean moves
+    # them differently, a near user has up to 3 + 2 arguments: 33 in all.
+    arguments = []
+    e1_scaled = analytic._e1_scaled
+
+    def counted(z):
+        arguments.append(z)
+        return e1_scaled(z)
+
+    monkeypatch.setattr(analytic, "_e1_scaled", counted)
+    total_esc_closed(default_stats, params_20db)
+    assert len(arguments) == len(set(arguments)) == 13
+    for group, inputs in CLOSED_FORM_INPUTS.items():
+        for stats, params in inputs:
+            arguments.clear()
+            total_esc_closed(stats, params)
+            bound = 33 if group == "coincident" else 27
+            assert len(arguments) == len(set(arguments)) <= bound, group
