@@ -14,8 +14,7 @@ from .harness import (ConfigError, ResultRow, SweepConfig, SweepKind,
                       db_to_linear, emit_plot, parse_config, read_results,
                       run_sweep, write_results)
 from .montecarlo import EscEstimate, compare_schemes, estimate_esc
-from .schemes import (RateBreakdown, SchemeId, SystemParams, far_rate_comp,
-                      near_rate_subband, total_instantaneous)
+from .schemes import RateBreakdown, SchemeId, SystemParams, total_instantaneous
 
 __all__ = [
     "ChannelRealization", "ConfigError", "DegenerateRatesError", "EscEstimate",
@@ -24,8 +23,8 @@ __all__ = [
     "SweepKind", "SystemParams", "USERS", "build_layout",
     "compare_schemes", "db_to_linear", "derive_link_statistics",
     "distance_matrix", "emit_plot", "estimate_esc", "exp_integral_ei",
-    "far_esc_closed", "far_rate_comp", "hypoexp_log2_mean", "link_distance",
-    "near_esc_closed", "near_rate_subband", "parse_config", "read_results",
-    "run_sweep", "sample_realization", "total_esc_closed",
-    "total_instantaneous", "write_results",
+    "far_esc_closed", "hypoexp_log2_mean", "link_distance",
+    "near_esc_closed", "parse_config", "read_results", "run_sweep",
+    "sample_realization", "total_esc_closed", "total_instantaneous",
+    "write_results",
 ]

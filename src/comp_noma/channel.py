@@ -26,7 +26,6 @@ class LinkStatistics:
 
     sigma_hat: np.ndarray
     sigma_eps: np.ndarray
-    pathloss_exponent: float
 
     def sigma_hat_for(self, bs_index, user) -> float:
         return float(self.sigma_hat[bs_index - 1, user_index(user)])
@@ -40,9 +39,6 @@ class ChannelRealization:
     """One draw of all estimated channel power gains |h_hat|^2, (3, 6)."""
 
     gain: np.ndarray
-
-    def gain_for(self, bs_index, user) -> float:
-        return float(self.gain[bs_index - 1, user_index(user)])
 
 
 def derive_link_statistics(layout: NetworkLayout, pathloss_exponent=4.0,
@@ -74,7 +70,7 @@ def derive_link_statistics(layout: NetworkLayout, pathloss_exponent=4.0,
         raise InfeasibleCsiError(
             f"link (BS{i + 1}, UE{labels[u]}): d^-v = {d[i, u] ** (-v):.6g} "
             f"does not exceed sigma_eps = {eps[i, u]:.6g}")
-    return LinkStatistics(sigma_hat, eps, v)
+    return LinkStatistics(sigma_hat, eps)
 
 
 def check_seed(seed: int) -> None:

@@ -29,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated subset of oma,noma,vpnoma,comp-vpnoma")
     parser.add_argument("--trials", metavar="N", help="Monte-Carlo trials per point")
     parser.add_argument("--seed", metavar="S", help="64-bit random seed")
-    parser.add_argument("--out", metavar="PATH", default=None,
+    parser.add_argument("--out", metavar="PATH", default="results.csv",
                         help="output CSV path (default results.csv)")
     parser.add_argument("--plot", metavar="PATH", default=None,
                         help="also write a self-contained SVG chart")
@@ -64,9 +64,8 @@ def main(argv=None) -> int:
 
     try:
         rows = run_sweep(cfg, workers=args.workers)
-        out_path = args.out if args.out is not None else cfg.output_path
-        write_results(rows, out_path)
-        print(f"wrote {len(rows)} rows to {out_path}")
+        write_results(rows, args.out)
+        print(f"wrote {len(rows)} rows to {args.out}")
         if args.plot is not None:
             emit_plot(rows, args.plot)
             print(f"wrote plot to {args.plot}")

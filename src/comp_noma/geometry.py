@@ -88,11 +88,7 @@ def link_distance(layout: NetworkLayout, bs_index, user) -> float:
     """Euclidean distance between base station bs_index (1..3) and a user."""
     i = _check_bs_index(bs_index)
     u = user_index(user)
-    if u < 3:
-        pos = layout.near_user_positions[u]
-    else:
-        pos = layout.far_user_positions[u - 3]
-    return float(np.linalg.norm(layout.bs_positions[i - 1] - pos))
+    return float(distance_matrix(layout)[i - 1, u])
 
 
 def distance_matrix(layout: NetworkLayout) -> np.ndarray:

@@ -70,7 +70,6 @@ class SweepConfig:
     schemes: tuple = tuple(SchemeId)
     trials: int = 100_000
     seed: int = 1
-    output_path: str = "results.csv"
 
     def sweep_values(self) -> np.ndarray:
         return np.linspace(self.from_value, self.to_value, self.steps)
@@ -242,7 +241,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list:
         params = SystemParams(alpha=alpha, rho=db_to_linear(rho_db),
                               upsilon=cfg.upsilon)
         for scheme in cfg.schemes:
-            estimate = estimate_esc(layout, stats, params, scheme, cfg.trials,
+            estimate = estimate_esc(stats, params, scheme, cfg.trials,
                                     cfg.seed, workers)
             rows.append(ResultRow(
                 sweep_kind=cfg.sweep_kind,

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .analytic import total_esc_closed
 from .channel import LinkStatistics, check_seed
-from .geometry import USERS, NetworkLayout
+from .geometry import USERS
 from .schemes import SchemeId, SystemParams
 
 
@@ -33,14 +33,13 @@ class EscEstimate:
     analytic_total: float | None = None
 
 
-def estimate_esc(layout: NetworkLayout, stats: LinkStatistics,
-                 params: SystemParams, scheme: SchemeId, trials: int,
-                 seed: int, workers: int = 1) -> EscEstimate:
+def estimate_esc(stats: LinkStatistics, params: SystemParams,
+                 scheme: SchemeId, trials: int, seed: int,
+                 workers: int = 1) -> EscEstimate:
     """Average total_instantaneous over `trials` fading realizations.
 
-    The result is a pure function of (stats, params, scheme, trials, seed);
-    layout is carried for interface symmetry, all math reads stats. Identical
-    to the serial order for any worker count.
+    The result is a pure function of (stats, params, scheme, trials, seed),
+    identical to the serial order for any worker count.
     """
     trials = int(trials)
     if trials < 1:
@@ -108,9 +107,8 @@ def estimate_esc(layout: NetworkLayout, stats: LinkStatistics,
     )
 
 
-def compare_schemes(layout: NetworkLayout, stats: LinkStatistics,
-                    params: SystemParams, trials: int, seed: int,
-                    workers: int = 1) -> list:
+def compare_schemes(stats: LinkStatistics, params: SystemParams, trials: int,
+                    seed: int, workers: int = 1) -> list:
     """One EscEstimate per scheme, all sharing the same fading draws."""
-    return [estimate_esc(layout, stats, params, scheme, trials, seed, workers)
+    return [estimate_esc(stats, params, scheme, trials, seed, workers)
             for scheme in SchemeId]

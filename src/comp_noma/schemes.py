@@ -1,10 +1,11 @@
 """Instantaneous per-user rates for the four transmission schemes.
 
-JT-CoMP VP-NOMA follows the printed SINR expressions: each near user keeps the
-whole band with SIC residual rho*upsilon, each far user gets one third of the
-band with all three base stations combining non-coherently. The OMA, NOMA and
-plain VP-NOMA baselines reuse the same power and bandwidth budgets so the
-scheme comparison is fair.
+Every SINR is evaluated once, in kernels.scheme_rates. JT-CoMP VP-NOMA follows
+the printed SINR expressions: each near user keeps the whole band with SIC
+residual rho*upsilon, each far user gets one third of the band with all three
+base stations combining non-coherently. The OMA, NOMA and plain VP-NOMA
+baselines reuse the same power and bandwidth budgets so the scheme comparison
+is fair.
 """
 
 import enum
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .channel import ChannelRealization, LinkStatistics
-from .geometry import FAR_USERS, NEAR_USERS, USERS, user_index
+from .geometry import FAR_USERS, NEAR_USERS, USERS
 
 
 class SchemeId(enum.Enum):
@@ -90,52 +91,6 @@ class RateBreakdown:
     total: float
 
 
-def near_rate_subband(realization: ChannelRealization, stats: LinkStatistics,
-                      params: SystemParams, cell: int, subband: int) -> float:
-    """Rate of near user `cell` on sub-band `subband` under (CoMP) VP-NOMA.
-
-    SIC has removed every far-user signal, leaving the other cells' near-user
-    transmissions, the CSI-error terms, and the SIC residue in the denominator;
-    the SINR is therefore the same on every sub-band.
-    """
-    j = user_index(cell)
-    if not 1 <= subband <= 3:
-        raise ValueError(f"sub-band index must be 1..3, got {subband}")
-    g = realization.gain
-    arho = params.alpha * params.rho
-    cross = float(g[:, j].sum() - g[j, j])
-    noise = params.rho * float(stats.sigma_eps[:, j].sum())
-    sinr = arho * g[j, j] / (arho * cross + noise + params.rho * params.upsilon + 1.0)
-    return params.band_fractions[subband - 1] * float(np.log2(1.0 + sinr))
-
-
-def far_rate_comp(realization: ChannelRealization, stats: LinkStatistics,
-                  params: SystemParams, far_user) -> float:
-    """Rate of a far user with all three base stations jointly transmitting."""
-    u = user_index(far_user)
-    if u < 3:
-        raise ValueError(f"{far_user!r} is not a far user (expected A, B or C)")
-    g = realization.gain
-    combined = float(g[:, u].sum())
-    noise = params.rho * float(stats.sigma_eps[:, u].sum())
-    sinr = (params.beta * params.rho * combined
-            / (params.alpha * params.rho * combined + noise + 1.0))
-    return params.band_fractions[u - 3] * float(np.log2(1.0 + sinr))
-
-
-def _far_rate_vpnoma(realization, stats, params, far_user) -> float:
-    """Non-CoMP far rate: only the serving cell's copy is useful signal."""
-    u = user_index(far_user)
-    g = realization.gain
-    serving = float(g[u - 3, u])
-    combined = float(g[:, u].sum())
-    noise = params.rho * float(stats.sigma_eps[:, u].sum())
-    den = (params.alpha * params.rho * combined
-           + params.beta * params.rho * (combined - serving) + noise + 1.0)
-    sinr = params.beta * params.rho * serving / den
-    return params.band_fractions[u - 3] * float(np.log2(1.0 + sinr))
-
-
 def total_instantaneous(realization: ChannelRealization, stats: LinkStatistics,
                         params: SystemParams, scheme: SchemeId) -> RateBreakdown:
     """Per-user and total rates of one realization under the given scheme."""
@@ -147,11 +102,11 @@ def total_instantaneous(realization: ChannelRealization, stats: LinkStatistics,
     total = float(rates.sum())
 
     if scheme in (SchemeId.COMP_VPNOMA, SchemeId.VPNOMA):
-        far_rate = far_rate_comp if scheme is SchemeId.COMP_VPNOMA else _far_rate_vpnoma
-        per_subband = tuple(
-            sum(near_rate_subband(realization, stats, params, j, m) for j in (1, 2, 3))
-            + far_rate(realization, stats, params, FAR_USERS[m - 1])
-            for m in (1, 2, 3))
+        # Near users hold the whole band at one SINR, far user m sub-band m.
+        band = params.band_fractions
+        near_per_band = float(rates[:3].sum()) / (band[0] + band[1] + band[2])
+        per_subband = tuple(band[m] * near_per_band + float(rates[3 + m])
+                            for m in range(3))
     else:
         # Full-band schemes have no sub-band split; report per-cell pair sums.
         per_subband = tuple(

@@ -25,8 +25,7 @@ DEFAULT_FAR = 0.95
 
 def default_setup(near=DEFAULT_NEAR):
     layout = build_layout(1.0, (near,) * 3, (DEFAULT_FAR,) * 3)
-    stats = derive_link_statistics(layout, 4.0, 0.001)
-    return layout, stats
+    return derive_link_statistics(layout, 4.0, 0.001)
 
 
 def params_at(snr_db, alpha=0.1):
@@ -47,10 +46,10 @@ def report(number, name, ok, detail=""):
 
 def test_criterion_1_closed_form_matches_simulation():
     """Closed-form ESC within 1% of the 10^6-trial estimate at five SNRs."""
-    layout, stats = default_setup()
+    stats = default_setup()
     worst = 0.0
     for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0):
-        estimate = estimate_esc(layout, stats, params_at(snr_db),
+        estimate = estimate_esc(stats, params_at(snr_db),
                                 SchemeId.COMP_VPNOMA, trials=1_000_000, seed=101)
         rel = abs(estimate.mean_total - estimate.analytic_total) \
             / estimate.analytic_total
@@ -62,11 +61,11 @@ def test_criterion_1_closed_form_matches_simulation():
 
 def test_criterion_2_comp_scheme_wins_with_margin():
     """JT-CoMP VP-NOMA beats every baseline by more than 3x the CI width."""
-    layout, stats = default_setup()
+    stats = default_setup()
     ok = True
     detail = []
     for snr_db in (10.0, 20.0, 30.0):
-        estimates = compare_schemes(layout, stats, params_at(snr_db),
+        estimates = compare_schemes(stats, params_at(snr_db),
                                     trials=100_000, seed=202)
         by_scheme = {e.scheme: e for e in estimates}
         comp = by_scheme[SchemeId.COMP_VPNOMA]
@@ -83,7 +82,7 @@ def test_criterion_2_comp_scheme_wins_with_margin():
 
 def test_criterion_3_comp_never_loses_per_realization():
     """On 10^4 draws every far user's CoMP rate >= its non-CoMP rate."""
-    _, stats = default_setup()
+    stats = default_setup()
     params = params_at(20.0)
     gains = kernels.sample_gains(303, 0, 10_000, stats.sigma_hat)
     band = np.asarray(params.band_fractions)
@@ -105,8 +104,8 @@ def test_criterion_4_capacity_drops_as_near_users_approach_edge():
     params = params_at(20.0)
     estimates = {}
     for radius in (0.1, 0.9):
-        layout, stats = default_setup(near=radius)
-        estimates[radius] = estimate_esc(layout, stats, params,
+        stats = default_setup(near=radius)
+        estimates[radius] = estimate_esc(stats, params,
                                          SchemeId.COMP_VPNOMA,
                                          trials=100_000, seed=404)
     margin = estimates[0.1].mean_total - estimates[0.9].mean_total
@@ -136,8 +135,8 @@ def test_criterion_5_capacity_nondecreasing_in_near_power_share():
     alpha, so under common random numbers the two step-wise trends are exact
     at any seed; they fail if the kernels swap the two power shares.
     """
-    layout, stats = default_setup()
-    estimates = [estimate_esc(layout, stats, params_at(20.0, alpha=alpha),
+    stats = default_setup()
+    estimates = [estimate_esc(stats, params_at(20.0, alpha=alpha),
                               SchemeId.COMP_VPNOMA, trials=100_000, seed=505)
                  for alpha in (0.05, 0.10, 0.15, 0.20, 0.24)]
     near = [sum(e.per_user_mean[u] for u in NEAR_USERS) for e in estimates]
@@ -183,11 +182,11 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
     write_results(run_sweep(parse_config(text)), second)
     ok_bytes = first.read_bytes() == second.read_bytes()
 
-    layout, stats = default_setup()
-    serial = estimate_esc(layout, stats, params_at(10.0),
+    stats = default_setup()
+    serial = estimate_esc(stats, params_at(10.0),
                           SchemeId.COMP_VPNOMA, trials=100_000, seed=707,
                           workers=1)
-    threaded = estimate_esc(layout, stats, params_at(10.0),
+    threaded = estimate_esc(stats, params_at(10.0),
                             SchemeId.COMP_VPNOMA, trials=100_000, seed=707,
                             workers=8)
     gap = abs(serial.mean_total - threaded.mean_total) / serial.mean_total
@@ -201,12 +200,12 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
 
 def test_criterion_8_confidence_intervals_are_calibrated():
     """The closed form lies inside mean +- ci95 for >= 90 of 100 seeds."""
-    layout, stats = default_setup()
+    stats = default_setup()
     params = params_at(10.0)
     analytic = total_esc_closed(stats, params)
     hits = 0
     for seed in range(100):
-        estimate = estimate_esc(layout, stats, params, SchemeId.COMP_VPNOMA,
+        estimate = estimate_esc(stats, params, SchemeId.COMP_VPNOMA,
                                 trials=10_000, seed=seed)
         if abs(estimate.mean_total - analytic) <= estimate.ci95_halfwidth:
             hits += 1

@@ -133,9 +133,9 @@ def per_user_standard_errors(stats, params, scheme, trials, seed):
 
 class TestClosedFormsAgainstMonteCarlo:
     def test_near_and_far_match_simulation_within_3_se(
-            self, default_layout, default_stats, params_10db):
+            self, default_stats, params_10db):
         trials = 1_000_000
-        estimate = estimate_esc(default_layout, default_stats, params_10db,
+        estimate = estimate_esc(default_stats, params_10db,
                                 SchemeId.COMP_VPNOMA, trials, seed=31)
         se = per_user_standard_errors(default_stats, params_10db,
                                       SchemeId.COMP_VPNOMA, 100_000,
@@ -151,7 +151,7 @@ class TestClosedFormsAgainstMonteCarlo:
         layout = build_layout(1.0, (0.5,) * 3, (1.0,) * 3)
         stats = derive_link_statistics(layout, 4.0, 0.001)
         trials = 200_000
-        estimate = estimate_esc(layout, stats, params_10db,
+        estimate = estimate_esc(stats, params_10db,
                                 SchemeId.COMP_VPNOMA, trials, seed=77)
         se = per_user_standard_errors(stats, params_10db,
                                       SchemeId.COMP_VPNOMA, 50_000,
@@ -164,7 +164,7 @@ class TestClosedFormStructure:
     def test_vanishing_serving_variance_gives_vanishing_rate(self, params_20db):
         sigma_hat = np.ones((3, 6))
         sigma_hat[1, 1] = 1e-12
-        stats = LinkStatistics(sigma_hat, np.zeros((3, 6)), 4.0)
+        stats = LinkStatistics(sigma_hat, np.zeros((3, 6)))
         assert near_esc_closed(stats, params_20db, 2, 1) < 1e-9
 
     def test_vanishing_alpha_gives_vanishing_near_rate(self, default_stats):
@@ -183,14 +183,14 @@ class TestClosedFormStructure:
         for serving in (0.5, 1.0, 2.0, 4.0):
             sigma_hat = np.full((3, 6), 0.3)
             sigma_hat[0, 0] = serving
-            stats = LinkStatistics(sigma_hat, np.full((3, 6), 0.001), 4.0)
+            stats = LinkStatistics(sigma_hat, np.full((3, 6), 0.001))
             values.append(near_esc_closed(stats, params_20db, 1, 1))
         assert all(a < b for a, b in zip(values, values[1:]))
         values = []
         for serving in (0.5, 1.0, 2.0, 4.0):
             sigma_hat = np.full((3, 6), 0.3)
             sigma_hat[0, 3] = serving
-            stats = LinkStatistics(sigma_hat, np.full((3, 6), 0.001), 4.0)
+            stats = LinkStatistics(sigma_hat, np.full((3, 6), 0.001))
             values.append(far_esc_closed(stats, params_20db, "A"))
         assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -231,9 +231,9 @@ class TestClosedFormStructure:
                 permuted_hat[perm[i], 3 + perm[u]] = sigma_hat[i, 3 + u]
                 permuted_eps[perm[i], perm[u]] = sigma_eps[i, u]
                 permuted_eps[perm[i], 3 + perm[u]] = sigma_eps[i, 3 + u]
-        base = total_esc_closed(LinkStatistics(sigma_hat, sigma_eps, 4.0),
+        base = total_esc_closed(LinkStatistics(sigma_hat, sigma_eps),
                                 params_20db)
-        moved = total_esc_closed(LinkStatistics(permuted_hat, permuted_eps, 4.0),
+        moved = total_esc_closed(LinkStatistics(permuted_hat, permuted_eps),
                                  params_20db)
         assert moved == pytest.approx(base, rel=1e-12)
 
@@ -297,7 +297,7 @@ def closed_form_inputs():
         serving_apart[j, j] = s / gap
     serving_apart[:, 3:] = rng.uniform(0.1, 1.0, (3, 3))
     groups["coincident"] = [
-        (LinkStatistics(sigma_hat, np.full((3, 6), 0.001), 4.0), params_at())
+        (LinkStatistics(sigma_hat, np.full((3, 6), 0.001)), params_at())
         for sigma_hat in (coincident, serving_apart)]
     return groups
 

@@ -8,7 +8,7 @@ from comp_noma import kernels
 
 def uniform_stats(sigma_hat=1.0, sigma_eps=0.0):
     return LinkStatistics(np.full((3, 6), float(sigma_hat)),
-                          np.full((3, 6), float(sigma_eps)), 4.0)
+                          np.full((3, 6), float(sigma_eps)))
 
 
 def test_unit_distance_perfect_csi_gives_unit_variance():
@@ -75,7 +75,7 @@ def test_scaling_one_links_variance_scales_its_gain_exactly():
     stats = uniform_stats(1.0)
     scaled = np.ones((3, 6))
     scaled[1, 4] = 2.5
-    stats_scaled = LinkStatistics(scaled, np.zeros((3, 6)), 4.0)
+    stats_scaled = LinkStatistics(scaled, np.zeros((3, 6)))
     a = sample_realization(stats, 7, seed=5).gain
     b = sample_realization(stats_scaled, 7, seed=5).gain
     assert b[1, 4] == 2.5 * a[1, 4]

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import comp_noma
 from comp_noma import read_results
 from comp_noma.cli import main
 
@@ -16,6 +19,13 @@ def test_defaulted_run_writes_csv_and_plot(tmp_path):
     rows = read_results(out)
     assert len(rows) == 3
     assert plot.read_text().count("<polyline") == 1
+
+
+def test_default_output_is_results_csv(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(["--trials", "100", "--steps", "2", "--schemes", "oma"])
+    assert code == 0
+    assert len(read_results(tmp_path / "results.csv")) == 2
 
 
 def test_flags_override_config_file(tmp_path):
@@ -67,10 +77,14 @@ def test_runtime_error_exits_1(tmp_path, capsys):
 
 def test_module_invocation_round_trips(tmp_path):
     out = tmp_path / "cli.csv"
+    # The child imports the same package this test does, installed or not.
+    package_root = str(Path(comp_noma.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "comp_noma", "--trials", "50", "--steps", "2",
          "--schemes", "oma", "--seed", "4", "--out", str(out)],
-        capture_output=True, text=True, timeout=600)
+        capture_output=True, text=True, timeout=600, env=env)
     assert result.returncode == 0, result.stderr
     assert "wrote 2 rows" in result.stdout
     assert len(read_results(out)) == 2

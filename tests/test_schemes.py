@@ -3,7 +3,7 @@ import pytest
 
 from comp_noma import (ChannelRealization, LinkStatistics, SchemeId,
                        SystemParams, build_layout, derive_link_statistics,
-                       far_rate_comp, near_rate_subband, total_instantaneous)
+                       total_instantaneous)
 from comp_noma import kernels
 from comp_noma.geometry import USERS
 from oracles import gains_reference, rates_reference
@@ -16,11 +16,24 @@ def realization(gain):
 
 
 def stats_with(eps=0.0):
-    return LinkStatistics(np.ones((3, 6)), np.full((3, 6), float(eps)), 4.0)
+    return LinkStatistics(np.ones((3, 6)), np.full((3, 6), float(eps)))
 
 
 def random_realization(rng, scale=1.0):
     return ChannelRealization(rng.exponential(scale, size=(3, 6)))
+
+
+def comp_rates(real, stats, params):
+    return total_instantaneous(real, stats, params,
+                               SchemeId.COMP_VPNOMA).per_user
+
+
+def reference_rates(real, stats, params, scheme):
+    """Per-user rates of one realization from the per-trial oracle."""
+    return rates_reference(real.gain[None], scheme.code, params.alpha,
+                           params.beta, params.rho, params.upsilon,
+                           np.asarray(params.band_fractions),
+                           stats.sigma_eps.sum(axis=0))[0]
 
 
 class TestSystemParams:
@@ -61,30 +74,29 @@ class TestSystemParams:
 class TestNearRate:
     def test_hand_worked_single_gain(self):
         # alpha=0.1, rho=10, only the serving gain nonzero -> (1/3) log2(2)
+        # on each sub-band, 1 bit over the full band
         p = SystemParams(alpha=0.1, rho=10.0, upsilon=0.0)
         gain = np.zeros((3, 6))
         gain[0, 0] = 1.0
-        rate = near_rate_subband(realization(gain), stats_with(0.0), p, 1, 1)
-        assert rate == pytest.approx(1.0 / 3.0, rel=1e-14)
+        breakdown = total_instantaneous(realization(gain), stats_with(0.0), p,
+                                        SchemeId.COMP_VPNOMA)
+        assert breakdown.per_user["1"] == pytest.approx(1.0, rel=1e-14)
+        for subband_sum in breakdown.per_subband_sum:
+            assert subband_sum == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_vanishing_power_gives_vanishing_rate(self):
         p = SystemParams(alpha=1e-300, rho=10.0, upsilon=0.0)
         gain = np.ones((3, 6))
-        rate = near_rate_subband(realization(gain), stats_with(0.0), p, 1, 1)
+        rate = comp_rates(realization(gain), stats_with(0.0), p)["1"]
         assert rate == pytest.approx(0.0, abs=1e-250)
 
     def test_rate_decreases_monotonically_to_zero_with_rho(self, rng):
         real = random_realization(rng)
-        rates = [near_rate_subband(real, stats_with(0.001),
-                                   SystemParams(alpha=0.1, rho=rho), 2, 1)
+        rates = [comp_rates(real, stats_with(0.001),
+                            SystemParams(alpha=0.1, rho=rho))["2"]
                  for rho in (10.0, 1.0, 0.1, 0.01, 0.001)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
         assert rates[-1] < 1e-3
-
-    def test_bad_subband_rejected(self, rng):
-        with pytest.raises(ValueError, match="sub-band"):
-            near_rate_subband(random_realization(rng), stats_with(),
-                              SystemParams(), 1, 4)
 
 
 class TestFarRate:
@@ -93,7 +105,7 @@ class TestFarRate:
         p = SystemParams(alpha=0.1, rho=10.0, upsilon=0.0)
         gain = np.zeros((3, 6))
         gain[:, 3] = 1.0
-        rate = far_rate_comp(realization(gain), stats_with(0.0), p, "A")
+        rate = comp_rates(realization(gain), stats_with(0.0), p)["A"]
         assert rate == pytest.approx(FAR_COMP_EXAMPLE, rel=1e-12)
 
     def test_vanishing_far_power_via_direct_formula(self):
@@ -109,12 +121,8 @@ class TestFarRate:
         for level in (0.5, 1.0, 2.0, 4.0):
             gain = np.zeros((3, 6))
             gain[:, 4] = level
-            rates.append(far_rate_comp(realization(gain), stats_with(0.001), p, "B"))
+            rates.append(comp_rates(realization(gain), stats_with(0.001), p)["B"])
         assert all(a < b for a, b in zip(rates, rates[1:]))
-
-    def test_near_user_id_rejected(self, rng):
-        with pytest.raises(ValueError, match="far user"):
-            far_rate_comp(random_realization(rng), stats_with(), SystemParams(), 2)
 
 
 class TestTotalInstantaneous:
@@ -198,8 +206,8 @@ class TestTotalInstantaneous:
             for u in range(3):
                 eps_permuted[perm[i], perm[u]] = eps[i, u]
                 eps_permuted[perm[i], 3 + perm[u]] = eps[i, 3 + u]
-        stats = LinkStatistics(np.ones((3, 6)), eps, 4.0)
-        stats_permuted = LinkStatistics(np.ones((3, 6)), eps_permuted, 4.0)
+        stats = LinkStatistics(np.ones((3, 6)), eps)
+        stats_permuted = LinkStatistics(np.ones((3, 6)), eps_permuted)
         for scheme in SchemeId:
             base = total_instantaneous(realization(gain), stats, params_20db,
                                        scheme)
@@ -229,11 +237,26 @@ class TestTotalInstantaneous:
         real = random_realization(rng)
         breakdown = total_instantaneous(real, default_stats, params_20db,
                                         SchemeId.COMP_VPNOMA)
-        near_total = sum(near_rate_subband(real, default_stats, params_20db,
-                                           1, m) for m in (1, 2, 3))
-        assert breakdown.per_user["1"] == pytest.approx(near_total, rel=1e-12)
-        assert breakdown.per_user["A"] == pytest.approx(
-            far_rate_comp(real, default_stats, params_20db, "A"), rel=1e-12)
+        expected = reference_rates(real, default_stats, params_20db,
+                                   SchemeId.COMP_VPNOMA)
+        assert breakdown.per_user["1"] == pytest.approx(expected[0], rel=1e-12)
+        assert breakdown.per_user["A"] == pytest.approx(expected[3], rel=1e-12)
+
+    @pytest.mark.parametrize("scheme", [SchemeId.COMP_VPNOMA, SchemeId.VPNOMA],
+                             ids=lambda s: s.token)
+    def test_per_subband_sum_matches_reference(self, rng, default_stats,
+                                               scheme):
+        band = (0.5, 0.3, 0.2)
+        p = SystemParams(alpha=0.1, rho=100.0, upsilon=0.01,
+                         band_fractions=band)
+        for _ in range(20):
+            real = random_realization(rng)
+            breakdown = total_instantaneous(real, default_stats, p, scheme)
+            expected = reference_rates(real, default_stats, p, scheme)
+            for m in range(3):
+                near = sum(expected[j] / sum(band) * band[m] for j in range(3))
+                assert breakdown.per_subband_sum[m] == pytest.approx(
+                    near + expected[3 + m], rel=1e-12)
 
     def test_uneven_band_fractions_respected(self, rng, default_stats):
         p = SystemParams(alpha=0.1, rho=100.0, upsilon=0.01,
@@ -241,16 +264,16 @@ class TestTotalInstantaneous:
         real = random_realization(rng)
         breakdown = total_instantaneous(real, default_stats, p,
                                         SchemeId.COMP_VPNOMA)
-        rate_a = far_rate_comp(real, default_stats, p, "A")
+        rate_a = reference_rates(real, default_stats, p,
+                                 SchemeId.COMP_VPNOMA)[3]
         assert breakdown.per_user["A"] == pytest.approx(rate_a, rel=1e-12)
         assert breakdown.total == pytest.approx(
             sum(breakdown.per_user.values()), rel=1e-12)
         # symmetric gains: far users share one SINR, rates scale with the band
         gain = np.ones((3, 6))
         symmetric = realization(gain)
-        rate_a = far_rate_comp(symmetric, default_stats, p, "A")
-        rate_b = far_rate_comp(symmetric, default_stats, p, "B")
-        rate_c = far_rate_comp(symmetric, default_stats, p, "C")
+        rates = comp_rates(symmetric, default_stats, p)
+        rate_a, rate_b, rate_c = rates["A"], rates["B"], rates["C"]
         assert rate_a / 0.5 == pytest.approx(rate_b / 0.3, rel=1e-12)
         assert rate_a / 0.5 == pytest.approx(rate_c / 0.2, rel=1e-12)
 
