@@ -34,7 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--plot", metavar="PATH", default=None,
                         help="also write a self-contained SVG chart")
     parser.add_argument("--workers", metavar="N", type=int, default=1,
-                        help="worker threads (any count reproduces serial results)")
+                        help="worker threads per estimate; a second one shortens "
+                             "estimates of more than one 8,192-trial chunk (any "
+                             "count reproduces serial results)")
     return parser
 
 

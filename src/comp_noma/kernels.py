@@ -30,11 +30,13 @@ _TO_UNIT = 2.0 ** -53
 _LINKS_GOLDEN = np.uint64(N_LINKS * 0x9E3779B97F4A7C15 % 2**64)
 
 
-# Draws per block of the draw kernel: two links of a full chunk. Its two
-# uint64 scratch buffers (128 KB each) stay in the core's cache through the
-# passes of the SplitMix64 finalizer; of 1, 2, 3, 6 and 18 links per block,
-# two ran fastest.
-_DRAW_BLOCK = 2 * CHUNK_TRIALS
+# Links per block of the draw kernel; N_LINKS is a multiple of it. Every
+# numpy call releases and retakes the GIL, so with two worker threads a
+# chunk costs per call as well as per draw, and six-link blocks run the
+# SplitMix64 finalizer in three passes per chunk. A fixed link count, not a
+# fixed number of draws, keeps the uint64 scratch block of a 2,000-trial
+# chunk at 96 KB, below glibc's 128 KiB mmap threshold.
+_DRAW_LINKS = 6
 
 
 def sample_gains(seed, start_trial, n, sigma_hat):
@@ -54,13 +56,17 @@ def sample_gains(seed, start_trial, n, sigma_hat):
     # -log(u) * s == log(u) * -s exactly: IEEE negation is exact.
     neg_sigma = -np.asarray(sigma_hat, dtype=np.float64).reshape(N_LINKS, 1)
 
+    # The scratch block is allocated before the output: in the other order,
+    # some processes running 2,000-trial sweeps had glibc return and
+    # re-fault about 85 heap pages per estimate.
+    zb = np.empty((_DRAW_LINKS, n), dtype=np.uint64)
     out = np.empty((N_LINKS, n))
-    rows = max(1, _DRAW_BLOCK // max(n, 1))
-    z = np.empty((min(rows, N_LINKS), n), dtype=np.uint64)
-    shifted = np.empty_like(z)
-    for lo in range(0, N_LINKS, rows):
-        hi = min(lo + rows, N_LINKS)
-        zb, sb, gb = z[:hi - lo], shifted[:hi - lo], out[lo:hi]
+    for lo in range(0, N_LINKS, _DRAW_LINKS):
+        hi = lo + _DRAW_LINKS
+        gb = out[lo:hi]
+        # The block's gains are written last, so their memory holds the
+        # finalizer's shifted copies until then.
+        sb = gb.view(np.uint64)
         np.add(link_term[lo:hi, None], trial_term, out=zb)
         np.right_shift(zb, np.uint64(30), out=sb)
         zb ^= sb
@@ -81,15 +87,6 @@ def sample_gains(seed, start_trial, n, sigma_hat):
     return out.reshape(N_BS, N_USERS, n).transpose(2, 0, 1)
 
 
-def _log2_ratio(out, den, scale):
-    """out <- scale * log2(1 + out/den), in place; out holds the numerator."""
-    out /= den
-    out += 1.0
-    np.log2(out, out=out)
-    if scale is not None:
-        out *= scale
-
-
 def scheme_rates(gains, scheme_code, alpha, beta, rho, upsilon, band, eps_sums):
     """Per-user bandwidth-normalized rates (n, 6) for one scheme.
 
@@ -105,60 +102,58 @@ def scheme_rates(gains, scheme_code, alpha, beta, rho, upsilon, band, eps_sums):
     g = np.ascontiguousarray(np.transpose(gains, (1, 2, 0))).reshape(N_LINKS, n)
     near_serving = g[0::N_USERS + 1]        # links (j, j)
     far_serving = g[N_BS::N_USERS + 1]      # links (k, 3 + k)
-    cross = g[0:N_BS] + g[N_USERS:N_USERS + N_BS]
-    cross += g[2 * N_USERS:2 * N_USERS + N_BS]
-    cross -= near_serving
-    total = g[N_BS:N_USERS] + g[N_USERS + N_BS:2 * N_USERS]
-    total += g[2 * N_USERS + N_BS:]
     arho = alpha * rho
     brho = beta * rho
     band = np.asarray(band)
 
+    # One SINR denominator per user, built in place so that the whole chunk
+    # takes one pass of each step: row u starts as user u's gain summed over
+    # the three BSs; near rows then drop their serving link (the cross
+    # interference) and far rows keep the total.
     out = np.empty((N_USERS, n))
     near, far = out[:N_BS], out[N_BS:]
+    den = g[:N_USERS] + g[N_USERS:2 * N_USERS]
+    den += g[2 * N_USERS:]
+    den[:N_BS] -= near_serving
+    near_den, far_den = den[:N_BS], den[N_BS:]
     if scheme_code == OMA_CODE:
-        near_signal, near_cross, near_scale = rho, rho, 0.5
-    elif scheme_code == NOMA_CODE:
-        near_signal, near_cross, near_scale = arho, rho, None
-    else:
-        near_signal, near_cross = arho, arho
-        near_scale = band[0] + band[1] + band[2]
-    np.multiply(near_serving, near_signal, out=near)
-    cross *= near_cross
-    cross += (rho * eps_sums[:N_BS])[:, None]
-    if scheme_code != OMA_CODE:
-        cross += rho * upsilon
-    cross += 1.0
-    _log2_ratio(near, cross, near_scale)
-
-    if scheme_code == COMP_VPNOMA_CODE:
-        np.multiply(total, brho, out=far)
-        den = total
-        den *= arho
-        far_scale = band[:, None]
-    elif scheme_code == VPNOMA_CODE:
-        interference = total - far_serving
-        interference *= brho
-        den = total
-        den *= arho
-        den += interference
-        np.multiply(far_serving, brho, out=far)
-        far_scale = band[:, None]
-    elif scheme_code == NOMA_CODE:
-        interference = total - far_serving
-        interference *= rho
-        den = far_serving * arho
-        den += interference
-        np.multiply(far_serving, (1.0 - alpha) * rho, out=far)
-        far_scale = None
-    else:
-        den = total - far_serving
-        den *= rho
+        np.multiply(near_serving, rho, out=near)
         np.multiply(far_serving, rho, out=far)
-        far_scale = 0.5
-    den += (rho * eps_sums[N_BS:])[:, None]
+        far_den -= far_serving
+        den *= rho
+        scale = (0.5,) * N_USERS
+    elif scheme_code == NOMA_CODE:
+        np.multiply(near_serving, arho, out=near)
+        near_den *= rho
+        interference = far_den - far_serving
+        interference *= rho
+        np.multiply(far_serving, arho, out=far_den)
+        far_den += interference
+        np.multiply(far_serving, (1.0 - alpha) * rho, out=far)
+        scale = (1.0,) * N_USERS
+    else:
+        np.multiply(near_serving, arho, out=near)
+        if scheme_code == COMP_VPNOMA_CODE:
+            np.multiply(far_den, brho, out=far)
+            den *= arho
+        else:
+            interference = far_den - far_serving
+            interference *= brho
+            den *= arho
+            far_den += interference
+            np.multiply(far_serving, brho, out=far)
+        near_scale = band[0] + band[1] + band[2]
+        scale = (near_scale,) * N_BS + tuple(band)
+    den += (rho * eps_sums)[:, None]
+    if scheme_code != OMA_CODE:
+        near_den += rho * upsilon
     den += 1.0
-    _log2_ratio(far, den, far_scale)
+    # rate = scale * log2(1 + signal/den) for all six users at once; a scale
+    # of 1.0 leaves a rate unchanged to the bit.
+    out /= den
+    out += 1.0
+    np.log2(out, out=out)
+    out *= np.array(scale).reshape(N_USERS, 1)
     return out.T
 
 

@@ -64,13 +64,12 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
         rates = kernels.scheme_rates(gains, code, params.alpha, params.beta,
                                      params.rho, params.upsilon, band, eps_sums)
         # by_user is the kernel's contiguous user-major (6, count) buffer.
-        # Per-trial totals add the users in order, as rates.sum(axis=1) does,
-        # which keeps mean_total and ci95_halfwidth bit-identical to a
-        # C-ordered reduction; per-user sums are numpy's pairwise row sums.
+        # Summing over its outer axis adds the users in order, one row at a
+        # time, as rates.sum(axis=1) does, which keeps mean_total and
+        # ci95_halfwidth bit-identical to a C-ordered reduction; per-user
+        # sums are numpy's pairwise row sums.
         by_user = rates.T
-        totals = by_user[0] + by_user[1]
-        for row in by_user[2:]:
-            totals += row
+        totals = by_user.sum(axis=0)
         chunk_sums[index] = totals.sum()
         totals *= totals
         chunk_sumsq[index] = totals.sum()

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,3 +120,42 @@ def test_rates_are_bit_exact_in_any_gains_layout(name, code):
                                          band, eps_sums)
             assert rates.shape == (kernels.CHUNK_TRIALS, kernels.N_USERS)
             assert _digest(rates) == expected, (name, code, rho)
+
+
+def _traced_peak(call):
+    """(result, peak bytes traced while call() ran); numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [576, 1696, 2000, 8192])
+def test_kernels_allocate_one_block_of_scratch(n):
+    """Peak memory of one kernel call, in float64 rows of n trials.
+
+    Allowed: the call's output; one six-link scratch (for the draw kernel its
+    uint64 block, for the rate kernel the six SINR denominators); one 3-row
+    temporary; the buffers numpy's iterator may take for a broadcast (6, 1)
+    column, at most two of min(bufsize, 6n) elements; 4 KiB of small
+    objects. A temporary that spans all 18 links of the chunk breaks it.
+    """
+    stats, params, seed = _rate_case("uneven")
+    band = np.asarray(params.band_fractions)
+    eps_sums = stats.sigma_eps.sum(axis=0)
+    row = 8 * n
+    slack = 2 * min(np.getbufsize(), 6 * n) * 8 + 4096
+
+    gains, peak = _traced_peak(
+        lambda: kernels.sample_gains(seed, 7 * n, n, stats.sigma_hat))
+    assert peak < (kernels.N_LINKS + 6 + 3) * row + slack, peak / row
+    for code in (kernels.OMA_CODE, kernels.NOMA_CODE, kernels.VPNOMA_CODE,
+                 kernels.COMP_VPNOMA_CODE):
+        _, peak = _traced_peak(lambda: kernels.scheme_rates(
+            gains, code, params.alpha, params.beta, params.rho,
+            params.upsilon, band, eps_sums))
+        assert peak < (kernels.N_USERS + 6 + 3) * row + slack, (code, peak / row)
