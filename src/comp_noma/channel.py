@@ -85,5 +85,5 @@ def sample_realization(stats: LinkStatistics, trial_index: int,
     check_seed(seed)
     if trial_index < 0:
         raise ValueError(f"trial index must be nonnegative, got {trial_index}")
-    gains = kernels.sample_gains(seed, trial_index, 1, stats.sigma_hat)
-    return ChannelRealization(gains[0])
+    draws = kernels.sample_gains(seed, trial_index, 1)
+    return ChannelRealization(kernels.link_gains(draws[0], stats.sigma_hat))

@@ -38,14 +38,31 @@ _LINKS_GOLDEN = np.uint64(N_LINKS * 0x9E3779B97F4A7C15 % 2**64)
 # chunk at 96 KB, below glibc's 128 KiB mmap threshold.
 _DRAW_LINKS = 6
 
+# The last draw block shorter than CHUNK_TRIALS, as ((seed, start, n), draws).
+# An estimate's tail chunk is that short, and consecutive estimates of a sweep
+# at one seed and trial count share it; a one-chunk estimate, as in a fine
+# radius sweep, is nothing but its tail. Full chunks are not kept: no two
+# calls in a row share one, and keeping a 1.2 MB block alive made glibc trim
+# and re-fault the heap on every chunk of the default sweep. The draws are
+# read-only, so every caller and thread may share them; the slot is one
+# tuple, replaced whole, so two threads that miss at once only draw twice.
+_tail = (None, None)
 
-def sample_gains(seed, start_trial, n, sigma_hat):
-    """Estimated channel power gains for trials [start_trial, start_trial+n).
 
-    The (n, 3, 6) result is a view of link-major memory: each link's gains
-    over the chunk are contiguous, which is the layout scheme_rates
-    reads. Values do not depend on the layout.
+def sample_gains(seed, start_trial, n):
+    """Read-only log(u) draws (n, 3, 6) for trials [start_trial, start_trial+n).
+
+    A draw depends only on (seed, trial, link) and is negative; link_gains
+    turns it into a gain. The result is a view of link-major memory: each
+    link's draws over the chunk are contiguous, which is the layout
+    scheme_rates reads. Values do not depend on the layout. A repeated call
+    for a block shorter than CHUNK_TRIALS may return the same array.
     """
+    global _tail
+    key = (seed, start_trial, n)
+    tail_key, tail = _tail
+    if tail_key == key:
+        return tail
     # Counter of (trial t, link l) is t*N_LINKS + l; the SplitMix64 input
     # seed + (counter+1)*GOLDEN splits, mod 2**64, into a per-trial and a
     # per-link term.
@@ -53,8 +70,6 @@ def sample_gains(seed, start_trial, n, sigma_hat):
     trial_term *= _LINKS_GOLDEN
     link_term = np.arange(1, N_LINKS + 1, dtype=np.uint64) * _GOLDEN
     link_term += np.uint64(seed)
-    # -log(u) * s == log(u) * -s exactly: IEEE negation is exact.
-    neg_sigma = -np.asarray(sigma_hat, dtype=np.float64).reshape(N_LINKS, 1)
 
     # The scratch block is allocated before the output: in the other order,
     # some processes running 2,000-trial sweeps had glibc return and
@@ -63,10 +78,10 @@ def sample_gains(seed, start_trial, n, sigma_hat):
     out = np.empty((N_LINKS, n))
     for lo in range(0, N_LINKS, _DRAW_LINKS):
         hi = lo + _DRAW_LINKS
-        gb = out[lo:hi]
-        # The block's gains are written last, so their memory holds the
+        db = out[lo:hi]
+        # The block's draws are written last, so their memory holds the
         # finalizer's shifted copies until then.
-        sb = gb.view(np.uint64)
+        sb = db.view(np.uint64)
         np.add(link_term[lo:hi, None], trial_term, out=zb)
         np.right_shift(zb, np.uint64(30), out=sb)
         zb ^= sb
@@ -79,29 +94,51 @@ def sample_gains(seed, start_trial, n, sigma_hat):
         zb >>= np.uint64(11)
         # The top 53 bits fit int64, whose conversion to float64 is exact
         # and faster than uint64's.
-        np.copyto(gb, zb.view(np.int64), casting="unsafe")
-        gb += 0.5
-        gb *= _TO_UNIT
-        np.log(gb, out=gb)
-        gb *= neg_sigma[lo:hi]
-    return out.reshape(N_BS, N_USERS, n).transpose(2, 0, 1)
+        np.copyto(db, zb.view(np.int64), casting="unsafe")
+        db += 0.5
+        db *= _TO_UNIT
+        np.log(db, out=db)
+    out.flags.writeable = False
+    draws = out.reshape(N_BS, N_USERS, n).transpose(2, 0, 1)
+    if n < CHUNK_TRIALS:
+        _tail = (key, draws)
+    return draws
 
 
-def scheme_rates(gains, scheme_code, alpha, beta, rho, upsilon, band, eps_sums):
+def link_gains(draws, sigma_hat, out=None):
+    """Channel power gains draw × (−σ̂); the arguments broadcast.
+
+    A gain is −log(u)·σ̂, and log(u)·(−σ̂) is the same IEEE product, since
+    negation is exact. A σ̂ of −1 returns the draws themselves (x·1.0 == x).
+    """
+    return np.multiply(draws, np.negative(sigma_hat), out=out)
+
+
+# What scheme_rates takes as sigma_hat when its first argument holds gains
+# already: link_gains then leaves them as they are.
+GIVEN_GAINS = np.full((N_BS, N_USERS), -1.0)
+GIVEN_GAINS.flags.writeable = False
+
+
+def scheme_rates(draws, scheme_code, alpha, beta, rho, upsilon, band,
+                 eps_sums, sigma_hat):
     """Per-user bandwidth-normalized rates (n, 6) for one scheme.
 
-    The result is a view of user-major memory: each user's rates over the
-    chunk are contiguous. Each SINR is evaluated in the left-to-right order
-    of its formula, so every rate is reproducible to the last bit.
+    draws are sample_gains draws and sigma_hat the (3, 6) per-link means;
+    each gain is formed here while the SINR denominators are built. The
+    result is a view of user-major memory: each user's rates over the chunk
+    are contiguous. Each SINR is evaluated in the left-to-right order of its
+    formula, so every rate is reproducible to the last bit.
     """
     if scheme_code not in (OMA_CODE, NOMA_CODE, VPNOMA_CODE, COMP_VPNOMA_CODE):
         raise ValueError(f"unknown scheme code {scheme_code!r}")
-    n = gains.shape[0]
-    # Row i*N_USERS + u is link (BS i, user u); copied only when the gains
+    n = draws.shape[0]
+    # Row i*N_USERS + u is link (BS i, user u); copied only when the draws
     # are not link-major already.
-    g = np.ascontiguousarray(np.transpose(gains, (1, 2, 0))).reshape(N_LINKS, n)
-    near_serving = g[0::N_USERS + 1]        # links (j, j)
-    far_serving = g[N_BS::N_USERS + 1]      # links (k, 3 + k)
+    d = np.ascontiguousarray(np.transpose(draws, (1, 2, 0))).reshape(N_LINKS, n)
+    sigma = np.asarray(sigma_hat, dtype=np.float64).reshape(N_LINKS, 1)
+    near_links = slice(0, None, N_USERS + 1)     # links (j, j)
+    far_links = slice(N_BS, None, N_USERS + 1)   # links (k, 3 + k)
     arho = alpha * rho
     brho = beta * rho
     band = np.asarray(band)
@@ -109,39 +146,44 @@ def scheme_rates(gains, scheme_code, alpha, beta, rho, upsilon, band, eps_sums):
     # One SINR denominator per user, built in place so that the whole chunk
     # takes one pass of each step: row u starts as user u's gain summed over
     # the three BSs; near rows then drop their serving link (the cross
-    # interference) and far rows keep the total.
+    # interference) and far rows keep the total. Until the signals are
+    # formed, out holds one BS's six gains at a time, then the six serving
+    # gains.
     out = np.empty((N_USERS, n))
     near, far = out[:N_BS], out[N_BS:]
-    den = g[:N_USERS] + g[N_USERS:2 * N_USERS]
-    den += g[2 * N_USERS:]
-    den[:N_BS] -= near_serving
+    den = link_gains(d[:N_USERS], sigma[:N_USERS])
+    for lo in (N_USERS, 2 * N_USERS):
+        link_gains(d[lo:lo + N_USERS], sigma[lo:lo + N_USERS], out=out)
+        den += out
+    link_gains(d[near_links], sigma[near_links], out=near)
+    link_gains(d[far_links], sigma[far_links], out=far)
+    den[:N_BS] -= near
     near_den, far_den = den[:N_BS], den[N_BS:]
     if scheme_code == OMA_CODE:
-        np.multiply(near_serving, rho, out=near)
-        np.multiply(far_serving, rho, out=far)
-        far_den -= far_serving
+        far_den -= far
         den *= rho
+        out *= rho
         scale = (0.5,) * N_USERS
     elif scheme_code == NOMA_CODE:
-        np.multiply(near_serving, arho, out=near)
+        near *= arho
         near_den *= rho
-        interference = far_den - far_serving
+        interference = far_den - far
         interference *= rho
-        np.multiply(far_serving, arho, out=far_den)
+        np.multiply(far, arho, out=far_den)
         far_den += interference
-        np.multiply(far_serving, (1.0 - alpha) * rho, out=far)
+        far *= (1.0 - alpha) * rho
         scale = (1.0,) * N_USERS
     else:
-        np.multiply(near_serving, arho, out=near)
+        near *= arho
         if scheme_code == COMP_VPNOMA_CODE:
             np.multiply(far_den, brho, out=far)
             den *= arho
         else:
-            interference = far_den - far_serving
+            interference = far_den - far
             interference *= brho
             den *= arho
             far_den += interference
-            np.multiply(far_serving, brho, out=far)
+            far *= brho
         near_scale = band[0] + band[1] + band[2]
         scale = (near_scale,) * N_BS + tuple(band)
     den += (rho * eps_sums)[:, None]

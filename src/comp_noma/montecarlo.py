@@ -60,9 +60,10 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
     def run_chunk(index: int) -> None:
         start = index * chunk
         count = min(chunk, trials - start)
-        gains = kernels.sample_gains(seed, start, count, stats.sigma_hat)
-        rates = kernels.scheme_rates(gains, code, params.alpha, params.beta,
-                                     params.rho, params.upsilon, band, eps_sums)
+        draws = kernels.sample_gains(seed, start, count)
+        rates = kernels.scheme_rates(draws, code, params.alpha, params.beta,
+                                     params.rho, params.upsilon, band, eps_sums,
+                                     stats.sigma_hat)
         # by_user is the kernel's contiguous user-major (6, count) buffer.
         # Summing over its outer axis adds the users in order, one row at a
         # time, as rates.sum(axis=1) does, which keeps mean_total and

@@ -97,7 +97,7 @@ def total_instantaneous(realization: ChannelRealization, stats: LinkStatistics,
     rates = kernels.scheme_rates(
         realization.gain[None, :, :], scheme.code, params.alpha, params.beta,
         params.rho, params.upsilon, np.asarray(params.band_fractions),
-        stats.sigma_eps.sum(axis=0))[0]
+        stats.sigma_eps.sum(axis=0), kernels.GIVEN_GAINS)[0]
     per_user = {label: float(rates[i]) for i, label in enumerate(USERS)}
     total = float(rates.sum())
 

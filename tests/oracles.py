@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
+from comp_noma import kernels
 from comp_noma.kernels import (COMP_VPNOMA_CODE, N_BS, N_LINKS, N_USERS,
                                NOMA_CODE, VPNOMA_CODE)
 
@@ -76,6 +77,12 @@ _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _ONE = np.uint64(1)
 _TO_UNIT = 2.0 ** -53
+
+
+def kernel_gains(seed, start_trial, n, sigma_hat):
+    """Gains (n, 3, 6) as the estimator forms them: kernel draws × (−σ̂)."""
+    return kernels.link_gains(kernels.sample_gains(seed, start_trial, n),
+                              sigma_hat)
 
 
 def gains_reference(seed, start_trial, n, sigma_hat):

@@ -84,15 +84,15 @@ def test_criterion_3_comp_never_loses_per_realization():
     """On 10^4 draws every far user's CoMP rate >= its non-CoMP rate."""
     stats = default_setup()
     params = params_at(20.0)
-    gains = kernels.sample_gains(303, 0, 10_000, stats.sigma_hat)
+    draws = kernels.sample_gains(303, 0, 10_000)
     band = np.asarray(params.band_fractions)
     eps_sums = stats.sigma_eps.sum(axis=0)
-    comp = kernels.scheme_rates(gains, SchemeId.COMP_VPNOMA.code, params.alpha,
+    comp = kernels.scheme_rates(draws, SchemeId.COMP_VPNOMA.code, params.alpha,
                                 params.beta, params.rho, params.upsilon, band,
-                                eps_sums)[:, 3:]
-    vp = kernels.scheme_rates(gains, SchemeId.VPNOMA.code, params.alpha,
+                                eps_sums, stats.sigma_hat)[:, 3:]
+    vp = kernels.scheme_rates(draws, SchemeId.VPNOMA.code, params.alpha,
                               params.beta, params.rho, params.upsilon, band,
-                              eps_sums)[:, 3:]
+                              eps_sums, stats.sigma_hat)[:, 3:]
     violations = int(np.sum(comp < vp))
     ok = violations == 0
     assert report(3, "per-realization CoMP dominance", ok,

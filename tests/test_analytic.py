@@ -123,11 +123,11 @@ class TestHypoexpLogMean:
 
 
 def per_user_standard_errors(stats, params, scheme, trials, seed):
-    gains = kernels.sample_gains(seed, 0, trials, stats.sigma_hat)
-    rates = kernels.scheme_rates(gains, scheme.code, params.alpha, params.beta,
+    draws = kernels.sample_gains(seed, 0, trials)
+    rates = kernels.scheme_rates(draws, scheme.code, params.alpha, params.beta,
                                  params.rho, params.upsilon,
                                  np.asarray(params.band_fractions),
-                                 stats.sigma_eps.sum(axis=0))
+                                 stats.sigma_eps.sum(axis=0), stats.sigma_hat)
     return rates.std(axis=0, ddof=1)
 
 

@@ -6,20 +6,50 @@ import pytest
 
 from comp_noma import SystemParams, build_layout, derive_link_statistics
 from comp_noma import kernels
+from oracles import kernel_gains
 
 
 def test_chunked_and_whole_stream_agree():
     sigma = np.linspace(0.2, 2.0, 18).reshape(3, 6)
-    whole = kernels.sample_gains(5, 0, 3 * kernels.CHUNK_TRIALS, sigma)
-    pieces = [kernels.sample_gains(5, i * kernels.CHUNK_TRIALS,
-                                   kernels.CHUNK_TRIALS, sigma)
+    whole = kernel_gains(5, 0, 3 * kernels.CHUNK_TRIALS, sigma)
+    pieces = [kernel_gains(5, i * kernels.CHUNK_TRIALS, kernels.CHUNK_TRIALS,
+                           sigma)
               for i in range(3)]
     assert np.array_equal(whole, np.concatenate(pieces))
 
 
+def test_draws_are_read_only():
+    for n in (1, 2000, kernels.CHUNK_TRIALS, kernels.CHUNK_TRIALS + 1):
+        draws = kernels.sample_gains(9, 0, n)
+        with pytest.raises(ValueError, match="read-only"):
+            draws[0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            draws *= 2.0
+
+
+def test_only_a_short_block_is_kept_and_full_chunks_never_displace_it(
+        monkeypatch):
+    monkeypatch.setattr(kernels, "_tail", (None, None))
+    chunk = kernels.CHUNK_TRIALS
+    tail = kernels.sample_gains(3, 2 * chunk, 2000)
+    assert kernels.sample_gains(3, 2 * chunk, 2000) is tail
+    for start, n in ((0, chunk), (chunk, chunk), (0, 3 * chunk)):
+        full = kernels.sample_gains(3, start, n)
+        assert kernels.sample_gains(3, start, n) is not full
+        assert kernels.sample_gains(3, 2 * chunk, 2000) is tail
+    for key in ((4, 2 * chunk, 2000), (3, 2 * chunk + 1, 2000),
+                (3, 2 * chunk, 1999)):
+        other = kernels.sample_gains(*key)
+        assert other is not tail
+        assert kernels.sample_gains(*key) is other
+    again = kernels.sample_gains(3, 2 * chunk, 2000)
+    assert again is not tail
+    assert np.array_equal(again, tail)
+
+
 def test_unit_interval_draws_are_strictly_inside():
     sigma = np.ones((3, 6))
-    gains = kernels.sample_gains(123, 0, 50_000, sigma)
+    gains = kernel_gains(123, 0, 50_000, sigma)
     assert np.all(gains > 0.0)
     assert np.all(np.isfinite(gains))
 
@@ -101,7 +131,7 @@ def _rate_case(name):
 
 @pytest.mark.parametrize("seed, start, n", sorted(GAINS_DIGESTS))
 def test_gains_are_bit_exact(default_stats, seed, start, n):
-    gains = kernels.sample_gains(seed, start, n, default_stats.sigma_hat)
+    gains = kernel_gains(seed, start, n, default_stats.sigma_hat)
     assert gains.shape == (n, kernels.N_BS, kernels.N_USERS)
     assert _digest(gains) == GAINS_DIGESTS[(seed, start, n)]
 
@@ -109,15 +139,14 @@ def test_gains_are_bit_exact(default_stats, seed, start, n):
 @pytest.mark.parametrize("name, code", sorted(RATES_DIGESTS))
 def test_rates_are_bit_exact_in_any_gains_layout(name, code):
     stats, params, seed = _rate_case(name)
-    gains = kernels.sample_gains(seed, 0, kernels.CHUNK_TRIALS,
-                                 stats.sigma_hat)
+    draws = kernels.sample_gains(seed, 0, kernels.CHUNK_TRIALS)
     band = np.asarray(params.band_fractions)
     eps_sums = stats.sigma_eps.sum(axis=0)
     for rho, expected in zip(RATE_RHOS, RATES_DIGESTS[(name, code)]):
-        for layout in (gains, np.ascontiguousarray(gains)):
+        for layout in (draws, np.ascontiguousarray(draws)):
             rates = kernels.scheme_rates(layout, code, params.alpha,
                                          params.beta, rho, params.upsilon,
-                                         band, eps_sums)
+                                         band, eps_sums, stats.sigma_hat)
             assert rates.shape == (kernels.CHUNK_TRIALS, kernels.N_USERS)
             assert _digest(rates) == expected, (name, code, rho)
 
@@ -135,27 +164,33 @@ def _traced_peak(call):
 
 
 @pytest.mark.parametrize("n", [576, 1696, 2000, 8192])
-def test_kernels_allocate_one_block_of_scratch(n):
+def test_kernels_allocate_one_block_of_scratch(monkeypatch, n):
     """Peak memory of one kernel call, in float64 rows of n trials.
 
     Allowed: the call's output; one six-link scratch (for the draw kernel its
     uint64 block, for the rate kernel the six SINR denominators); one 3-row
     temporary; the buffers numpy's iterator may take for a broadcast (6, 1)
     column, at most two of min(bufsize, 6n) elements; 4 KiB of small
-    objects. A temporary that spans all 18 links of the chunk breaks it.
+    objects. A temporary that spans all 18 links of the chunk breaks it. A
+    repeated draw of a block shorter than a chunk allocates under 4 KiB.
     """
+    monkeypatch.setattr(kernels, "_tail", (None, None))
     stats, params, seed = _rate_case("uneven")
     band = np.asarray(params.band_fractions)
     eps_sums = stats.sigma_eps.sum(axis=0)
     row = 8 * n
     slack = 2 * min(np.getbufsize(), 6 * n) * 8 + 4096
 
-    gains, peak = _traced_peak(
-        lambda: kernels.sample_gains(seed, 7 * n, n, stats.sigma_hat))
+    draws, peak = _traced_peak(lambda: kernels.sample_gains(seed, 7 * n, n))
     assert peak < (kernels.N_LINKS + 6 + 3) * row + slack, peak / row
+    if n < kernels.CHUNK_TRIALS:
+        again, peak = _traced_peak(
+            lambda: kernels.sample_gains(seed, 7 * n, n))
+        assert again is draws
+        assert peak < 4096, peak
     for code in (kernels.OMA_CODE, kernels.NOMA_CODE, kernels.VPNOMA_CODE,
                  kernels.COMP_VPNOMA_CODE):
         _, peak = _traced_peak(lambda: kernels.scheme_rates(
-            gains, code, params.alpha, params.beta, params.rho,
-            params.upsilon, band, eps_sums))
+            draws, code, params.alpha, params.beta, params.rho,
+            params.upsilon, band, eps_sums, stats.sigma_hat))
         assert peak < (kernels.N_USERS + 6 + 3) * row + slack, (code, peak / row)

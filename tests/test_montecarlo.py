@@ -2,8 +2,9 @@ import sys
 
 import pytest
 
-from comp_noma import (SchemeId, SystemParams, compare_schemes, db_to_linear,
-                       estimate_esc, sample_realization, total_esc_closed,
+from comp_noma import (SchemeId, SystemParams, build_layout, compare_schemes,
+                       db_to_linear, derive_link_statistics, estimate_esc,
+                       sample_realization, total_esc_closed,
                        total_instantaneous)
 from comp_noma import kernels, montecarlo
 from comp_noma.geometry import USERS
@@ -41,22 +42,60 @@ def test_worker_count_does_not_change_results(default_stats, params_20db):
                                                     rel=1e-9)
 
 
+def radius_sweep_stats(radii=(0.3, 0.5, 0.7)):
+    """Link statistics of a near-radius sweep: sigma_hat differs per point."""
+    return [derive_link_statistics(build_layout(1.0, (r,) * 3, (0.95,) * 3),
+                                   4.0, 0.001) for r in radii]
+
+
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.token)
-def test_two_workers_reproduce_one_exactly(default_stats, params_20db, scheme):
-    """Kernels allocate their buffers per call, so threads share none."""
+def test_two_workers_reproduce_one_exactly(monkeypatch, default_stats,
+                                           params_20db, scheme):
+    """Kernels allocate their buffers per call, so threads share none.
+
+    The sweep's estimates all end in the same tail chunk; with two workers a
+    pool thread draws it first and the later estimates read it back.
+    """
     trials = 4 * kernels.CHUNK_TRIALS + 123   # five chunks, the last partial
+    sweep = radius_sweep_stats()
+    monkeypatch.setattr(kernels, "_tail", (None, None))
     serial = estimate_esc(default_stats, params_20db, scheme,
                           trials=trials, seed=6, workers=1)
+    serial_sweep = [estimate_esc(stats, params_20db, scheme, trials=trials,
+                                 seed=6, workers=1) for stats in sweep]
+    monkeypatch.setattr(kernels, "_tail", (None, None))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threaded = estimate_esc(default_stats, params_20db,
                                 scheme, trials=trials, seed=6, workers=2)
+        threaded_sweep = [estimate_esc(stats, params_20db, scheme,
+                                       trials=trials, seed=6, workers=2)
+                          for stats in sweep]
     finally:
         sys.setswitchinterval(interval)
     assert threaded.mean_total == serial.mean_total
     assert threaded.ci95_halfwidth == serial.ci95_halfwidth
     assert threaded.per_user_mean == serial.per_user_mean
+    assert kernels._tail[0] == (6, 4 * kernels.CHUNK_TRIALS, 123)
+    assert threaded_sweep == serial_sweep
+
+
+@pytest.mark.parametrize("trials", [2000, kernels.CHUNK_TRIALS + 2000])
+def test_estimates_do_not_depend_on_the_tail_memo(monkeypatch, params_20db,
+                                                  trials):
+    """Each estimate equals itself with the memo cold, warm from its own
+    tail, and warm from a sweep neighbour's tail drawn for another sigma_hat."""
+    sweep = radius_sweep_stats()
+    for scheme in SchemeId:
+        cold = []
+        for stats in sweep:
+            monkeypatch.setattr(kernels, "_tail", (None, None))
+            cold.append(estimate_esc(stats, params_20db, scheme,
+                                     trials=trials, seed=8))
+        warm = [estimate_esc(stats, params_20db, scheme, trials=trials,
+                             seed=8) for stats in sweep + sweep[::-1]]
+        assert warm == cold + cold[::-1]
 
 
 class _RecordingPool:

@@ -6,7 +6,7 @@ from comp_noma import (ChannelRealization, LinkStatistics, SchemeId,
                        total_instantaneous)
 from comp_noma import kernels
 from comp_noma.geometry import USERS
-from oracles import gains_reference, rates_reference
+from oracles import gains_reference, kernel_gains, rates_reference
 
 FAR_COMP_EXAMPLE = 0.56681323938036405  # (1/3) * log2(1 + 9/4)
 
@@ -283,7 +283,7 @@ class TestKernelOracles:
                              [(123, 40, 300), (2**64 - 1, 12345, 200),
                               (0, 0, 100)])
     def test_gains_match_reference(self, default_stats, seed, start, n):
-        gains = kernels.sample_gains(seed, start, n, default_stats.sigma_hat)
+        gains = kernel_gains(seed, start, n, default_stats.sigma_hat)
         expected = gains_reference(seed, start, n, default_stats.sigma_hat)
         assert np.array_equal(gains, expected)
 
@@ -294,12 +294,14 @@ class TestKernelOracles:
             overrides={(1, "A"): 0.004, (3, "2"): 0.0})
         params = SystemParams(alpha=0.07, upsilon=0.03,
                               band_fractions=(0.2, 0.3, 0.5))
-        gains = kernels.sample_gains(77, 0, 300, stats.sigma_hat)
+        draws = kernels.sample_gains(77, 0, 300)
+        gains = kernel_gains(77, 0, 300, stats.sigma_hat)
         band = np.asarray(params.band_fractions)
         eps_sums = stats.sigma_eps.sum(axis=0)
         for rho in (1.0, 100.0, 1e4):
             args = (code, params.alpha, params.beta, rho, params.upsilon,
                     band, eps_sums)
-            np.testing.assert_allclose(kernels.scheme_rates(gains, *args),
+            np.testing.assert_allclose(kernels.scheme_rates(draws, *args,
+                                                            stats.sigma_hat),
                                        rates_reference(gains, *args),
                                        rtol=5e-13, atol=0.0)
