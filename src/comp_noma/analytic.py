@@ -40,7 +40,9 @@ def _ei_series(x: float) -> float:
         term *= x / n
         delta = term / n
         acc += delta
-        if abs(delta) < 1e-17 * max(abs(acc), 1e-300):
+        # For x in [-1, 0) every partial sum after the first term is at most
+        # gamma - 3/4, so acc is never near zero here and needs no floor.
+        if abs(delta) < 1e-17 * abs(acc):
             break
     return acc
 
@@ -82,28 +84,28 @@ def _e1_scaled(z: float) -> float:
 
 
 def _ensure_distinct(rates: list) -> list:
-    n = len(rates)
-    if n == 1:
+    ranked = sorted(rates)
+    n = len(ranked)
+    # the first rate whose upper neighbour is close; every rate before it
+    # keeps its value
+    for start in range(n - 1):
+        if ranked[start + 1] - ranked[start] < _DEGENERACY_GAP * ranked[start + 1]:
+            break
+    else:
         return rates
     order = sorted(range(n), key=rates.__getitem__)
-    ranked = [rates[i] for i in order]
     adjusted = list(rates)
-    changed = False
-    start = 0
     while start < n:
         end = start
         while end + 1 < n and \
                 ranked[end + 1] - ranked[end] < _DEGENERACY_GAP * ranked[end + 1]:
             end += 1
         size = end - start + 1
-        if size > 1:
-            changed = True
-            for member in range(size):
-                factor = 1.0 + _CLUSTER_SPREAD * (member - (size - 1) / 2.0)
-                adjusted[order[start + member]] = ranked[start + member] * factor
+        # a lone rate gets factor 1.0, which leaves it as it is
+        for member in range(size):
+            factor = 1.0 + _CLUSTER_SPREAD * (member - (size - 1) / 2.0)
+            adjusted[order[start + member]] = ranked[start + member] * factor
         start = end + 1
-    if not changed:
-        return rates
     if len(set(adjusted)) != n:
         raise DegenerateRatesError(
             f"rates remain exactly duplicated after perturbation: {adjusted}")
@@ -147,27 +149,53 @@ def hypoexp_log2_mean(rates, shift: float) -> float:
     return _log2_mean(rates.tolist(), shift, {})
 
 
-def _near_value(stats: LinkStatistics, params: SystemParams, j: int,
+def _columns(stats: LinkStatistics) -> tuple:
+    # Per-user sigma_hat columns and sigma_eps sums as Python floats. For
+    # these nonnegative values (a + b) + c is the sum numpy gives a column.
+    sigma = stats.sigma_hat.T.tolist()
+    eps = [(a + b) + c for a, b, c in zip(*stats.sigma_eps.tolist())]
+    return sigma, eps
+
+
+def _near_value(sigma: list, eps: float, params: SystemParams, j: int,
                 e1: dict) -> float:
     # rate of near user j over the whole band, before its band fraction
-    shift = params.rho * float(stats.sigma_eps[:, j].sum()) \
-        + params.rho * params.upsilon + 1.0
+    shift = params.rho * eps + params.rho * params.upsilon + 1.0
     scale = params.alpha * params.rho
-    k = _ensure_distinct([1.0 / (scale * s) for s in stats.sigma_hat[:, j].tolist()])
+    k = _ensure_distinct([1.0 / (scale * s) for s in sigma])
     return _log2_mean(k, shift, e1) - _log2_mean(k[:j] + k[j + 1:], shift, e1)
 
 
-def _far_value(stats: LinkStatistics, params: SystemParams, u: int,
+def _far_value(sigma: list, eps: float, params: SystemParams,
                e1: dict) -> float:
-    # rate of far user u (3..5) over the whole band, before its band fraction
-    shift = params.rho * float(stats.sigma_eps[:, u].sum()) + 1.0
-    sigma = stats.sigma_hat[:, u].tolist()
+    # rate of a far user over the whole band, before its band fraction
+    shift = params.rho * eps + 1.0
     signal = (params.alpha + params.beta) * params.rho
     interference = params.alpha * params.rho
     signal_rates = _ensure_distinct([1.0 / (signal * s) for s in sigma])
     interference_rates = _ensure_distinct([1.0 / (interference * s) for s in sigma])
     return _log2_mean(signal_rates, shift, e1) \
         - _log2_mean(interference_rates, shift, e1)
+
+
+# The far users' values of the last total_esc_closed call, as (key, values).
+# They read only the far users' sigma_hat columns and sigma_eps sums, alpha
+# (beta follows from it) and rho, which a sweep over the near users' radius
+# keeps fixed; the key is exactly those inputs. The slot is one tuple,
+# replaced whole, so two threads that miss at once only compute twice.
+_far_slot = (None, None)
+
+
+def _far_values(sigma: list, eps: list, params: SystemParams,
+                e1: dict) -> tuple:
+    global _far_slot
+    key = (params.alpha, params.rho, *sigma[3], *sigma[4], *sigma[5], *eps[3:])
+    slot_key, values = _far_slot
+    if slot_key == key:
+        return values
+    values = tuple(_far_value(sigma[u], eps[u], params, e1) for u in range(3, 6))
+    _far_slot = (key, values)
+    return values
 
 
 def near_esc_closed(stats: LinkStatistics, params: SystemParams,
@@ -178,7 +206,8 @@ def near_esc_closed(stats: LinkStatistics, params: SystemParams,
         raise ValueError(f"{cell!r} is not a near user (expected 1, 2 or 3)")
     if not 1 <= subband <= 3:
         raise ValueError(f"sub-band index must be 1..3, got {subband}")
-    value = _near_value(stats, params, j, {})
+    sigma, eps = _columns(stats)
+    value = _near_value(sigma[j], eps[j], params, j, {})
     return max(params.band_fractions[subband - 1] * value, 0.0)
 
 
@@ -187,7 +216,8 @@ def far_esc_closed(stats: LinkStatistics, params: SystemParams, far_user) -> flo
     u = user_index(far_user)
     if u < 3:
         raise ValueError(f"{far_user!r} is not a far user (expected A, B or C)")
-    value = _far_value(stats, params, u, {})
+    sigma, eps = _columns(stats)
+    value = _far_value(sigma[u], eps[u], params, {})
     return max(params.band_fractions[u - 3] * value, 0.0)
 
 
@@ -196,13 +226,16 @@ def total_esc_closed(stats: LinkStatistics, params: SystemParams) -> float:
 
     Adds the same twelve terms, in the same order, as summing near_esc_closed
     over sub-bands and cells and far_esc_closed over far users; each near
-    user's rate and each exp(z)E1(z) argument is evaluated once per call.
+    user's rate and each exp(z)E1(z) argument is evaluated once per call, and
+    the far users' rates once while their inputs stay the same.
     """
+    sigma, eps = _columns(stats)
     e1 = {}
-    near = [_near_value(stats, params, j, e1) for j in range(3)]
+    near = [_near_value(sigma[j], eps[j], params, j, e1) for j in range(3)]
+    far = _far_values(sigma, eps, params, e1)
     total = 0.0
-    for u, band in enumerate(params.band_fractions, start=3):
+    for band, far_value in zip(params.band_fractions, far):
         for value in near:
             total += max(band * value, 0.0)
-        total += max(band * _far_value(stats, params, u, e1), 0.0)
+        total += max(band * far_value, 0.0)
     return total

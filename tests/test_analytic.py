@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -347,11 +348,62 @@ def test_total_evaluates_each_e1_argument_once(monkeypatch, default_stats,
         return e1_scaled(z)
 
     monkeypatch.setattr(analytic, "_e1_scaled", counted)
+    monkeypatch.setattr(analytic, "_far_slot", (None, None))
     total_esc_closed(default_stats, params_20db)
     assert len(arguments) == len(set(arguments)) == 13
     for group, inputs in CLOSED_FORM_INPUTS.items():
         for stats, params in inputs:
             arguments.clear()
+            monkeypatch.setattr(analytic, "_far_slot", (None, None))
             total_esc_closed(stats, params)
             bound = 33 if group == "coincident" else 27
             assert len(arguments) == len(set(arguments)) <= bound, group
+
+
+def test_far_values_are_kept_while_their_inputs_stay(monkeypatch,
+                                                     default_stats,
+                                                     params_20db):
+    arguments = []
+    e1_scaled = analytic._e1_scaled
+
+    def counted(z):
+        arguments.append(z)
+        return e1_scaled(z)
+
+    def cold(stats, params):
+        monkeypatch.setattr(analytic, "_far_slot", (None, None))
+        return total_esc_closed(stats, params)
+
+    monkeypatch.setattr(analytic, "_e1_scaled", counted)
+    first = cold(default_stats, params_20db)
+    arguments.clear()
+    assert total_esc_closed(default_stats, params_20db) == first
+    # only the near users' arguments: 5 of the 13 at this point
+    assert len(arguments) == 5
+
+    def with_link(name, i, u, factor):
+        stats = {"sigma_hat": default_stats.sigma_hat.copy(),
+                 "sigma_eps": default_stats.sigma_eps.copy()}
+        stats[name][i, u] *= factor
+        return LinkStatistics(**stats)
+
+    replace = dataclasses.replace
+    far_inputs = [
+        (default_stats, replace(params_20db, alpha=0.12)),
+        (default_stats, replace(params_20db, rho=params_20db.rho * 1.01)),
+        (with_link("sigma_hat", 1, 4, 1.5), params_20db),
+        (with_link("sigma_eps", 2, 5, 2.0), params_20db),
+    ]
+    near_inputs = [
+        (with_link("sigma_hat", 0, 0, 1.5), params_20db),
+        (with_link("sigma_eps", 1, 2, 2.0), params_20db),
+        (default_stats, replace(params_20db, upsilon=0.02)),
+        (default_stats, replace(params_20db, band_fractions=(0.2, 0.3, 0.5))),
+    ]
+    for inputs, hit in ((far_inputs, False), (near_inputs, True)):
+        for stats, params in inputs:
+            total_esc_closed(default_stats, params_20db)
+            slot = analytic._far_slot
+            warm = total_esc_closed(stats, params)
+            assert (analytic._far_slot is slot) == hit
+            assert warm == cold(stats, params)

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -151,6 +152,86 @@ def test_rates_are_bit_exact_in_any_gains_layout(name, code):
             assert _digest(rates) == expected, (name, code, rho)
 
 
+# SHA-256 of the "uneven" case's rates at the three RATE_RHOS, one digest per
+# scheme code, for calls shorter than a chunk; recorded from the kernel
+# before it bounded numpy's ufunc buffer on such calls.
+SHORT_RATES_DIGESTS = {
+    1: (
+        "c5d0f21d2e8ce2a1c7f612b280891129239314e9e6c5c194a31b27021efe952a",
+        "cbb932651a8fb7a8221c35ec0ede6b661bd2edd75f8172df1b8b9a3097d32cf2",
+        "786e834a0887e2dfcbdf68f123581a82d5bfbcf051258a057a69a8d997e91387",
+        "90031aa4b4d72a755214bbd2c5d3b3ab795819395bbe57978bc48bbb4d32f12a",
+    ),
+    576: (
+        "04fea8ac7d1cb13d43d0c04e71c78fad3775d3dd3a7129390d433477d79daf78",
+        "6d89cec8692a5c140ed24eccc29784f60d79f9f98328d10f89c7fd2b7aa0eddd",
+        "94c18813e822f8da4ca9ed92b7dd1956a34f8d786a708c61649cdd9dccb927f2",
+        "1488ff69cf9e1aa172663a800a2d3b241654f2da8f6af35d6840ccf6fb1c88dc",
+    ),
+    1696: (
+        "a8333f3fc9777fc74168693e4f696ee1577691433ef077c68b1e6d8365eedcb7",
+        "47f8b8bdfb69eb7a2fc5451a50fc142e6c732181ef08f6c4f571d1b323f8dc24",
+        "445c6086a23f317f5ceabf0befc5bacb444e5ac3b8ca0b1df2d6ce3f819019cd",
+        "741de0b9344342362479068a085b305a86b890b587500a6e6db8b79143436cec",
+    ),
+    2000: (
+        "fc5d589cd0a0a50d9eb9a4073a35e64b9898cae7fd4f944511b16459daea8e22",
+        "5ae5e99a52fb25470c2b0c3303572e97203eccb3133adcc488d81768cba25b16",
+        "01344d406f0d6587f14e2c0bd88acf84fbb2b47f80541092f8cbf568c6cb4e31",
+        "03aeba3efc2d1d0637038929e2482f5c3678bcee5836768f86fa8e8e3c5254cf",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SHORT_RATES_DIGESTS))
+def test_short_chunk_rates_are_bit_exact(n):
+    stats, params, seed = _rate_case("uneven")
+    draws = kernels.sample_gains(seed, 0, n)
+    band = np.asarray(params.band_fractions)
+    eps_sums = stats.sigma_eps.sum(axis=0)
+    for code, expected in enumerate(SHORT_RATES_DIGESTS[n]):
+        digest = hashlib.sha256()
+        for rho in RATE_RHOS:
+            rates = kernels.scheme_rates(draws, code, params.alpha,
+                                         params.beta, rho, params.upsilon,
+                                         band, eps_sums, stats.sigma_hat)
+            digest.update(rates.tobytes(order="C"))
+        assert digest.hexdigest() == expected, (n, code)
+
+
+def test_rate_kernel_restores_the_callers_buffer_size():
+    stats, params, seed = _rate_case("uneven")
+    band = np.asarray(params.band_fractions)
+    eps_sums = stats.sigma_eps.sum(axis=0)
+
+    def call(n, sigma_hat=stats.sigma_hat):
+        return kernels.scheme_rates(
+            kernels.sample_gains(seed, 0, n), kernels.COMP_VPNOMA_CODE,
+            params.alpha, params.beta, params.rho, params.upsilon, band,
+            eps_sums, sigma_hat)
+
+    def sizes_after_calls(n, bufsize):
+        # (size after a call, size after a call that raises) under bufsize
+        with np.errstate():
+            np.setbufsize(bufsize)
+            call(n)
+            after_call = np.getbufsize()
+            with pytest.raises(ValueError):
+                call(n, sigma_hat=np.ones(5))
+            return after_call, np.getbufsize()
+
+    default = np.getbufsize()
+    for n in (1, 2000, kernels.CHUNK_TRIALS):
+        for bufsize in (default, 4096, 16):
+            assert sizes_after_calls(n, bufsize) == (bufsize, bufsize), n
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(sizes_after_calls, 2000, 4096).result() \
+            == (4096, 4096)
+        assert pool.submit(lambda: (call(2000), np.getbufsize())).result()[1] \
+            == default
+    assert np.getbufsize() == default
+
+
 def _traced_peak(call):
     """(result, peak bytes traced while call() ran); numpy reports its buffers."""
     tracemalloc.start()
@@ -172,7 +253,8 @@ def test_kernels_allocate_one_block_of_scratch(monkeypatch, n):
     temporary; the buffers numpy's iterator may take for a broadcast (6, 1)
     column, at most two of min(bufsize, 6n) elements; 4 KiB of small
     objects. A temporary that spans all 18 links of the chunk breaks it. A
-    repeated draw of a block shorter than a chunk allocates under 4 KiB.
+    repeated draw of a block shorter than a chunk allocates under 4 KiB, and
+    a rate-kernel call that short takes no iterator buffers at all.
     """
     monkeypatch.setattr(kernels, "_tail", (None, None))
     stats, params, seed = _rate_case("uneven")
@@ -188,9 +270,11 @@ def test_kernels_allocate_one_block_of_scratch(monkeypatch, n):
             lambda: kernels.sample_gains(seed, 7 * n, n))
         assert again is draws
         assert peak < 4096, peak
+    rate_slack = 4096 if n < kernels.CHUNK_TRIALS else slack
     for code in (kernels.OMA_CODE, kernels.NOMA_CODE, kernels.VPNOMA_CODE,
                  kernels.COMP_VPNOMA_CODE):
         _, peak = _traced_peak(lambda: kernels.scheme_rates(
             draws, code, params.alpha, params.beta, params.rho,
             params.upsilon, band, eps_sums, stats.sigma_hat))
-        assert peak < (kernels.N_USERS + 6 + 3) * row + slack, (code, peak / row)
+        assert peak < (kernels.N_USERS + 6 + 3) * row + rate_slack, \
+            (code, peak / row)
