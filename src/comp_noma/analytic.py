@@ -10,6 +10,7 @@ scheme; baselines are Monte-Carlo only.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,14 +151,12 @@ def hypoexp_log2_mean(rates, shift: float) -> float:
 
 
 def _columns(stats: LinkStatistics) -> tuple:
-    # Per-user sigma_hat columns and sigma_eps sums as Python floats. For
-    # these nonnegative values (a + b) + c is the sum numpy gives a column.
-    sigma = stats.sigma_hat.T.tolist()
-    eps = [(a + b) + c for a, b, c in zip(*stats.sigma_eps.tolist())]
-    return sigma, eps
+    # Per-user sigma_hat columns and sigma_eps sums, as tuples of Python floats
+    sigma = tuple(map(tuple, stats.sigma_hat.T.tolist()))
+    return sigma, tuple(stats.eps_sums.tolist())
 
 
-def _near_value(sigma: list, eps: float, params: SystemParams, j: int,
+def _near_value(sigma: tuple, eps: float, params: SystemParams, j: int,
                 e1: dict) -> float:
     # rate of near user j over the whole band, before its band fraction
     shift = params.rho * eps + params.rho * params.upsilon + 1.0
@@ -166,36 +165,26 @@ def _near_value(sigma: list, eps: float, params: SystemParams, j: int,
     return _log2_mean(k, shift, e1) - _log2_mean(k[:j] + k[j + 1:], shift, e1)
 
 
-def _far_value(sigma: list, eps: float, params: SystemParams,
-               e1: dict) -> float:
+def _far_value(sigma: tuple, eps: float, alpha: float, beta: float,
+               rho: float, e1: dict) -> float:
     # rate of a far user over the whole band, before its band fraction
-    shift = params.rho * eps + 1.0
-    signal = (params.alpha + params.beta) * params.rho
-    interference = params.alpha * params.rho
+    shift = rho * eps + 1.0
+    signal = (alpha + beta) * rho
+    interference = alpha * rho
     signal_rates = _ensure_distinct([1.0 / (signal * s) for s in sigma])
     interference_rates = _ensure_distinct([1.0 / (interference * s) for s in sigma])
     return _log2_mean(signal_rates, shift, e1) \
         - _log2_mean(interference_rates, shift, e1)
 
 
-# The far users' values of the last total_esc_closed call, as (key, values).
-# They read only the far users' sigma_hat columns and sigma_eps sums, alpha
-# (beta follows from it) and rho, which a sweep over the near users' radius
-# keeps fixed; the key is exactly those inputs. The slot is one tuple,
-# replaced whole, so two threads that miss at once only compute twice.
-_far_slot = (None, None)
-
-
-def _far_values(sigma: list, eps: list, params: SystemParams,
-                e1: dict) -> tuple:
-    global _far_slot
-    key = (params.alpha, params.rho, *sigma[3], *sigma[4], *sigma[5], *eps[3:])
-    slot_key, values = _far_slot
-    if slot_key == key:
-        return values
-    values = tuple(_far_value(sigma[u], eps[u], params, e1) for u in range(3, 6))
-    _far_slot = (key, values)
-    return values
+# The far users' three rates read nothing but these arguments, which a sweep
+# over the near users' radius keeps fixed.
+@lru_cache(maxsize=1)
+def _far_values(sigma: tuple, eps: tuple, alpha: float, beta: float,
+                rho: float) -> tuple:
+    e1 = {}
+    return tuple(_far_value(s, e, alpha, beta, rho, e1)
+                 for s, e in zip(sigma, eps))
 
 
 def near_esc_closed(stats: LinkStatistics, params: SystemParams,
@@ -217,7 +206,8 @@ def far_esc_closed(stats: LinkStatistics, params: SystemParams, far_user) -> flo
     if u < 3:
         raise ValueError(f"{far_user!r} is not a far user (expected A, B or C)")
     sigma, eps = _columns(stats)
-    value = _far_value(sigma[u], eps[u], params, {})
+    value = _far_values(sigma[3:], eps[3:], params.alpha, params.beta,
+                        params.rho)[u - 3]
     return max(params.band_fractions[u - 3] * value, 0.0)
 
 
@@ -232,7 +222,8 @@ def total_esc_closed(stats: LinkStatistics, params: SystemParams) -> float:
     sigma, eps = _columns(stats)
     e1 = {}
     near = [_near_value(sigma[j], eps[j], params, j, e1) for j in range(3)]
-    far = _far_values(sigma, eps, params, e1)
+    far = _far_values(sigma[3:], eps[3:], params.alpha, params.beta,
+                      params.rho)
     total = 0.0
     for band, far_value in zip(params.band_fractions, far):
         for value in near:

@@ -6,26 +6,33 @@ draws are never sampled: the rate equations consume only the error variances,
 which enter the SINR denominators as deterministic rho * sigma_eps terms.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
 
 from . import kernels
-from .geometry import FAR_USERS, N_BS, N_USERS, NEAR_USERS, NetworkLayout, \
-    distance_matrix, user_index
+from .geometry import N_BS, N_USERS, USERS, NetworkLayout, distance_matrix, \
+    user_index
 
 
 class InfeasibleCsiError(ValueError):
-    """Raised when d^-v <= sigma_eps, i.e. the estimated variance is not positive."""
+    """Raised when sigma_hat = d^-v - sigma_eps is not a positive finite variance."""
 
 
 @dataclass(frozen=True)
 class LinkStatistics:
-    """Estimated-channel and error variances for all 18 links, (3, 6) arrays."""
+    """Estimated-channel and error variances for all 18 links, (3, 6) arrays;
+    eps_sums is each user's sigma_eps summed over the BSs, read-only (6,)."""
 
     sigma_hat: np.ndarray
     sigma_eps: np.ndarray
+    eps_sums: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        eps_sums = np.sum(self.sigma_eps, axis=0)
+        eps_sums.flags.writeable = False
+        object.__setattr__(self, "eps_sums", eps_sums)
 
     def sigma_hat_for(self, bs_index, user) -> float:
         return float(self.sigma_hat[bs_index - 1, user_index(user)])
@@ -50,26 +57,31 @@ def derive_link_statistics(layout: NetworkLayout, pathloss_exponent=4.0,
     link uses sigma_eps_default.
     """
     v = float(pathloss_exponent)
-    if not v > 0:
-        raise ValueError(f"path-loss exponent must be positive, got {v}")
-    if sigma_eps_default < 0:
-        raise ValueError(f"sigma_eps must be nonnegative, got {sigma_eps_default}")
+    if not 0 < v < np.inf:
+        raise ValueError(f"path-loss exponent must be positive and finite, got {v}")
+    if not 0 <= sigma_eps_default < np.inf:
+        raise ValueError(
+            f"sigma_eps must be nonnegative and finite, got {sigma_eps_default}")
     eps = np.full((N_BS, N_USERS), float(sigma_eps_default))
     if overrides:
         for (bs_index, user), value in overrides.items():
-            if value < 0:
-                raise ValueError(
-                    f"sigma_eps override for (BS{bs_index}, UE{user}) is negative")
+            if not 0 <= value < np.inf:
+                raise ValueError(f"sigma_eps override for (BS{bs_index}, UE"
+                                 f"{user}) must be nonnegative and finite")
             eps[bs_index - 1, user_index(user)] = float(value)
 
     d = distance_matrix(layout)
-    sigma_hat = d ** (-v) - eps
-    if np.any(sigma_hat <= 0):
-        labels = NEAR_USERS + FAR_USERS
-        i, u = np.argwhere(sigma_hat <= 0)[0]
+    # an infinite mean power (d too short for float64) is rejected by link
+    with np.errstate(over="ignore", divide="ignore"):
+        power = d ** (-v)
+    sigma_hat = power - eps
+    infeasible = np.argwhere(~((sigma_hat > 0) & (sigma_hat < np.inf)))
+    if len(infeasible):
+        i, u = infeasible[0]
         raise InfeasibleCsiError(
-            f"link (BS{i + 1}, UE{labels[u]}): d^-v = {d[i, u] ** (-v):.6g} "
-            f"does not exceed sigma_eps = {eps[i, u]:.6g}")
+            f"link (BS{i + 1}, UE{USERS[u]}): d^-v = "
+            f"{power[i, u]:.6g} and sigma_eps = {eps[i, u]:.6g} leave no "
+            f"positive finite sigma_hat")
     return LinkStatistics(sigma_hat, eps)
 
 

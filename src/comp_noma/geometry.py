@@ -55,20 +55,17 @@ def build_layout(cell_radius, near_radii, far_radii) -> NetworkLayout:
     (0, cell_radius].
     """
     radius = float(cell_radius)
-    if not radius > 0:
-        raise ValueError(f"cell radius must be positive, got {cell_radius!r}")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"cell radius must be positive and finite, got "
+                         f"{cell_radius!r}")
     near_radii = [float(r) for r in near_radii]
     far_radii = [float(r) for r in far_radii]
     if len(near_radii) != 3 or len(far_radii) != 3:
         raise ValueError("expected exactly three near radii and three far radii")
-    for cell, r in enumerate(near_radii):
+    for user, r in zip(USERS, near_radii + far_radii):
         if not 0 < r <= radius:
-            raise ValueError(
-                f"near user {NEAR_USERS[cell]}: radius {r} outside (0, {radius}]")
-    for cell, r in enumerate(far_radii):
-        if not 0 < r <= radius:
-            raise ValueError(
-                f"far user {FAR_USERS[cell]}: radius {r} outside (0, {radius}]")
+            kind = "near" if user in NEAR_USERS else "far"
+            raise ValueError(f"{kind} user {user}: radius {r} outside (0, {radius}]")
 
     side = np.sqrt(3.0) * radius
     bs = np.array([

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import InfeasibleCsiError, derive_link_statistics
+from .channel import InfeasibleCsiError, check_seed, derive_link_statistics
 from .geometry import build_layout
 from .montecarlo import estimate_esc
 from .schemes import SchemeId, SystemParams
@@ -143,19 +143,14 @@ def _config_from_raw(raw: dict) -> SweepConfig:
         order = list(SchemeId)
         cfg = replace(cfg, schemes=tuple(sorted(set(schemes), key=order.index)))
 
-    float_keys = {"alpha": "alpha", "rho_db": "rho_db", "upsilon": "upsilon",
-                  "sigma_eps": "sigma_eps",
-                  "pathloss_exponent": "pathloss_exponent",
-                  "near_radius": "near_radius", "far_radius": "far_radius",
-                  "from": "from_value", "to": "to_value"}
-    for key, attr in float_keys.items():
-        if key in raw:
+    # the other keys are numbers; each sets the field of its name, except
+    # from and to, which set the range's ends
+    for key in CONFIG_KEYS:
+        if key in raw and key not in ("sweep", "schemes"):
             value, where = raw[key]
-            cfg = replace(cfg, **{attr: _parse_float(value, key, where)})
-    for key, attr in (("trials", "trials"), ("seed", "seed"), ("steps", "steps")):
-        if key in raw:
-            value, where = raw[key]
-            cfg = replace(cfg, **{attr: _parse_int(value, key, where)})
+            parse = _parse_int if key in ("trials", "seed", "steps") else _parse_float
+            attr = {"from": "from_value", "to": "to_value"}.get(key, key)
+            cfg = replace(cfg, **{attr: parse(value, key, where)})
 
     _validate(cfg, raw)
     return cfg
@@ -183,8 +178,10 @@ def _validate(cfg: SweepConfig, raw: dict) -> None:
             fail(key, f"must lie in (0, 1], got {value}")
     if cfg.trials < 1:
         fail("trials", f"must be >= 1, got {cfg.trials}")
-    if not 0 <= cfg.seed < 2 ** 64:
-        fail("seed", f"must lie in [0, 2**64), got {cfg.seed}")
+    try:
+        check_seed(cfg.seed)
+    except ValueError as exc:
+        fail("seed", str(exc))
     if cfg.steps < 2:
         fail("steps", f"must be >= 2, got {cfg.steps}")
     if not cfg.from_value < cfg.to_value:
@@ -200,6 +197,17 @@ def _validate(cfg: SweepConfig, raw: dict) -> None:
         if not (0.0 < cfg.from_value and cfg.to_value <= 1.0):
             fail("to", f"swept radii must lie in (0, 1], got "
                        f"[{cfg.from_value}, {cfg.to_value}]")
+    # a swept knob takes its largest value at `to`
+    key, near = ("to", cfg.to_value) if cfg.sweep_kind is SweepKind.NEAR_RADIUS \
+        else ("near_radius", cfg.near_radius)
+    if not near < cfg.far_radius:
+        fail(key, f"must stay below far_radius = {cfg.far_radius}, got {near}")
+    key, snr_db = ("to", cfg.to_value) if cfg.sweep_kind is SweepKind.RHO_DB \
+        else ("rho_db", cfg.rho_db)
+    try:
+        db_to_linear(snr_db)
+    except OverflowError:
+        fail(key, f"{snr_db} dB overflows float64 as a linear SNR")
 
 
 def parse_config(text: str, overrides: dict | None = None) -> SweepConfig:

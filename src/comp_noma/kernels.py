@@ -6,10 +6,12 @@ depends only on (seed, trial, link) and never on call order, chunking, or
 thread count.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
-N_BS = 3
-N_USERS = 6
+from .geometry import N_BS, N_USERS
+
 N_LINKS = N_BS * N_USERS
 
 # Fixed chunk size: chunk boundaries (and therefore partial sums) must not
@@ -38,31 +40,8 @@ _LINKS_GOLDEN = np.uint64(N_LINKS * 0x9E3779B97F4A7C15 % 2**64)
 # chunk at 96 KB, below glibc's 128 KiB mmap threshold.
 _DRAW_LINKS = 6
 
-# The last draw block shorter than CHUNK_TRIALS, as ((seed, start, n), draws).
-# An estimate's tail chunk is that short, and consecutive estimates of a sweep
-# at one seed and trial count share it; a one-chunk estimate, as in a fine
-# radius sweep, is nothing but its tail. Full chunks are not kept: no two
-# calls in a row share one, and keeping a 1.2 MB block alive made glibc trim
-# and re-fault the heap on every chunk of the default sweep. The draws are
-# read-only, so every caller and thread may share them; the slot is one
-# tuple, replaced whole, so two threads that miss at once only draw twice.
-_tail = (None, None)
 
-
-def sample_gains(seed, start_trial, n):
-    """Read-only log(u) draws (n, 3, 6) for trials [start_trial, start_trial+n).
-
-    A draw depends only on (seed, trial, link) and is negative; link_gains
-    turns it into a gain. The result is a view of link-major memory: each
-    link's draws over the chunk are contiguous, which is the layout
-    scheme_rates reads. Values do not depend on the layout. A repeated call
-    for a block shorter than CHUNK_TRIALS may return the same array.
-    """
-    global _tail
-    key = (seed, start_trial, n)
-    tail_key, tail = _tail
-    if tail_key == key:
-        return tail
+def _draws(seed, start_trial, n):
     # Counter of (trial t, link l) is t*N_LINKS + l; the SplitMix64 input
     # seed + (counter+1)*GOLDEN splits, mod 2**64, into a per-trial and a
     # per-link term.
@@ -99,10 +78,30 @@ def sample_gains(seed, start_trial, n):
         db *= _TO_UNIT
         np.log(db, out=db)
     out.flags.writeable = False
-    draws = out.reshape(N_BS, N_USERS, n).transpose(2, 0, 1)
+    return out.reshape(N_BS, N_USERS, n).transpose(2, 0, 1)
+
+
+# The last block shorter than CHUNK_TRIALS: an estimate's tail chunk, which
+# the estimates of a sweep at one seed and trial count share, and all of a
+# one-chunk estimate. Full chunks are not kept: no two calls in a row share
+# one, and keeping a 1.2 MB block alive made glibc trim and re-fault the heap
+# on every chunk of the default sweep. The draws are read-only, so any thread
+# may share them.
+_short_draws = lru_cache(maxsize=1)(_draws)
+
+
+def sample_gains(seed, start_trial, n):
+    """Read-only log(u) draws (n, 3, 6) for trials [start_trial, start_trial+n).
+
+    A draw depends only on (seed, trial, link) and is negative; link_gains
+    turns it into a gain. The result is a view of link-major memory: each
+    link's draws over the chunk are contiguous, which is the layout
+    scheme_rates reads. Values do not depend on the layout. A repeated call
+    for a block shorter than CHUNK_TRIALS may return the same array.
+    """
     if n < CHUNK_TRIALS:
-        _tail = (key, draws)
-    return draws
+        return _short_draws(seed, start_trial, n)
+    return _draws(seed, start_trial, n)
 
 
 def link_gains(draws, sigma_hat, out=None):
@@ -163,7 +162,6 @@ def _scheme_rates(draws, scheme_code, alpha, beta, rho, upsilon, band, eps_sums,
     far_links = slice(N_BS, None, N_USERS + 1)   # links (k, 3 + k)
     arho = alpha * rho
     brho = beta * rho
-    band = np.asarray(band)
 
     # One SINR denominator per user, built in place so that the whole chunk
     # takes one pass of each step: row u starts as user u's gain summed over

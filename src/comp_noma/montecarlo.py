@@ -53,16 +53,13 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
     chunk_sumsq = np.zeros(n_chunks)
     chunk_user_sums = np.zeros((n_chunks, len(USERS)))
 
-    band = np.asarray(params.band_fractions)
-    eps_sums = stats.sigma_eps.sum(axis=0)
-    code = scheme.code
-
     def run_chunk(index: int) -> None:
         start = index * chunk
         count = min(chunk, trials - start)
         draws = kernels.sample_gains(seed, start, count)
-        rates = kernels.scheme_rates(draws, code, params.alpha, params.beta,
-                                     params.rho, params.upsilon, band, eps_sums,
+        rates = kernels.scheme_rates(draws, scheme.code, params.alpha,
+                                     params.beta, params.rho, params.upsilon,
+                                     params.band_fractions, stats.eps_sums,
                                      stats.sigma_hat)
         # by_user is the kernel's contiguous user-major (6, count) buffer.
         # Summing over its outer axis adds the users in order, one row at a
@@ -105,10 +102,3 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
         seed=seed,
         analytic_total=analytic,
     )
-
-
-def compare_schemes(stats: LinkStatistics, params: SystemParams, trials: int,
-                    seed: int, workers: int = 1) -> list:
-    """One EscEstimate per scheme, all sharing the same fading draws."""
-    return [estimate_esc(stats, params, scheme, trials, seed, workers)
-            for scheme in SchemeId]

@@ -9,9 +9,8 @@ is fair.
 """
 
 import enum
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import kernels
 from .channel import ChannelRealization, LinkStatistics
@@ -66,13 +65,15 @@ class SystemParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 0.25:
             raise ValueError(f"alpha must lie in (0, 0.25), got {self.alpha}")
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.upsilon < 0:
-            raise ValueError(f"upsilon must be nonnegative, got {self.upsilon}")
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not 0 <= self.upsilon < math.inf:
+            raise ValueError(
+                f"upsilon must be nonnegative and finite, got {self.upsilon}")
         fractions = tuple(float(b) for b in self.band_fractions)
-        if len(fractions) != 3 or any(b <= 0 for b in fractions):
-            raise ValueError("band_fractions must be three positive reals")
+        if len(fractions) != 3 or not all(0 < b < math.inf for b in fractions):
+            raise ValueError(f"band_fractions must be three positive finite "
+                             f"reals, got {self.band_fractions}")
         if abs(sum(fractions) - 1.0) > 1e-12:
             raise ValueError(f"band_fractions must sum to 1, got {sum(fractions)}")
         object.__setattr__(self, "band_fractions", fractions)
@@ -96,8 +97,8 @@ def total_instantaneous(realization: ChannelRealization, stats: LinkStatistics,
     """Per-user and total rates of one realization under the given scheme."""
     rates = kernels.scheme_rates(
         realization.gain[None, :, :], scheme.code, params.alpha, params.beta,
-        params.rho, params.upsilon, np.asarray(params.band_fractions),
-        stats.sigma_eps.sum(axis=0), kernels.GIVEN_GAINS)[0]
+        params.rho, params.upsilon, params.band_fractions, stats.eps_sums,
+        kernels.GIVEN_GAINS)[0]
     per_user = {label: float(rates[i]) for i, label in enumerate(USERS)}
     total = float(rates.sum())
 

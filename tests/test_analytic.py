@@ -127,8 +127,8 @@ def per_user_standard_errors(stats, params, scheme, trials, seed):
     draws = kernels.sample_gains(seed, 0, trials)
     rates = kernels.scheme_rates(draws, scheme.code, params.alpha, params.beta,
                                  params.rho, params.upsilon,
-                                 np.asarray(params.band_fractions),
-                                 stats.sigma_eps.sum(axis=0), stats.sigma_hat)
+                                 params.band_fractions,
+                                 stats.eps_sums, stats.sigma_hat)
     return rates.std(axis=0, ddof=1)
 
 
@@ -348,13 +348,13 @@ def test_total_evaluates_each_e1_argument_once(monkeypatch, default_stats,
         return e1_scaled(z)
 
     monkeypatch.setattr(analytic, "_e1_scaled", counted)
-    monkeypatch.setattr(analytic, "_far_slot", (None, None))
+    analytic._far_values.cache_clear()
     total_esc_closed(default_stats, params_20db)
     assert len(arguments) == len(set(arguments)) == 13
     for group, inputs in CLOSED_FORM_INPUTS.items():
         for stats, params in inputs:
             arguments.clear()
-            monkeypatch.setattr(analytic, "_far_slot", (None, None))
+            analytic._far_values.cache_clear()
             total_esc_closed(stats, params)
             bound = 33 if group == "coincident" else 27
             assert len(arguments) == len(set(arguments)) <= bound, group
@@ -371,9 +371,18 @@ def test_far_values_are_kept_while_their_inputs_stay(monkeypatch,
         return e1_scaled(z)
 
     def cold(stats, params):
-        monkeypatch.setattr(analytic, "_far_slot", (None, None))
+        far_values.cache_clear()
         return total_esc_closed(stats, params)
 
+    # records what each total_esc_closed call got from the far memo
+    far_values = analytic._far_values
+    returned = []
+
+    def recorded(*args):
+        returned.append(far_values(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(analytic, "_far_values", recorded)
     monkeypatch.setattr(analytic, "_e1_scaled", counted)
     first = cold(default_stats, params_20db)
     arguments.clear()
@@ -403,7 +412,8 @@ def test_far_values_are_kept_while_their_inputs_stay(monkeypatch,
     for inputs, hit in ((far_inputs, False), (near_inputs, True)):
         for stats, params in inputs:
             total_esc_closed(default_stats, params_20db)
-            slot = analytic._far_slot
+            hits = far_values.cache_info().hits
             warm = total_esc_closed(stats, params)
-            assert (analytic._far_slot is slot) == hit
+            assert far_values.cache_info().hits == hits + hit
+            assert (returned[-1] is returned[-2]) == hit
             assert warm == cold(stats, params)

@@ -54,6 +54,34 @@ def test_negative_inputs_rejected(default_layout):
                                overrides={(1, 1): -1e-6})
 
 
+def test_non_finite_inputs_rejected_by_name(default_layout):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="path-loss"):
+            derive_link_statistics(default_layout, bad, 0.001)
+        with pytest.raises(ValueError, match="sigma_eps must"):
+            derive_link_statistics(default_layout, 4.0, bad)
+        with pytest.raises(ValueError, match=r"override for \(BS2, UEB\)"):
+            derive_link_statistics(default_layout, 4.0, 0.001,
+                                   overrides={(2, "B"): bad})
+
+
+def test_overflowing_sigma_hat_names_its_link():
+    # the near users' serving links are too short to raise to -4 in float64
+    layout = build_layout(1.0, (1e-80,) * 3, (0.95,) * 3)
+    with pytest.raises(InfeasibleCsiError, match=r"BS1, UE1\): d\^-v = inf"):
+        derive_link_statistics(layout, 4.0, 0.001)
+
+
+def test_eps_sums_are_each_users_read_only_column_sums(default_layout):
+    stats = derive_link_statistics(default_layout, 4.0, 0.001,
+                                   overrides={(1, "A"): 0.004, (3, 2): 0.0})
+    assert stats.eps_sums.tolist() == [
+        (a + b) + c for a, b, c in zip(*stats.sigma_eps.tolist())]
+    assert np.array_equal(stats.eps_sums, stats.sigma_eps.sum(axis=0))
+    with pytest.raises(ValueError, match="read-only"):
+        stats.eps_sums[0] = 1.0
+
+
 def test_same_seed_and_trial_reproduce_bitwise(default_stats):
     a = sample_realization(default_stats, 1234, seed=99)
     b = sample_realization(default_stats, 1234, seed=99)

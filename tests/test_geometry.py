@@ -51,6 +51,10 @@ def test_radius_out_of_range_names_offending_user():
         build_layout(1.0, (0.0, 0.5, 0.5), (0.95,) * 3)
     with pytest.raises(ValueError, match="near user 3"):
         build_layout(0.8, (0.5, 0.5, 0.9), (0.7,) * 3)
+    with pytest.raises(ValueError, match="near user 2"):
+        build_layout(1.0, (0.5, float("nan"), 0.5), (0.95,) * 3)
+    with pytest.raises(ValueError, match="cell radius"):
+        build_layout(float("inf"), (0.5,) * 3, (0.95,) * 3)
 
 
 def test_unknown_indices_rejected(default_layout):

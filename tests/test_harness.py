@@ -3,6 +3,7 @@ import pytest
 from comp_noma import (ConfigError, InfeasibleCsiError, SchemeId, SweepKind,
                        emit_plot, parse_config, read_results, run_sweep,
                        write_results)
+from comp_noma import analytic, kernels
 
 
 class TestParseConfig:
@@ -68,6 +69,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="from < to"):
             parse_config("from=30\nto=10")
 
+    def test_near_users_must_sit_inside_the_far_radius(self):
+        with pytest.raises(ConfigError, match=r"line 1: key 'near_radius'"):
+            parse_config("near_radius=0.97")
+        with pytest.raises(ConfigError, match=r"line 2: key 'near_radius'"):
+            parse_config("far_radius=0.6\nnear_radius=0.6")
+        with pytest.raises(ConfigError, match=r"command line: key 'to'"):
+            parse_config("sweep=near-radius", {"to": "0.99"})
+        # a near-radius sweep replaces near_radius, so only its range counts
+        cfg = parse_config("sweep=near-radius\nnear_radius=0.97\nto=0.9")
+        assert cfg.to_value == 0.9
+
+    def test_snr_must_stay_finite_in_linear_units(self):
+        parse_config("sweep=alpha\nrho_db=3082")
+        with pytest.raises(ConfigError, match=r"line 2: key 'rho_db'"):
+            parse_config("sweep=alpha\nrho_db=3083")
+        with pytest.raises(ConfigError, match=r"command line: key 'to'"):
+            parse_config("", {"to": "4000"})
+        with pytest.raises(ConfigError, match=r"line 2: key 'to'"):
+            parse_config("from=3083\nto=4000")
+        # a rho sweep replaces rho_db, so only its range counts
+        assert parse_config("rho_db=4000").rho_db == 4000.0
+
     def test_schemes_parsed_and_deduplicated(self):
         cfg = parse_config("schemes=comp-vpnoma,oma,comp-vpnoma")
         assert cfg.schemes == (SchemeId.OMA, SchemeId.COMP_VPNOMA)
@@ -129,6 +152,23 @@ class TestRunSweep:
                           schemes="comp-vpnoma")
         rows = run_sweep(cfg)
         assert rows[-1].esc_mc > rows[0].esc_mc
+
+    def test_memo_hit_shares_match_the_readme(self):
+        """Draw and far-term memo hits over two sweeps, each started cold."""
+        def hits(config):
+            for memo in (kernels._short_draws, analytic._far_values):
+                memo.cache_clear()
+            run_sweep(parse_config(config))
+            return [memo.cache_info()[:2]
+                    for memo in (kernels._short_draws, analytic._far_values)]
+
+        # 200 one-chunk CoMP estimates: only the near users move
+        assert hits("sweep=near-radius\nsteps=200\ntrials=2000\n"
+                    "schemes=comp-vpnoma") == [(199, 1), (199, 1)]
+        # the default SNR sweep's 36 estimates, each a full chunk and the
+        # default tail of 1,696 trials; rho moves at every point
+        trials = kernels.CHUNK_TRIALS + 100_000 % kernels.CHUNK_TRIALS
+        assert hits(f"trials={trials}") == [(35, 1), (0, 9)]
 
     def test_infeasible_csi_reports_sweep_value(self):
         cfg = parse_config("trials=100\nsteps=3\nsweep=near-radius\n"

@@ -28,9 +28,8 @@ def test_draws_are_read_only():
             draws *= 2.0
 
 
-def test_only_a_short_block_is_kept_and_full_chunks_never_displace_it(
-        monkeypatch):
-    monkeypatch.setattr(kernels, "_tail", (None, None))
+def test_only_a_short_block_is_kept_and_full_chunks_never_displace_it():
+    kernels._short_draws.cache_clear()
     chunk = kernels.CHUNK_TRIALS
     tail = kernels.sample_gains(3, 2 * chunk, 2000)
     assert kernels.sample_gains(3, 2 * chunk, 2000) is tail
@@ -46,6 +45,8 @@ def test_only_a_short_block_is_kept_and_full_chunks_never_displace_it(
     again = kernels.sample_gains(3, 2 * chunk, 2000)
     assert again is not tail
     assert np.array_equal(again, tail)
+    # twelve short calls reached the memo, none of the six full chunks
+    assert kernels._short_draws.cache_info()[:2] == (7, 5)
 
 
 def test_unit_interval_draws_are_strictly_inside():
@@ -141,8 +142,8 @@ def test_gains_are_bit_exact(default_stats, seed, start, n):
 def test_rates_are_bit_exact_in_any_gains_layout(name, code):
     stats, params, seed = _rate_case(name)
     draws = kernels.sample_gains(seed, 0, kernels.CHUNK_TRIALS)
-    band = np.asarray(params.band_fractions)
-    eps_sums = stats.sigma_eps.sum(axis=0)
+    band = params.band_fractions
+    eps_sums = stats.eps_sums
     for rho, expected in zip(RATE_RHOS, RATES_DIGESTS[(name, code)]):
         for layout in (draws, np.ascontiguousarray(draws)):
             rates = kernels.scheme_rates(layout, code, params.alpha,
@@ -187,8 +188,8 @@ SHORT_RATES_DIGESTS = {
 def test_short_chunk_rates_are_bit_exact(n):
     stats, params, seed = _rate_case("uneven")
     draws = kernels.sample_gains(seed, 0, n)
-    band = np.asarray(params.band_fractions)
-    eps_sums = stats.sigma_eps.sum(axis=0)
+    band = params.band_fractions
+    eps_sums = stats.eps_sums
     for code, expected in enumerate(SHORT_RATES_DIGESTS[n]):
         digest = hashlib.sha256()
         for rho in RATE_RHOS:
@@ -201,8 +202,8 @@ def test_short_chunk_rates_are_bit_exact(n):
 
 def test_rate_kernel_restores_the_callers_buffer_size():
     stats, params, seed = _rate_case("uneven")
-    band = np.asarray(params.band_fractions)
-    eps_sums = stats.sigma_eps.sum(axis=0)
+    band = params.band_fractions
+    eps_sums = stats.eps_sums
 
     def call(n, sigma_hat=stats.sigma_hat):
         return kernels.scheme_rates(
@@ -245,7 +246,7 @@ def _traced_peak(call):
 
 
 @pytest.mark.parametrize("n", [576, 1696, 2000, 8192])
-def test_kernels_allocate_one_block_of_scratch(monkeypatch, n):
+def test_kernels_allocate_one_block_of_scratch(n):
     """Peak memory of one kernel call, in float64 rows of n trials.
 
     Allowed: the call's output; one six-link scratch (for the draw kernel its
@@ -256,10 +257,10 @@ def test_kernels_allocate_one_block_of_scratch(monkeypatch, n):
     repeated draw of a block shorter than a chunk allocates under 4 KiB, and
     a rate-kernel call that short takes no iterator buffers at all.
     """
-    monkeypatch.setattr(kernels, "_tail", (None, None))
+    kernels._short_draws.cache_clear()
     stats, params, seed = _rate_case("uneven")
-    band = np.asarray(params.band_fractions)
-    eps_sums = stats.sigma_eps.sum(axis=0)
+    band = params.band_fractions
+    eps_sums = stats.eps_sums
     row = 8 * n
     slack = 2 * min(np.getbufsize(), 6 * n) * 8 + 4096
 

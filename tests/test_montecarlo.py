@@ -2,8 +2,8 @@ import sys
 
 import pytest
 
-from comp_noma import (SchemeId, SystemParams, build_layout, compare_schemes,
-                       db_to_linear, derive_link_statistics, estimate_esc,
+from comp_noma import (SchemeId, SystemParams, build_layout, db_to_linear,
+                       derive_link_statistics, estimate_esc,
                        sample_realization, total_esc_closed,
                        total_instantaneous)
 from comp_noma import kernels, montecarlo
@@ -49,8 +49,8 @@ def radius_sweep_stats(radii=(0.3, 0.5, 0.7)):
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.token)
-def test_two_workers_reproduce_one_exactly(monkeypatch, default_stats,
-                                           params_20db, scheme):
+def test_two_workers_reproduce_one_exactly(default_stats, params_20db,
+                                           scheme):
     """Kernels allocate their buffers per call, so threads share none.
 
     The sweep's estimates all end in the same tail chunk; with two workers a
@@ -58,12 +58,12 @@ def test_two_workers_reproduce_one_exactly(monkeypatch, default_stats,
     """
     trials = 4 * kernels.CHUNK_TRIALS + 123   # five chunks, the last partial
     sweep = radius_sweep_stats()
-    monkeypatch.setattr(kernels, "_tail", (None, None))
+    kernels._short_draws.cache_clear()
     serial = estimate_esc(default_stats, params_20db, scheme,
                           trials=trials, seed=6, workers=1)
     serial_sweep = [estimate_esc(stats, params_20db, scheme, trials=trials,
                                  seed=6, workers=1) for stats in sweep]
-    monkeypatch.setattr(kernels, "_tail", (None, None))
+    kernels._short_draws.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -77,20 +77,23 @@ def test_two_workers_reproduce_one_exactly(monkeypatch, default_stats,
     assert threaded.mean_total == serial.mean_total
     assert threaded.ci95_halfwidth == serial.ci95_halfwidth
     assert threaded.per_user_mean == serial.per_user_mean
-    assert kernels._tail[0] == (6, 4 * kernels.CHUNK_TRIALS, 123)
     assert threaded_sweep == serial_sweep
+    # every chunk ran on a pool thread: one drew the tail, three read it back
+    info = kernels._short_draws.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
+    kernels.sample_gains(6, 4 * kernels.CHUNK_TRIALS, 123)
+    assert kernels._short_draws.cache_info().hits == 4
 
 
 @pytest.mark.parametrize("trials", [2000, kernels.CHUNK_TRIALS + 2000])
-def test_estimates_do_not_depend_on_the_tail_memo(monkeypatch, params_20db,
-                                                  trials):
+def test_estimates_do_not_depend_on_the_tail_memo(params_20db, trials):
     """Each estimate equals itself with the memo cold, warm from its own
     tail, and warm from a sweep neighbour's tail drawn for another sigma_hat."""
     sweep = radius_sweep_stats()
     for scheme in SchemeId:
         cold = []
         for stats in sweep:
-            monkeypatch.setattr(kernels, "_tail", (None, None))
+            kernels._short_draws.cache_clear()
             cold.append(estimate_esc(stats, params_20db, scheme,
                                      trials=trials, seed=8))
         warm = [estimate_esc(stats, params_20db, scheme, trials=trials,
@@ -163,8 +166,8 @@ def test_ci_halfwidth_shrinks_with_quartered_rate(default_stats, params_20db):
 
 
 def test_analytic_total_present_only_for_comp(default_stats, params_20db):
-    estimates = compare_schemes(default_stats, params_20db,
-                                trials=2_000, seed=21)
+    estimates = [estimate_esc(default_stats, params_20db, scheme,
+                              trials=2_000, seed=21) for scheme in SchemeId]
     assert [e.scheme for e in estimates] == list(SchemeId)
     assert all(e.seed == 21 and e.trials == 2_000 for e in estimates)
     for estimate in estimates:
@@ -176,8 +179,8 @@ def test_analytic_total_present_only_for_comp(default_stats, params_20db):
 
 
 def test_comp_is_best_scheme_with_common_draws(default_stats, params_20db):
-    estimates = compare_schemes(default_stats, params_20db,
-                                trials=20_000, seed=13)
+    estimates = [estimate_esc(default_stats, params_20db, scheme,
+                              trials=20_000, seed=13) for scheme in SchemeId]
     by_scheme = {e.scheme: e for e in estimates}
     comp = by_scheme[SchemeId.COMP_VPNOMA]
     for scheme in (SchemeId.OMA, SchemeId.NOMA, SchemeId.VPNOMA):
@@ -186,8 +189,8 @@ def test_comp_is_best_scheme_with_common_draws(default_stats, params_20db):
 
 def test_comp_far_users_dominate_vpnoma_in_the_mean(default_stats,
                                                     params_20db):
-    estimates = compare_schemes(default_stats, params_20db,
-                                trials=20_000, seed=13)
+    estimates = [estimate_esc(default_stats, params_20db, scheme,
+                              trials=20_000, seed=13) for scheme in SchemeId]
     by_scheme = {e.scheme: e for e in estimates}
     for user in "ABC":
         assert by_scheme[SchemeId.COMP_VPNOMA].per_user_mean[user] \
@@ -213,8 +216,9 @@ def test_estimates_increase_with_snr_for_every_scheme(default_stats):
     for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0):
         params = SystemParams(alpha=0.1, rho=db_to_linear(snr_db),
                               upsilon=0.01)
-        for estimate in compare_schemes(default_stats, params,
-                                        trials=10_000, seed=41):
+        for scheme in SchemeId:
+            estimate = estimate_esc(default_stats, params, scheme,
+                                    trials=10_000, seed=41)
             means[estimate.scheme].append(estimate.mean_total)
     for scheme, sequence in means.items():
         assert all(a < b for a, b in zip(sequence, sequence[1:])), scheme

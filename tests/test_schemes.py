@@ -32,8 +32,8 @@ def reference_rates(real, stats, params, scheme):
     """Per-user rates of one realization from the per-trial oracle."""
     return rates_reference(real.gain[None], scheme.code, params.alpha,
                            params.beta, params.rho, params.upsilon,
-                           np.asarray(params.band_fractions),
-                           stats.sigma_eps.sum(axis=0))[0]
+                           params.band_fractions,
+                           stats.eps_sums)[0]
 
 
 class TestSystemParams:
@@ -63,6 +63,17 @@ class TestSystemParams:
             SystemParams(rho=0.0)
         with pytest.raises(ValueError, match="upsilon"):
             SystemParams(upsilon=-0.01)
+
+    def test_non_finite_knobs_rejected_by_name(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rho"):
+                SystemParams(rho=bad)
+            with pytest.raises(ValueError, match="upsilon"):
+                SystemParams(upsilon=bad)
+            with pytest.raises(ValueError, match="band_fractions"):
+                SystemParams(band_fractions=(bad, 0.5, 0.5))
+        with pytest.raises(ValueError, match="alpha"):
+            SystemParams(alpha=float("nan"))
 
     def test_scheme_tokens_round_trip(self):
         for scheme in SchemeId:
@@ -296,8 +307,8 @@ class TestKernelOracles:
                               band_fractions=(0.2, 0.3, 0.5))
         draws = kernels.sample_gains(77, 0, 300)
         gains = kernel_gains(77, 0, 300, stats.sigma_hat)
-        band = np.asarray(params.band_fractions)
-        eps_sums = stats.sigma_eps.sum(axis=0)
+        band = params.band_fractions
+        eps_sums = stats.eps_sums
         for rho in (1.0, 100.0, 1e4):
             args = (code, params.alpha, params.beta, rho, params.upsilon,
                     band, eps_sums)
