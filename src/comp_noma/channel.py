@@ -1,4 +1,4 @@
-"""Per-link statistics under imperfect CSI and deterministic fading draws.
+"""Per-link statistics under imperfect CSI.
 
 The estimated channel on each link is CN(0, d^-v - sigma_eps), so its power
 gain is exponential with mean sigma_hat = d^-v - sigma_eps. Estimation-error
@@ -11,7 +11,6 @@ from numbers import Integral
 
 import numpy as np
 
-from . import kernels
 from .geometry import N_BS, N_USERS, USERS, NetworkLayout, distance_matrix, \
     user_index
 
@@ -23,29 +22,34 @@ class InfeasibleCsiError(ValueError):
 @dataclass(frozen=True)
 class LinkStatistics:
     """Estimated-channel and error variances for all 18 links, (3, 6) arrays;
-    eps_sums is each user's sigma_eps summed over the BSs, read-only (6,)."""
+    eps_sums is each user's sigma_eps summed over the BSs, read-only (6,).
+    A link's mean power d^-v reads as sigma_hat + sigma_eps."""
 
     sigma_hat: np.ndarray
     sigma_eps: np.ndarray
     eps_sums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        eps_sums = np.sum(self.sigma_eps, axis=0)
+        hat, eps = self.sigma_hat, self.sigma_eps
+        for name, values in (("sigma_hat", hat), ("sigma_eps", eps)):
+            if np.shape(values) != (N_BS, N_USERS):
+                raise ValueError(f"{name} must have shape ({N_BS}, {N_USERS}), "
+                                 f"got {np.shape(values)}")
+        # min and max carry a NaN, so each pair of comparisons passes only
+        # when every link does; the search for the link runs on failure
+        if not (0 <= eps.min() and eps.max() < np.inf):
+            i, u = np.argwhere(~((eps >= 0) & (eps < np.inf)))[0]
+            raise ValueError(f"link (BS{i + 1}, UE{USERS[u]}): sigma_eps = "
+                             f"{eps[i, u]:.6g} must be nonnegative and finite")
+        if not (0 < hat.min() and hat.max() < np.inf):
+            i, u = np.argwhere(~((hat > 0) & (hat < np.inf)))[0]
+            raise InfeasibleCsiError(
+                f"link (BS{i + 1}, UE{USERS[u]}): d^-v = "
+                f"{hat[i, u] + eps[i, u]:.6g} and sigma_eps = {eps[i, u]:.6g} "
+                f"leave no positive finite sigma_hat")
+        eps_sums = eps.sum(axis=0)
         eps_sums.flags.writeable = False
         object.__setattr__(self, "eps_sums", eps_sums)
-
-    def sigma_hat_for(self, bs_index, user) -> float:
-        return float(self.sigma_hat[bs_index - 1, user_index(user)])
-
-    def sigma_eps_for(self, bs_index, user) -> float:
-        return float(self.sigma_eps[bs_index - 1, user_index(user)])
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of all estimated channel power gains |h_hat|^2, (3, 6)."""
-
-    gain: np.ndarray
 
 
 def derive_link_statistics(layout: NetworkLayout, pathloss_exponent=4.0,
@@ -71,18 +75,11 @@ def derive_link_statistics(layout: NetworkLayout, pathloss_exponent=4.0,
             eps[bs_index - 1, user_index(user)] = float(value)
 
     d = distance_matrix(layout)
-    # an infinite mean power (d too short for float64) is rejected by link
+    # LinkStatistics rejects an infinite mean power (d too short for
+    # float64), naming the link
     with np.errstate(over="ignore", divide="ignore"):
         power = d ** (-v)
-    sigma_hat = power - eps
-    infeasible = np.argwhere(~((sigma_hat > 0) & (sigma_hat < np.inf)))
-    if len(infeasible):
-        i, u = infeasible[0]
-        raise InfeasibleCsiError(
-            f"link (BS{i + 1}, UE{USERS[u]}): d^-v = "
-            f"{power[i, u]:.6g} and sigma_eps = {eps[i, u]:.6g} leave no "
-            f"positive finite sigma_hat")
-    return LinkStatistics(sigma_hat, eps)
+    return LinkStatistics(power - eps, eps)
 
 
 def check_seed(seed: int) -> None:
@@ -90,12 +87,3 @@ def check_seed(seed: int) -> None:
     if not isinstance(seed, Integral) or not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
-
-def sample_realization(stats: LinkStatistics, trial_index: int,
-                       seed: int) -> ChannelRealization:
-    """Draw all 18 gains for one trial; a pure function of (seed, trial, link)."""
-    check_seed(seed)
-    if trial_index < 0:
-        raise ValueError(f"trial index must be nonnegative, got {trial_index}")
-    draws = kernels.sample_gains(seed, trial_index, 1)
-    return ChannelRealization(kernels.link_gains(draws[0], stats.sigma_hat))

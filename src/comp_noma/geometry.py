@@ -31,12 +31,6 @@ def user_index(user) -> int:
     raise ValueError(f"unknown user id {user!r}")
 
 
-def _check_bs_index(bs_index) -> int:
-    if not isinstance(bs_index, (int, np.integer)) or not 1 <= bs_index <= 3:
-        raise ValueError(f"base station index must be 1..3, got {bs_index!r}")
-    return int(bs_index)
-
-
 @dataclass(frozen=True)
 class NetworkLayout:
     """Positions of the 3 base stations and 6 users, in units of the cell radius."""
@@ -79,13 +73,6 @@ def build_layout(cell_radius, near_radii, far_radii) -> NetworkLayout:
     near = bs + np.asarray(near_radii)[:, None] * rays
     far = bs + np.asarray(far_radii)[:, None] * rays
     return NetworkLayout(radius, bs, near, far)
-
-
-def link_distance(layout: NetworkLayout, bs_index, user) -> float:
-    """Euclidean distance between base station bs_index (1..3) and a user."""
-    i = _check_bs_index(bs_index)
-    u = user_index(user)
-    return float(distance_matrix(layout)[i - 1, u])
 
 
 def distance_matrix(layout: NetworkLayout) -> np.ndarray:

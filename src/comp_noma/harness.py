@@ -202,12 +202,19 @@ def _validate(cfg: SweepConfig, raw: dict) -> None:
         else ("near_radius", cfg.near_radius)
     if not near < cfg.far_radius:
         fail(key, f"must stay below far_radius = {cfg.far_radius}, got {near}")
+    # a draw's -log(u) is at most -ln 2^-54 < 38, so rho * 3 * 38 * d^-v at
+    # the largest SNR and the nearest user bounds the gain terms of any SINR
     key, snr_db = ("to", cfg.to_value) if cfg.sweep_kind is SweepKind.RHO_DB \
         else ("rho_db", cfg.rho_db)
+    nearest = cfg.from_value if cfg.sweep_kind is SweepKind.NEAR_RADIUS \
+        else cfg.near_radius
     try:
-        db_to_linear(snr_db)
+        bound = db_to_linear(snr_db) * 3 * 38 * nearest ** -cfg.pathloss_exponent
     except OverflowError:
-        fail(key, f"{snr_db} dB overflows float64 as a linear SNR")
+        bound = math.inf
+    if not math.isfinite(bound):
+        fail(key, f"{snr_db} dB overflows float64 in the SINR terms of a user "
+                  f"at radius {nearest}")
 
 
 def parse_config(text: str, overrides: dict | None = None) -> SweepConfig:

@@ -108,15 +108,9 @@ def link_gains(draws, sigma_hat, out=None):
     """Channel power gains draw × (−σ̂); the arguments broadcast.
 
     A gain is −log(u)·σ̂, and log(u)·(−σ̂) is the same IEEE product, since
-    negation is exact. A σ̂ of −1 returns the draws themselves (x·1.0 == x).
+    negation is exact.
     """
     return np.multiply(draws, np.negative(sigma_hat), out=out)
-
-
-# What scheme_rates takes as sigma_hat when its first argument holds gains
-# already: link_gains then leaves them as they are.
-GIVEN_GAINS = np.full((N_BS, N_USERS), -1.0)
-GIVEN_GAINS.flags.writeable = False
 
 
 def scheme_rates(draws, scheme_code, alpha, beta, rho, upsilon, band,

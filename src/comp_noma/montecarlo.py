@@ -36,7 +36,7 @@ class EscEstimate:
 def estimate_esc(stats: LinkStatistics, params: SystemParams,
                  scheme: SchemeId, trials: int, seed: int,
                  workers: int = 1) -> EscEstimate:
-    """Average total_instantaneous over `trials` fading realizations.
+    """Average the scheme's total rate over `trials` fading realizations.
 
     The result is a pure function of (stats, params, scheme, trials, seed),
     identical to the serial order for any worker count.

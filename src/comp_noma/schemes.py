@@ -1,4 +1,4 @@
-"""Instantaneous per-user rates for the four transmission schemes.
+"""The four transmission schemes and their protocol parameters.
 
 Every SINR is evaluated once, in kernels.scheme_rates. JT-CoMP VP-NOMA follows
 the printed SINR expressions: each near user keeps the whole band with SIC
@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .channel import ChannelRealization, LinkStatistics
-from .geometry import FAR_USERS, NEAR_USERS, USERS
 
 
 class SchemeId(enum.Enum):
@@ -82,34 +80,3 @@ class SystemParams:
     def beta(self) -> float:
         return (1.0 - self.alpha) / 3.0
 
-
-@dataclass(frozen=True)
-class RateBreakdown:
-    """Instantaneous rates of one realization, bits/s/Hz (bandwidth-normalized)."""
-
-    per_user: dict
-    per_subband_sum: tuple
-    total: float
-
-
-def total_instantaneous(realization: ChannelRealization, stats: LinkStatistics,
-                        params: SystemParams, scheme: SchemeId) -> RateBreakdown:
-    """Per-user and total rates of one realization under the given scheme."""
-    rates = kernels.scheme_rates(
-        realization.gain[None, :, :], scheme.code, params.alpha, params.beta,
-        params.rho, params.upsilon, params.band_fractions, stats.eps_sums,
-        kernels.GIVEN_GAINS)[0]
-    per_user = {label: float(rates[i]) for i, label in enumerate(USERS)}
-    total = float(rates.sum())
-
-    if scheme in (SchemeId.COMP_VPNOMA, SchemeId.VPNOMA):
-        # Near users hold the whole band at one SINR, far user m sub-band m.
-        band = params.band_fractions
-        near_per_band = float(rates[:3].sum()) / (band[0] + band[1] + band[2])
-        per_subband = tuple(band[m] * near_per_band + float(rates[3 + m])
-                            for m in range(3))
-    else:
-        # Full-band schemes have no sub-band split; report per-cell pair sums.
-        per_subband = tuple(
-            per_user[NEAR_USERS[c]] + per_user[FAR_USERS[c]] for c in range(3))
-    return RateBreakdown(per_user, per_subband, total)

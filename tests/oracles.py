@@ -5,6 +5,7 @@ of the defining expectation integral (scipy) and against high-precision
 special-function evaluation (mpmath); neither path touches the package's own
 exponential-integral code. The vectorized kernels are cross-checked against
 per-trial Python loops over the same counter stream and SINR formulas.
+The one-trial helpers give the tests a per-realization view of the kernels.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 from scipy import integrate
 
 from comp_noma import kernels
+from comp_noma.geometry import user_index
 from comp_noma.kernels import (COMP_VPNOMA_CODE, N_BS, N_LINKS, N_USERS,
                                NOMA_CODE, VPNOMA_CODE)
 
@@ -83,6 +85,24 @@ def kernel_gains(seed, start_trial, n, sigma_hat):
     """Gains (n, 3, 6) as the estimator forms them: kernel draws × (−σ̂)."""
     return kernels.link_gains(kernels.sample_gains(seed, start_trial, n),
                               sigma_hat)
+
+
+def link(bs_index, user):
+    """Index of link (BS bs_index, user) into a (3, 6) per-link array."""
+    return bs_index - 1, user_index(user)
+
+
+def gain_rates(gain, stats, params, scheme):
+    """Per-user rates (6,) of one (3, 6) gain matrix, from the estimator's
+    rate kernel; stats supplies only the per-user sigma_eps sums.
+
+    The kernel forms each gain as draw × (−σ̂). With draws −gain and σ̂ = 1
+    that product is the gain itself, since negation and ×1.0 are exact.
+    """
+    return kernels.scheme_rates(
+        -np.asarray(gain, dtype=float)[None], scheme.code, params.alpha,
+        params.beta, params.rho, params.upsilon, params.band_fractions,
+        stats.eps_sums, np.ones((N_BS, N_USERS)))[0]
 
 
 def gains_reference(seed, start_trial, n, sigma_hat):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from comp_noma import (InfeasibleCsiError, LinkStatistics, build_layout,
-                       derive_link_statistics, sample_realization)
-from comp_noma import kernels
-from oracles import kernel_gains
+                       derive_link_statistics)
+from comp_noma.channel import check_seed
+from oracles import kernel_gains, link
 
 
 def uniform_stats(sigma_hat=1.0, sigma_eps=0.0):
@@ -15,14 +15,15 @@ def uniform_stats(sigma_hat=1.0, sigma_eps=0.0):
 def test_unit_distance_perfect_csi_gives_unit_variance():
     layout = build_layout(1.0, (0.5,) * 3, (1.0,) * 3)
     stats = derive_link_statistics(layout, 4.0, 0.0)
-    assert stats.sigma_hat_for(1, "A") == pytest.approx(1.0, abs=1e-12)
-    assert stats.sigma_eps_for(1, "A") == 0.0
+    assert stats.sigma_hat[link(1, "A")] == pytest.approx(1.0, abs=1e-12)
+    assert stats.sigma_eps[link(1, "A")] == 0.0
 
 
 def test_variance_formula_at_half_radius(default_stats):
     # d = 0.5, v = 4: 0.5^-4 - 0.001 = 15.999
-    assert default_stats.sigma_hat_for(1, 1) == pytest.approx(15.999, abs=1e-12)
-    assert default_stats.sigma_hat_for(2, 1) == pytest.approx(
+    assert default_stats.sigma_hat[link(1, 1)] == pytest.approx(15.999,
+                                                                abs=1e-12)
+    assert default_stats.sigma_hat[link(2, 1)] == pytest.approx(
         1.75 ** -2 - 0.001, rel=1e-12)
 
 
@@ -38,10 +39,10 @@ def test_infeasible_csi_error_names_link(default_layout):
 def test_override_applies_per_link(default_layout):
     stats = derive_link_statistics(default_layout, 4.0, 0.001,
                                    overrides={(3, "B"): 0.05})
-    assert stats.sigma_eps_for(3, "B") == 0.05
-    assert stats.sigma_eps_for(3, "A") == 0.001
-    assert stats.sigma_hat_for(3, "B") == pytest.approx(
-        stats.sigma_hat_for(3, "A") - 0.049, rel=1e-9)
+    assert stats.sigma_eps[link(3, "B")] == 0.05
+    assert stats.sigma_eps[link(3, "A")] == 0.001
+    assert stats.sigma_hat[link(3, "B")] == pytest.approx(
+        stats.sigma_hat[link(3, "A")] - 0.049, rel=1e-9)
 
 
 def test_negative_inputs_rejected(default_layout):
@@ -72,6 +73,24 @@ def test_overflowing_sigma_hat_names_its_link():
         derive_link_statistics(layout, 4.0, 0.001)
 
 
+def test_link_statistics_built_directly_are_validated_by_link():
+    hat, eps = np.ones((3, 6)), np.zeros((3, 6))
+    for bad in (float("nan"), 0.0, float("inf")):
+        broken = hat.copy()
+        broken[link(2, "B")] = bad
+        with pytest.raises(InfeasibleCsiError, match=r"link \(BS2, UEB\)"):
+            LinkStatistics(broken, eps)
+    for bad in (-1e-6, float("nan"), float("inf")):
+        broken = eps.copy()
+        broken[link(3, 1)] = bad
+        with pytest.raises(ValueError, match=r"link \(BS3, UE1\): sigma_eps"):
+            LinkStatistics(hat, broken)
+    with pytest.raises(ValueError, match=r"sigma_hat must have shape \(3, 6\)"):
+        LinkStatistics(np.ones((2, 6)), np.zeros((2, 6)))
+    with pytest.raises(ValueError, match=r"sigma_eps must have shape \(3, 6\)"):
+        LinkStatistics(hat, np.zeros(6))
+
+
 def test_eps_sums_are_each_users_read_only_column_sums(default_layout):
     stats = derive_link_statistics(default_layout, 4.0, 0.001,
                                    overrides={(1, "A"): 0.004, (3, 2): 0.0})
@@ -83,18 +102,18 @@ def test_eps_sums_are_each_users_read_only_column_sums(default_layout):
 
 
 def test_same_seed_and_trial_reproduce_bitwise(default_stats):
-    a = sample_realization(default_stats, 1234, seed=99)
-    b = sample_realization(default_stats, 1234, seed=99)
-    assert np.array_equal(a.gain, b.gain)
-    c = sample_realization(default_stats, 1235, seed=99)
-    assert not np.array_equal(a.gain, c.gain)
+    a = kernel_gains(99, 1234, 1, default_stats.sigma_hat)[0]
+    b = kernel_gains(99, 1234, 1, default_stats.sigma_hat)[0]
+    assert np.array_equal(a, b)
+    c = kernel_gains(99, 1235, 1, default_stats.sigma_hat)[0]
+    assert not np.array_equal(a, c)
 
 
 def test_draws_are_pure_functions_of_seed_trial_link(default_stats):
     batch = kernel_gains(42, 0, 200, default_stats.sigma_hat)
     for trial in (0, 1, 57, 199):
-        single = sample_realization(default_stats, trial, seed=42)
-        assert np.array_equal(batch[trial], single.gain)
+        single = kernel_gains(42, trial, 1, default_stats.sigma_hat)[0]
+        assert np.array_equal(batch[trial], single)
     # starting mid-stream yields the identical trials
     tail = kernel_gains(42, 150, 50, default_stats.sigma_hat)
     assert np.array_equal(batch[150:], tail)
@@ -105,26 +124,19 @@ def test_scaling_one_links_variance_scales_its_gain_exactly():
     scaled = np.ones((3, 6))
     scaled[1, 4] = 2.5
     stats_scaled = LinkStatistics(scaled, np.zeros((3, 6)))
-    a = sample_realization(stats, 7, seed=5).gain
-    b = sample_realization(stats_scaled, 7, seed=5).gain
+    a = kernel_gains(5, 7, 1, stats.sigma_hat)[0]
+    b = kernel_gains(5, 7, 1, stats_scaled.sigma_hat)[0]
     assert b[1, 4] == 2.5 * a[1, 4]
     mask = np.ones((3, 6), bool)
     mask[1, 4] = False
     assert np.array_equal(a[mask], b[mask])
 
 
-def test_negative_trial_index_rejected(default_stats):
-    with pytest.raises(ValueError, match="trial index"):
-        sample_realization(default_stats, -1, seed=0)
-
-
-def test_seed_must_be_a_64_bit_integer(default_stats):
+def test_seed_must_be_a_64_bit_integer():
     for seed in (-1, 2**64, 1.5):
         with pytest.raises(ValueError, match="seed"):
-            sample_realization(default_stats, 0, seed=seed)
-    top = sample_realization(default_stats, 3, seed=2**64 - 1)
-    assert np.array_equal(
-        top.gain, kernel_gains(2**64 - 1, 3, 1, default_stats.sigma_hat)[0])
+            check_seed(seed)
+    check_seed(2**64 - 1)
 
 
 def test_gain_moments_and_independence():

@@ -61,6 +61,15 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["oma", "noma", "vpnoma", "comp-vpnoma"])
+def test_snr_that_overflows_the_sinr_terms_exits_2(tmp_path, capsys, scheme):
+    out = tmp_path / "x.csv"
+    assert main(["--from", "3000", "--to", "3082", "--steps", "2", "--trials",
+                 "100", "--schemes", scheme, "--out", str(out)]) == 2
+    assert "key 'to'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_value_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["--sweep", "bandwidth"])

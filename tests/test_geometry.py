@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from comp_noma import NetworkLayout, build_layout, distance_matrix, link_distance
+from comp_noma import NetworkLayout, build_layout, distance_matrix
 from comp_noma.geometry import user_index
+from oracles import link
 
 SQRT_1_75 = 1.3228756555322953  # sqrt(1.75), BS2 -> UE1 at near radius 0.5
 
 
 def test_near_user_placed_on_own_ray(default_layout):
-    assert link_distance(default_layout, 1, 1) == pytest.approx(0.5, abs=1e-15)
-    assert link_distance(default_layout, 2, 2) == pytest.approx(0.5, abs=1e-15)
-    assert link_distance(default_layout, 1, "A") == pytest.approx(0.95, abs=1e-15)
+    d = distance_matrix(default_layout)
+    assert d[link(1, 1)] == pytest.approx(0.5, abs=1e-15)
+    assert d[link(2, 2)] == pytest.approx(0.5, abs=1e-15)
+    assert d[link(1, "A")] == pytest.approx(0.95, abs=1e-15)
 
 
 def test_centroid_is_unit_distance_from_every_base_station(default_layout):
@@ -26,8 +28,8 @@ def test_cross_link_distance_matches_coordinate_arithmetic(default_layout):
                                                            abs=1e-15)
     assert default_layout.near_user_positions[0] == pytest.approx(
         [np.sqrt(3.0) / 4.0, 0.25], abs=1e-12)
-    assert link_distance(default_layout, 2, 1) == pytest.approx(SQRT_1_75,
-                                                                abs=1e-12)
+    assert distance_matrix(default_layout)[link(2, 1)] == pytest.approx(
+        SQRT_1_75, abs=1e-12)
 
 
 def test_far_users_at_full_radius_coincide_at_centroid():
@@ -37,11 +39,12 @@ def test_far_users_at_full_radius_coincide_at_centroid():
 
 
 def test_serving_distance_equals_given_radius():
-    layout = build_layout(1.0, (0.123, 0.456, 0.789), (0.9, 0.8, 0.7))
+    d = distance_matrix(build_layout(1.0, (0.123, 0.456, 0.789),
+                                     (0.9, 0.8, 0.7)))
     for cell, radius in enumerate((0.123, 0.456, 0.789), start=1):
-        assert link_distance(layout, cell, cell) == pytest.approx(radius, abs=1e-15)
+        assert d[link(cell, cell)] == pytest.approx(radius, abs=1e-15)
     for cell, (radius, far) in enumerate(zip((0.9, 0.8, 0.7), "ABC"), start=1):
-        assert link_distance(layout, cell, far) == pytest.approx(radius, abs=1e-15)
+        assert d[link(cell, far)] == pytest.approx(radius, abs=1e-15)
 
 
 def test_radius_out_of_range_names_offending_user():
@@ -57,15 +60,11 @@ def test_radius_out_of_range_names_offending_user():
         build_layout(float("inf"), (0.5,) * 3, (0.95,) * 3)
 
 
-def test_unknown_indices_rejected(default_layout):
+def test_unknown_indices_rejected():
     with pytest.raises(ValueError, match="user id"):
-        link_distance(default_layout, 1, "D")
+        user_index("D")
     with pytest.raises(ValueError, match="user id"):
-        link_distance(default_layout, 1, 4)
-    with pytest.raises(ValueError, match="base station"):
-        link_distance(default_layout, 0, 1)
-    with pytest.raises(ValueError, match="base station"):
-        link_distance(default_layout, 5, "A")
+        user_index(4)
 
 
 def test_user_index_accepts_both_spellings():

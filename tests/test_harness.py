@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import pytest
 
 from comp_noma import (ConfigError, InfeasibleCsiError, SchemeId, SweepKind,
@@ -81,7 +84,9 @@ class TestParseConfig:
         assert cfg.to_value == 0.9
 
     def test_snr_must_stay_finite_in_linear_units(self):
-        parse_config("sweep=alpha\nrho_db=3082")
+        # finite as a linear SNR, but not once it scales the gains
+        with pytest.raises(ConfigError, match=r"line 2: key 'rho_db'"):
+            parse_config("sweep=alpha\nrho_db=3082")
         with pytest.raises(ConfigError, match=r"line 2: key 'rho_db'"):
             parse_config("sweep=alpha\nrho_db=3083")
         with pytest.raises(ConfigError, match=r"command line: key 'to'"):
@@ -169,6 +174,26 @@ class TestRunSweep:
         # default tail of 1,696 trials; rho moves at every point
         trials = kernels.CHUNK_TRIALS + 100_000 % kernels.CHUNK_TRIALS
         assert hits(f"trials={trials}") == [(35, 1), (0, 9)]
+
+    def test_largest_accepted_snr_gives_finite_estimates(self):
+        # the default geometry accepts 20 dB and rejects 3083 dB
+        lo, hi = 20.0, 3083.0
+        while (mid := (lo + hi) / 2) not in (lo, hi):
+            try:
+                parse_config(f"sweep=alpha\nrho_db={mid!r}")
+                lo = mid
+            except ConfigError:
+                hi = mid
+        assert hi == math.nextafter(lo, math.inf) and 3049.9 < lo < 3050.0
+        cfg = parse_config(f"sweep=alpha\nsteps=2\ntrials=100\nrho_db={lo!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = run_sweep(cfg)
+        assert len(rows) == 2 * len(SchemeId)
+        for row in rows:
+            assert math.isfinite(row.esc_mc) and math.isfinite(row.esc_ci95)
+        assert all(math.isfinite(row.esc_analytic) for row in rows
+                   if row.scheme is SchemeId.COMP_VPNOMA)
 
     def test_infeasible_csi_reports_sweep_value(self):
         cfg = parse_config("trials=100\nsteps=3\nsweep=near-radius\n"

@@ -3,20 +3,19 @@ import sys
 import pytest
 
 from comp_noma import (SchemeId, SystemParams, build_layout, db_to_linear,
-                       derive_link_statistics, estimate_esc,
-                       sample_realization, total_esc_closed,
-                       total_instantaneous)
+                       derive_link_statistics, estimate_esc, total_esc_closed)
 from comp_noma import kernels, montecarlo
 from comp_noma.geometry import USERS
+from oracles import gain_rates, kernel_gains
 
 
 def test_single_trial_equals_instantaneous_rate(default_stats, params_20db):
     for scheme in SchemeId:
         estimate = estimate_esc(default_stats, params_20db,
                                 scheme, trials=1, seed=17)
-        breakdown = total_instantaneous(sample_realization(default_stats, 0, 17),
-                                        default_stats, params_20db, scheme)
-        assert estimate.mean_total == breakdown.total
+        gain = kernel_gains(17, 0, 1, default_stats.sigma_hat)[0]
+        rates = gain_rates(gain, default_stats, params_20db, scheme)
+        assert estimate.mean_total == rates.sum()
         assert estimate.ci95_halfwidth == 0.0
 
 

@@ -1,36 +1,29 @@
 import numpy as np
 import pytest
 
-from comp_noma import (ChannelRealization, LinkStatistics, SchemeId,
-                       SystemParams, build_layout, derive_link_statistics,
-                       total_instantaneous)
+from comp_noma import (LinkStatistics, SchemeId, SystemParams, build_layout,
+                       derive_link_statistics, estimate_esc)
 from comp_noma import kernels
-from comp_noma.geometry import USERS
-from oracles import gains_reference, kernel_gains, rates_reference
+from oracles import gain_rates, gains_reference, kernel_gains, rates_reference
 
 FAR_COMP_EXAMPLE = 0.56681323938036405  # (1/3) * log2(1 + 9/4)
-
-
-def realization(gain):
-    return ChannelRealization(np.asarray(gain, dtype=float))
 
 
 def stats_with(eps=0.0):
     return LinkStatistics(np.ones((3, 6)), np.full((3, 6), float(eps)))
 
 
-def random_realization(rng, scale=1.0):
-    return ChannelRealization(rng.exponential(scale, size=(3, 6)))
+def random_gain(rng, scale=1.0):
+    return rng.exponential(scale, size=(3, 6))
 
 
-def comp_rates(real, stats, params):
-    return total_instantaneous(real, stats, params,
-                               SchemeId.COMP_VPNOMA).per_user
+def comp_rates(gain, stats, params):
+    return gain_rates(gain, stats, params, SchemeId.COMP_VPNOMA)
 
 
-def reference_rates(real, stats, params, scheme):
-    """Per-user rates of one realization from the per-trial oracle."""
-    return rates_reference(real.gain[None], scheme.code, params.alpha,
+def reference_rates(gain, stats, params, scheme):
+    """Per-user rates of one gain matrix from the per-trial oracle."""
+    return rates_reference(np.asarray(gain)[None], scheme.code, params.alpha,
                            params.beta, params.rho, params.upsilon,
                            params.band_fractions,
                            stats.eps_sums)[0]
@@ -84,27 +77,24 @@ class TestSystemParams:
 
 class TestNearRate:
     def test_hand_worked_single_gain(self):
-        # alpha=0.1, rho=10, only the serving gain nonzero -> (1/3) log2(2)
-        # on each sub-band, 1 bit over the full band
+        # alpha=0.1, rho=10, only the serving gain nonzero -> 1 bit over the
+        # full band
         p = SystemParams(alpha=0.1, rho=10.0, upsilon=0.0)
         gain = np.zeros((3, 6))
         gain[0, 0] = 1.0
-        breakdown = total_instantaneous(realization(gain), stats_with(0.0), p,
-                                        SchemeId.COMP_VPNOMA)
-        assert breakdown.per_user["1"] == pytest.approx(1.0, rel=1e-14)
-        for subband_sum in breakdown.per_subband_sum:
-            assert subband_sum == pytest.approx(1.0 / 3.0, rel=1e-14)
+        rates = comp_rates(gain, stats_with(0.0), p)
+        assert rates[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_vanishing_power_gives_vanishing_rate(self):
         p = SystemParams(alpha=1e-300, rho=10.0, upsilon=0.0)
         gain = np.ones((3, 6))
-        rate = comp_rates(realization(gain), stats_with(0.0), p)["1"]
+        rate = comp_rates(gain, stats_with(0.0), p)[0]
         assert rate == pytest.approx(0.0, abs=1e-250)
 
     def test_rate_decreases_monotonically_to_zero_with_rho(self, rng):
-        real = random_realization(rng)
-        rates = [comp_rates(real, stats_with(0.001),
-                            SystemParams(alpha=0.1, rho=rho))["2"]
+        gain = random_gain(rng)
+        rates = [comp_rates(gain, stats_with(0.001),
+                            SystemParams(alpha=0.1, rho=rho))[1]
                  for rho in (10.0, 1.0, 0.1, 0.01, 0.001)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
         assert rates[-1] < 1e-3
@@ -116,7 +106,7 @@ class TestFarRate:
         p = SystemParams(alpha=0.1, rho=10.0, upsilon=0.0)
         gain = np.zeros((3, 6))
         gain[:, 3] = 1.0
-        rate = comp_rates(realization(gain), stats_with(0.0), p)["A"]
+        rate = comp_rates(gain, stats_with(0.0), p)[3]
         assert rate == pytest.approx(FAR_COMP_EXAMPLE, rel=1e-12)
 
     def test_vanishing_far_power_via_direct_formula(self):
@@ -132,11 +122,13 @@ class TestFarRate:
         for level in (0.5, 1.0, 2.0, 4.0):
             gain = np.zeros((3, 6))
             gain[:, 4] = level
-            rates.append(comp_rates(realization(gain), stats_with(0.001), p)["B"])
+            rates.append(comp_rates(gain, stats_with(0.001), p)[4])
         assert all(a < b for a, b in zip(rates, rates[1:]))
 
 
 class TestTotalInstantaneous:
+    """Rates of one gain matrix; columns are users 1, 2, 3, A, B, C."""
+
     def test_symmetric_realization_gives_symmetric_rates(self, default_stats):
         gain = np.zeros((3, 6))
         gain[:, :3] = np.where(np.eye(3, dtype=bool), 4.0, 0.25)
@@ -144,36 +136,31 @@ class TestTotalInstantaneous:
         p = SystemParams(alpha=0.1, rho=100.0, upsilon=0.01)
         stats = stats_with(0.001)
         for scheme in SchemeId:
-            breakdown = total_instantaneous(realization(gain), stats, p, scheme)
-            near = [breakdown.per_user[u] for u in "123"]
-            far = [breakdown.per_user[u] for u in "ABC"]
+            rates = gain_rates(gain, stats, p, scheme)
+            near, far = rates[:3], rates[3:]
             assert near[0] == pytest.approx(near[1], rel=1e-12)
             assert near[0] == pytest.approx(near[2], rel=1e-12)
             assert far[0] == pytest.approx(far[1], rel=1e-12)
             assert far[0] == pytest.approx(far[2], rel=1e-12)
 
-    def test_total_is_sum_of_per_user(self, rng, default_stats, params_20db):
+    def test_total_is_sum_of_per_user(self, default_stats, params_20db):
         for scheme in SchemeId:
-            for _ in range(20):
-                real = random_realization(rng)
-                breakdown = total_instantaneous(real, default_stats,
-                                                params_20db, scheme)
-                assert breakdown.total == pytest.approx(
-                    sum(breakdown.per_user.values()), rel=1e-12)
-                assert breakdown.total == pytest.approx(
-                    sum(breakdown.per_subband_sum), rel=1e-12)
-                assert all(v >= 0.0 for v in breakdown.per_user.values())
+            for seed in range(20):
+                estimate = estimate_esc(default_stats, params_20db, scheme,
+                                        trials=1, seed=seed)
+                per_user = estimate.per_user_mean
+                assert estimate.mean_total == pytest.approx(
+                    sum(per_user.values()), rel=1e-12)
+                assert all(v >= 0.0 for v in per_user.values())
 
     def test_comp_far_rate_dominates_vpnoma_per_realization(
             self, rng, default_stats, params_20db):
         for _ in range(1000):
-            real = random_realization(rng)
-            comp = total_instantaneous(real, default_stats, params_20db,
-                                       SchemeId.COMP_VPNOMA)
-            vp = total_instantaneous(real, default_stats, params_20db,
-                                     SchemeId.VPNOMA)
-            for user in "ABC":
-                assert comp.per_user[user] >= vp.per_user[user]
+            gain = random_gain(rng)
+            comp = gain_rates(gain, default_stats, params_20db,
+                              SchemeId.COMP_VPNOMA)
+            vp = gain_rates(gain, default_stats, params_20db, SchemeId.VPNOMA)
+            assert np.all(comp[3:] >= vp[3:])
 
     def test_comp_equals_vpnoma_when_off_serving_gains_vanish(self):
         gain = np.zeros((3, 6))
@@ -181,26 +168,21 @@ class TestTotalInstantaneous:
         np.fill_diagonal(gain[:, 3:], 1.0)
         p = SystemParams(alpha=0.1, rho=10.0, upsilon=0.0)
         stats = stats_with(0.0)
-        comp = total_instantaneous(realization(gain), stats, p,
-                                   SchemeId.COMP_VPNOMA)
-        vp = total_instantaneous(realization(gain), stats, p, SchemeId.VPNOMA)
-        for user in "ABC":
-            assert comp.per_user[user] == pytest.approx(vp.per_user[user],
-                                                        rel=1e-12)
+        comp = gain_rates(gain, stats, p, SchemeId.COMP_VPNOMA)
+        vp = gain_rates(gain, stats, p, SchemeId.VPNOMA)
+        for u in range(3, 6):
+            assert comp[u] == pytest.approx(vp[u], rel=1e-12)
 
     def test_every_rate_nondecreasing_in_rho(self, rng, default_stats):
         for _ in range(1000):
-            real = random_realization(rng)
+            gain = random_gain(rng)
             rho = float(rng.uniform(0.1, 1000.0))
             for scheme in SchemeId:
-                low = total_instantaneous(real, default_stats,
-                                          SystemParams(alpha=0.1, rho=rho),
-                                          scheme)
-                high = total_instantaneous(real, default_stats,
-                                           SystemParams(alpha=0.1, rho=2 * rho),
-                                           scheme)
-                for user in USERS:
-                    assert high.per_user[user] >= low.per_user[user] - 1e-15
+                low = gain_rates(gain, default_stats,
+                                 SystemParams(alpha=0.1, rho=rho), scheme)
+                high = gain_rates(gain, default_stats,
+                                  SystemParams(alpha=0.1, rho=2 * rho), scheme)
+                assert np.all(high >= low - 1e-15)
 
     def test_cell_relabeling_permutes_rates(self, rng, default_stats,
                                             params_20db):
@@ -220,71 +202,43 @@ class TestTotalInstantaneous:
         stats = LinkStatistics(np.ones((3, 6)), eps)
         stats_permuted = LinkStatistics(np.ones((3, 6)), eps_permuted)
         for scheme in SchemeId:
-            base = total_instantaneous(realization(gain), stats, params_20db,
-                                       scheme)
-            moved = total_instantaneous(realization(permuted), stats_permuted,
-                                        params_20db, scheme)
+            base = gain_rates(gain, stats, params_20db, scheme)
+            moved = gain_rates(permuted, stats_permuted, params_20db, scheme)
             for u in range(3):
-                assert moved.per_user[str(perm[u] + 1)] == pytest.approx(
-                    base.per_user[str(u + 1)], rel=1e-12)
-                assert moved.per_user["ABC"[perm[u]]] == pytest.approx(
-                    base.per_user["ABC"[u]], rel=1e-12)
-            assert moved.total == pytest.approx(base.total, rel=1e-12)
+                assert moved[perm[u]] == pytest.approx(base[u], rel=1e-12)
+                assert moved[3 + perm[u]] == pytest.approx(base[3 + u],
+                                                           rel=1e-12)
+            assert moved.sum() == pytest.approx(base.sum(), rel=1e-12)
 
     def test_perfect_csi_and_sic_never_hurt_near_users(self, rng):
         p_impaired = SystemParams(alpha=0.1, rho=100.0, upsilon=0.05)
         p_clean = SystemParams(alpha=0.1, rho=100.0, upsilon=0.0)
         for _ in range(50):
-            real = random_realization(rng)
-            dirty = total_instantaneous(real, stats_with(0.01), p_impaired,
-                                        SchemeId.COMP_VPNOMA)
-            clean = total_instantaneous(real, stats_with(0.0), p_clean,
-                                        SchemeId.COMP_VPNOMA)
-            for user in "123":
-                assert clean.per_user[user] >= dirty.per_user[user]
+            gain = random_gain(rng)
+            dirty = comp_rates(gain, stats_with(0.01), p_impaired)
+            clean = comp_rates(gain, stats_with(0.0), p_clean)
+            assert np.all(clean[:3] >= dirty[:3])
 
     def test_per_user_matches_rate_operations(self, rng, default_stats,
                                               params_20db):
-        real = random_realization(rng)
-        breakdown = total_instantaneous(real, default_stats, params_20db,
-                                        SchemeId.COMP_VPNOMA)
-        expected = reference_rates(real, default_stats, params_20db,
+        gain = random_gain(rng)
+        rates = comp_rates(gain, default_stats, params_20db)
+        expected = reference_rates(gain, default_stats, params_20db,
                                    SchemeId.COMP_VPNOMA)
-        assert breakdown.per_user["1"] == pytest.approx(expected[0], rel=1e-12)
-        assert breakdown.per_user["A"] == pytest.approx(expected[3], rel=1e-12)
-
-    @pytest.mark.parametrize("scheme", [SchemeId.COMP_VPNOMA, SchemeId.VPNOMA],
-                             ids=lambda s: s.token)
-    def test_per_subband_sum_matches_reference(self, rng, default_stats,
-                                               scheme):
-        band = (0.5, 0.3, 0.2)
-        p = SystemParams(alpha=0.1, rho=100.0, upsilon=0.01,
-                         band_fractions=band)
-        for _ in range(20):
-            real = random_realization(rng)
-            breakdown = total_instantaneous(real, default_stats, p, scheme)
-            expected = reference_rates(real, default_stats, p, scheme)
-            for m in range(3):
-                near = sum(expected[j] / sum(band) * band[m] for j in range(3))
-                assert breakdown.per_subband_sum[m] == pytest.approx(
-                    near + expected[3 + m], rel=1e-12)
+        assert rates[0] == pytest.approx(expected[0], rel=1e-12)
+        assert rates[3] == pytest.approx(expected[3], rel=1e-12)
 
     def test_uneven_band_fractions_respected(self, rng, default_stats):
         p = SystemParams(alpha=0.1, rho=100.0, upsilon=0.01,
                          band_fractions=(0.5, 0.3, 0.2))
-        real = random_realization(rng)
-        breakdown = total_instantaneous(real, default_stats, p,
-                                        SchemeId.COMP_VPNOMA)
-        rate_a = reference_rates(real, default_stats, p,
+        gain = random_gain(rng)
+        rate_a = reference_rates(gain, default_stats, p,
                                  SchemeId.COMP_VPNOMA)[3]
-        assert breakdown.per_user["A"] == pytest.approx(rate_a, rel=1e-12)
-        assert breakdown.total == pytest.approx(
-            sum(breakdown.per_user.values()), rel=1e-12)
+        assert comp_rates(gain, default_stats, p)[3] == pytest.approx(
+            rate_a, rel=1e-12)
         # symmetric gains: far users share one SINR, rates scale with the band
-        gain = np.ones((3, 6))
-        symmetric = realization(gain)
-        rates = comp_rates(symmetric, default_stats, p)
-        rate_a, rate_b, rate_c = rates["A"], rates["B"], rates["C"]
+        rate_a, rate_b, rate_c = comp_rates(np.ones((3, 6)), default_stats,
+                                            p)[3:]
         assert rate_a / 0.5 == pytest.approx(rate_b / 0.3, rel=1e-12)
         assert rate_a / 0.5 == pytest.approx(rate_c / 0.2, rel=1e-12)
 
