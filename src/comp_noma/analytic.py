@@ -48,7 +48,7 @@ def _ei_series(x: float) -> float:
     return acc
 
 
-def _e1_scaled_cf(z: float) -> float:
+def _e1_scaled_cf(z: float, tolerance: float = 1e-16) -> float:
     # exp(z)*E1(z) via the Lentz continued fraction, reliable for z >= 1
     tiny = 1e-300
     b = z + 1.0
@@ -62,8 +62,12 @@ def _e1_scaled_cf(z: float) -> float:
         c = b + a / c
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if abs(delta - 1.0) < tolerance:
             return h
+    # Above about 1e14, delta can settle at 1 - 2**-53, which the exact test
+    # never accepts; the second pass stops where it first settles
+    if tolerance < 2.0 ** -52:
+        return _e1_scaled_cf(z, 2.0 ** -52)
     raise ArithmeticError(f"continued fraction failed to converge at z={z}")
 
 

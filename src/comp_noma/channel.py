@@ -69,6 +69,9 @@ def derive_link_statistics(layout: NetworkLayout, pathloss_exponent=4.0,
     eps = np.full((N_BS, N_USERS), float(sigma_eps_default))
     if overrides:
         for (bs_index, user), value in overrides.items():
+            if bs_index not in range(1, N_BS + 1):
+                raise ValueError(f"sigma_eps override for (BS{bs_index}, UE"
+                                 f"{user}): BS index must be 1, 2 or 3")
             if not 0 <= value < np.inf:
                 raise ValueError(f"sigma_eps override for (BS{bs_index}, UE"
                                  f"{user}) must be nonnegative and finite")

@@ -7,8 +7,8 @@ errors, 1 on runtime errors.
 import argparse
 import sys
 
-from .harness import ConfigError, emit_plot, parse_config, run_sweep, \
-    write_results
+from .harness import ConfigError, SweepKind, emit_plot, parse_config, \
+    run_sweep, write_results
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -18,7 +18,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "the OMA/NOMA/VP-NOMA baselines.")
     parser.add_argument("--config", metavar="PATH",
                         help="key=value configuration file")
-    parser.add_argument("--sweep", choices=["rho", "near-radius", "alpha"],
+    parser.add_argument("--sweep", choices=[kind.value for kind in SweepKind],
                         help="swept quantity (default: rho)")
     parser.add_argument("--from", dest="from_value", metavar="F",
                         help="sweep range start")

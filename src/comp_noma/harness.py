@@ -8,7 +8,7 @@ output is byte-deterministic for identical inputs.
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +23,18 @@ class ConfigError(ValueError):
 
 
 class SweepKind(enum.Enum):
-    RHO_DB = "rho"
-    NEAR_RADIUS = "near-radius"
-    ALPHA = "alpha"
+    """A swept knob: its CSV token (the value), the SweepConfig field each
+    point replaces, its range when a config omits from/to, its axis label."""
+
+    RHO_DB = ("rho", "rho_db", (0.0, 40.0), "transmit SNR (dB)")
+    NEAR_RADIUS = ("near-radius", "near_radius", (0.1, 0.9), "near-user radius (R)")
+    ALPHA = ("alpha", "alpha", (0.05, 0.24), "near-user power fraction")
+
+    def __new__(cls, token, field, default_range, label):
+        kind = object.__new__(cls)
+        kind._value_ = token
+        kind.field, kind.default_range, kind.label = field, default_range, label
+        return kind
 
     @classmethod
     def from_token(cls, token: str) -> "SweepKind":
@@ -35,13 +44,6 @@ class SweepKind(enum.Enum):
         raise ValueError(f"unknown sweep kind {token!r}; expected one of "
                          f"{', '.join(k.value for k in cls)}")
 
-
-# Sweep ranges used when a config omits from/to/steps.
-_SWEEP_RANGE_DEFAULTS = {
-    SweepKind.RHO_DB: (0.0, 40.0),
-    SweepKind.NEAR_RADIUS: (0.1, 0.9),
-    SweepKind.ALPHA: (0.05, 0.24),
-}
 
 CONFIG_KEYS = ("alpha", "rho_db", "upsilon", "sigma_eps", "pathloss_exponent",
                "near_radius", "far_radius", "trials", "seed", "sweep", "from",
@@ -57,8 +59,8 @@ class SweepConfig:
     """One sweep: the swept knob, its range, and every fixed parameter."""
 
     sweep_kind: SweepKind = SweepKind.RHO_DB
-    from_value: float = 0.0
-    to_value: float = 40.0
+    from_value: float = SweepKind.RHO_DB.default_range[0]
+    to_value: float = SweepKind.RHO_DB.default_range[1]
     steps: int = 9
     alpha: float = 0.1
     rho_db: float = 20.0
@@ -125,15 +127,15 @@ def _raw_pairs(text: str) -> dict:
 
 
 def _config_from_raw(raw: dict) -> SweepConfig:
-    cfg = SweepConfig()
+    fields = {}
     if "sweep" in raw:
         value, where = raw["sweep"]
         try:
             kind = SweepKind.from_token(value)
         except ValueError as exc:
             raise ConfigError(f"{where}: key 'sweep': {exc}")
-        lo, hi = _SWEEP_RANGE_DEFAULTS[kind]
-        cfg = replace(cfg, sweep_kind=kind, from_value=lo, to_value=hi)
+        fields["sweep_kind"] = kind
+        fields["from_value"], fields["to_value"] = kind.default_range
     if "schemes" in raw:
         value, where = raw["schemes"]
         try:
@@ -141,7 +143,7 @@ def _config_from_raw(raw: dict) -> SweepConfig:
         except ValueError as exc:
             raise ConfigError(f"{where}: key 'schemes': {exc}")
         order = list(SchemeId)
-        cfg = replace(cfg, schemes=tuple(sorted(set(schemes), key=order.index)))
+        fields["schemes"] = tuple(sorted(set(schemes), key=order.index))
 
     # the other keys are numbers; each sets the field of its name, except
     # from and to, which set the range's ends
@@ -150,19 +152,17 @@ def _config_from_raw(raw: dict) -> SweepConfig:
             value, where = raw[key]
             parse = _parse_int if key in ("trials", "seed", "steps") else _parse_float
             attr = {"from": "from_value", "to": "to_value"}.get(key, key)
-            cfg = replace(cfg, **{attr: parse(value, key, where)})
+            fields[attr] = parse(value, key, where)
 
+    cfg = SweepConfig(**fields)
     _validate(cfg, raw)
     return cfg
 
 
-def _where(raw, key):
-    return raw[key][1] if key in raw else "default"
-
-
 def _validate(cfg: SweepConfig, raw: dict) -> None:
     def fail(key, message):
-        raise ConfigError(f"{_where(raw, key)}: key '{key}': {message}")
+        where = raw[key][1] if key in raw else "default"
+        raise ConfigError(f"{where}: key '{key}': {message}")
 
     if not 0.0 < cfg.alpha < 0.25:
         fail("alpha", f"must lie in (0, 0.25), got {cfg.alpha}")
@@ -189,32 +189,42 @@ def _validate(cfg: SweepConfig, raw: dict) -> None:
                      f"[{cfg.from_value}, {cfg.to_value}]")
     if not cfg.schemes:
         fail("schemes", "at least one scheme is required")
-    if cfg.sweep_kind is SweepKind.ALPHA:
-        if not (0.0 < cfg.from_value and cfg.to_value < 0.25):
-            fail("to", f"swept alpha values must lie in (0, 0.25), got "
-                       f"[{cfg.from_value}, {cfg.to_value}]")
-    if cfg.sweep_kind is SweepKind.NEAR_RADIUS:
-        if not (0.0 < cfg.from_value and cfg.to_value <= 1.0):
-            fail("to", f"swept radii must lie in (0, 1], got "
-                       f"[{cfg.from_value}, {cfg.to_value}]")
-    # a swept knob takes its largest value at `to`
-    key, near = ("to", cfg.to_value) if cfg.sweep_kind is SweepKind.NEAR_RADIUS \
-        else ("near_radius", cfg.near_radius)
-    if not near < cfg.far_radius:
-        fail(key, f"must stay below far_radius = {cfg.far_radius}, got {near}")
+    # Every point rule asks a swept value to lie in an interval or is
+    # monotone in it, so a sweep whose two ends pass passes at every point.
+    # A rule whose keys hold the swept field names the end that breaks it.
+    swept = cfg.sweep_kind.field
+    for end, value in (("to", cfg.to_value), ("from", cfg.from_value)):
+        error = _point_error({**vars(cfg), swept: value})
+        if error is not None:
+            keys, message = error
+            fail(end if swept in keys else keys[0], message)
+
+
+def _point_error(p: dict):
+    """(keys, message) for the first rule that sweep point p (each SweepConfig
+    field's value) breaks, or None; keys[0] is named unless a sweep moves one."""
+    alpha, rho_db = p["alpha"], p["rho_db"]
+    near, far = p["near_radius"], p["far_radius"]
+    if not 0.0 < alpha < 0.25:
+        return ("alpha",), f"must lie in (0, 0.25), got {alpha}"
+    if not 0.0 < near < far:
+        return ("near_radius",), f"must lie in (0, far_radius = {far}), got {near}"
     # a draw's -log(u) is at most -ln 2^-54 < 38, so rho * 3 * 38 * d^-v at
-    # the largest SNR and the nearest user bounds the gain terms of any SINR
-    key, snr_db = ("to", cfg.to_value) if cfg.sweep_kind is SweepKind.RHO_DB \
-        else ("rho_db", cfg.rho_db)
-    nearest = cfg.from_value if cfg.sweep_kind is SweepKind.NEAR_RADIUS \
-        else cfg.near_radius
+    # the nearest user bounds the gain terms of any SINR
     try:
-        bound = db_to_linear(snr_db) * 3 * 38 * nearest ** -cfg.pathloss_exponent
+        rho = db_to_linear(rho_db)
+        bound = rho * 3 * 38 * near ** -p["pathloss_exponent"]
     except OverflowError:
         bound = math.inf
     if not math.isfinite(bound):
-        fail(key, f"{snr_db} dB overflows float64 in the SINR terms of a user "
-                  f"at radius {nearest}")
+        return ("rho_db", "near_radius"), (f"{rho_db} dB overflows float64 in the "
+                                           f"SINR terms of a user at radius {near}")
+    if rho == 0.0:
+        return ("rho_db",), f"{rho_db} dB underflows float64 to a linear SNR of 0"
+    # the near users' SINR denominators add rho * upsilon to those terms
+    if not math.isfinite(bound + rho * p["upsilon"]):
+        return ("upsilon",), (f"{p['upsilon']} overflows float64 in the SINR "
+                              f"terms at {rho_db} dB")
 
 
 def parse_config(text: str, overrides: dict | None = None) -> SweepConfig:
@@ -239,21 +249,16 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list:
     """
     rows = []
     for value in cfg.sweep_values():
-        alpha, rho_db, near = cfg.alpha, cfg.rho_db, cfg.near_radius
-        if cfg.sweep_kind is SweepKind.RHO_DB:
-            rho_db = value
-        elif cfg.sweep_kind is SweepKind.NEAR_RADIUS:
-            near = value
-        else:
-            alpha = value
-        layout = build_layout(1.0, (near,) * 3, (cfg.far_radius,) * 3)
+        point = {**vars(cfg), cfg.sweep_kind.field: value}
+        layout = build_layout(1.0, (point["near_radius"],) * 3,
+                              (cfg.far_radius,) * 3)
         try:
             stats = derive_link_statistics(layout, cfg.pathloss_exponent,
                                            cfg.sigma_eps)
         except InfeasibleCsiError as exc:
             raise InfeasibleCsiError(
                 f"sweep value {value:.6g}: {exc}") from exc
-        params = SystemParams(alpha=alpha, rho=db_to_linear(rho_db),
+        params = SystemParams(alpha=point["alpha"], rho=db_to_linear(point["rho_db"]),
                               upsilon=cfg.upsilon)
         for scheme in cfg.schemes:
             estimate = estimate_esc(stats, params, scheme, cfg.trials,
@@ -329,12 +334,6 @@ _SERIES_COLORS = {
     SchemeId.COMP_VPNOMA: "#2ca02c",
 }
 
-_AXIS_LABELS = {
-    SweepKind.RHO_DB: "transmit SNR (dB)",
-    SweepKind.NEAR_RADIUS: "near-user radius (R)",
-    SweepKind.ALPHA: "near-user power fraction",
-}
-
 
 def _ticks(lo: float, hi: float, count: int = 5):
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
@@ -388,7 +387,7 @@ def emit_plot(rows, path) -> None:
                      f'y2="{y:.2f}" stroke="black"/>')
         parts.append(f'<text x="{left - 8:.2f}" y="{y + 4:.2f}" font-size="11" '
                      f'text-anchor="end">{tick:.4g}</text>')
-    x_label = _AXIS_LABELS[rows[0].sweep_kind] if rows else "sweep value"
+    x_label = rows[0].sweep_kind.label if rows else "sweep value"
     parts.append(f'<text x="{(left + width - right) / 2:.2f}" '
                  f'y="{height - 14:.2f}" font-size="13" '
                  f'text-anchor="middle">{x_label}</text>')

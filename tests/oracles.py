@@ -6,6 +6,8 @@ special-function evaluation (mpmath); neither path touches the package's own
 exponential-integral code. The vectorized kernels are cross-checked against
 per-trial Python loops over the same counter stream and SINR formulas.
 The one-trial helpers give the tests a per-realization view of the kernels.
+The config helpers state the per-point sweep rules directly, one point at a
+time, and find where parse_config's acceptance ends.
 """
 
 import math
@@ -14,7 +16,7 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from comp_noma import kernels
+from comp_noma import ConfigError, kernels, parse_config
 from comp_noma.geometry import user_index
 from comp_noma.kernels import (COMP_VPNOMA_CODE, N_BS, N_LINKS, N_USERS,
                                NOMA_CODE, VPNOMA_CODE)
@@ -26,6 +28,12 @@ def ei_reference(x: float) -> float:
     """Ei(x) evaluated by mpmath at 30 significant digits."""
     with mpmath.workdps(30):
         return float(mpmath.ei(x))
+
+
+def e1_scaled_reference(z: float) -> float:
+    """exp(z)E1(z) evaluated by mpmath at 30 significant digits."""
+    with mpmath.workdps(30):
+        return float(mpmath.exp(z) * mpmath.e1(z))
 
 
 def hypoexp_log2_mean_quad(rates, shift: float) -> float:
@@ -170,3 +178,33 @@ def rates_reference(gains, scheme_code, alpha, beta, rho, upsilon, band,
                 den = rho * (total - serving) + noise + 1.0
                 out[t, u] = 0.5 * np.log2(1.0 + rho * serving / den)
     return out
+
+
+def sweep_point_passes(alpha, rho_db, near_radius, far_radius,
+                       pathloss_exponent, upsilon, **_):
+    """The config rules for one sweep point: alpha in (0, 0.25), 0 < near <
+    far, and finite float64 for the SNR, for the SNR times 3 · 38 · d^-v of
+    the near users, and for that plus the SNR times upsilon; the SNR must
+    not underflow to 0."""
+    if not (0.0 < alpha < 0.25 and 0.0 < near_radius < far_radius):
+        return False
+    try:
+        rho = 10.0 ** (rho_db / 10.0)
+        gains = rho * 3 * 38 * near_radius ** -pathloss_exponent
+    except OverflowError:
+        return False
+    return (rho > 0.0 and math.isfinite(gains)
+            and math.isfinite(gains + rho * upsilon))
+
+
+def largest_accepted(template: str, lo: float, hi: float) -> float:
+    """The largest value parse_config accepts in template ("{!r}" marks the
+    value), by bisection of [lo, hi]; lo must pass and hi must fail."""
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        try:
+            parse_config(template.format(mid))
+            lo = mid
+        except ConfigError:
+            hi = mid
+    assert hi == math.nextafter(lo, math.inf)
+    return lo

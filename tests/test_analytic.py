@@ -11,8 +11,8 @@ from comp_noma import (DegenerateRatesError, LinkStatistics, SchemeId,
                        estimate_esc, exp_integral_ei, far_esc_closed,
                        hypoexp_log2_mean, near_esc_closed, total_esc_closed)
 from comp_noma import analytic, kernels
-from oracles import (erlang2_log2_mean_quad, hypoexp_log2_mean_quad,
-                     separated_rates)
+from oracles import (e1_scaled_reference, erlang2_log2_mean_quad,
+                     hypoexp_log2_mean_quad, separated_rates)
 
 # frozen from a 30-digit mpmath evaluation
 EI_MINUS_1 = -0.21938393439552027
@@ -57,6 +57,14 @@ class TestExponentialIntegral:
         left = exp_integral_ei(-1.0 + 1e-12)
         right = exp_integral_ei(-1.0 - 1e-12)
         assert left == pytest.approx(right, rel=1e-11)
+
+    def test_scaled_e1_converges_on_huge_arguments(self, rng):
+        # Above about 1e14 the continued fraction's ratio can settle one ulp
+        # below 1.0; 2.9e20 is an argument of a -200 dB closed form.
+        zs = [2.899161530808779e20, *10.0 ** rng.uniform(14, 300, 300)]
+        for z in zs:
+            assert analytic._e1_scaled(z) == pytest.approx(
+                e1_scaled_reference(z), rel=1e-15), z
 
 
 class TestHypoexpLogMean:

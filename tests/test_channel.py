@@ -45,6 +45,15 @@ def test_override_applies_per_link(default_layout):
         stats.sigma_hat[link(3, "A")] - 0.049, rel=1e-9)
 
 
+def test_override_bs_index_outside_1_to_3_rejected(default_layout):
+    # index 0 would wrap round to BS3's row, and 4 would fall off the array
+    for bs_index in (0, 4):
+        with pytest.raises(ValueError,
+                           match=rf"override for \(BS{bs_index}, UEA\)"):
+            derive_link_statistics(default_layout, 4.0, 0.001,
+                                   overrides={(bs_index, "A"): 0.005})
+
+
 def test_negative_inputs_rejected(default_layout):
     with pytest.raises(ValueError, match="path-loss"):
         derive_link_statistics(default_layout, 0.0, 0.001)

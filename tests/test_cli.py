@@ -70,6 +70,20 @@ def test_snr_that_overflows_the_sinr_terms_exits_2(tmp_path, capsys, scheme):
     assert not out.exists()
 
 
+def test_snr_that_underflows_and_upsilon_that_overflows_exit_2(tmp_path,
+                                                              capsys):
+    out = tmp_path / "x.csv"
+    assert main(["--from", "-5000", "--to", "10", "--steps", "2", "--trials",
+                 "10", "--schemes", "oma", "--out", str(out)]) == 2
+    assert "key 'from'" in capsys.readouterr().err
+    config = tmp_path / "upsilon.cfg"
+    config.write_text("upsilon=1e306\n")
+    assert main(["--config", str(config), "--trials", "10", "--steps", "2",
+                 "--schemes", "comp-vpnoma", "--out", str(out)]) == 2
+    assert "key 'upsilon'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_value_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["--sweep", "bandwidth"])

@@ -1,12 +1,14 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from comp_noma import (ConfigError, InfeasibleCsiError, SchemeId, SweepKind,
-                       emit_plot, parse_config, read_results, run_sweep,
-                       write_results)
+from comp_noma import (ConfigError, InfeasibleCsiError, SchemeId, SweepConfig,
+                       SweepKind, emit_plot, parse_config, read_results,
+                       run_sweep, write_results)
 from comp_noma import analytic, kernels
+from oracles import largest_accepted, sweep_point_passes
 
 
 class TestParseConfig:
@@ -96,6 +98,30 @@ class TestParseConfig:
         # a rho sweep replaces rho_db, so only its range counts
         assert parse_config("rho_db=4000").rho_db == 4000.0
 
+    def test_snr_that_underflows_to_zero_names_its_key(self):
+        with pytest.raises(ConfigError, match=r"line 2: key 'rho_db'.*underflow"):
+            parse_config("sweep=alpha\nrho_db=-3237")
+        with pytest.raises(ConfigError, match=r"command line: key 'from'"):
+            parse_config("", {"from": "-5000"})
+        assert parse_config("sweep=alpha\nrho_db=-3236").rho_db == -3236.0
+
+    def test_upsilon_that_overflows_with_the_snr_names_its_key(self):
+        # the default sweep's largest SNR is 40 dB
+        with pytest.raises(ConfigError, match=r"line 1: key 'upsilon'"):
+            parse_config("upsilon=1e306")
+        with pytest.raises(ConfigError, match=r"line 3: key 'upsilon'"):
+            parse_config("sweep=alpha\nrho_db=20\nupsilon=1e307")
+        assert parse_config("upsilon=1e304").upsilon == 1e304
+
+    def test_swept_value_that_breaks_a_rule_names_its_end(self):
+        with pytest.raises(ConfigError, match=r"line 2: key 'from'"):
+            parse_config("sweep=alpha\nfrom=-0.1\nto=0.2")
+        with pytest.raises(ConfigError, match=r"line 2: key 'from'"):
+            parse_config("sweep=near-radius\nfrom=1e-90")
+        # the to end is checked first
+        with pytest.raises(ConfigError, match=r"line 3: key 'to'"):
+            parse_config("sweep=alpha\nfrom=-0.1\nto=0.3")
+
     def test_schemes_parsed_and_deduplicated(self):
         cfg = parse_config("schemes=comp-vpnoma,oma,comp-vpnoma")
         assert cfg.schemes == (SchemeId.OMA, SchemeId.COMP_VPNOMA)
@@ -113,6 +139,55 @@ class TestParseConfig:
         assert cfg.trials == 5000
         with pytest.raises(ConfigError, match="command line"):
             parse_config("", {"alpha": "0.9"})
+
+
+# One sweep end, drawn on both sides of the rules' bounds on the default
+# geometry: the SNR's underflow near -3236 dB and its SINR-term overflow near
+# 3050 dB; radii about 0, about far_radius, and about 9e-77, where d^-v
+# overflows at 20 dB; alpha about 0 and 0.25.
+END_SAMPLERS = {
+    SweepKind.RHO_DB: lambda rng: rng.choice([-3236.07, 3049.94])
+    + rng.normal(0.0, 1.0),
+    SweepKind.NEAR_RADIUS: lambda rng: 10.0 ** rng.uniform(-78, -75)
+    if rng.random() < 0.3 else rng.choice([0.0, 0.95]) + rng.normal(0.0, 0.02),
+    SweepKind.ALPHA: lambda rng: rng.choice([0.0, 0.25]) + rng.normal(0.0, 0.02),
+}
+
+
+@pytest.mark.parametrize("kind", list(SweepKind))
+def test_sweep_accepted_exactly_when_every_point_passes(kind):
+    rng = np.random.default_rng(list(SweepKind).index(kind))
+    outcomes = {"accepted": 0, "from": 0, "rejected": 0}
+    for _ in range(300):
+        lo, hi = sorted(float(END_SAMPLERS[kind](rng)) for _ in range(2))
+        if lo == hi:
+            continue
+        steps = int(rng.integers(2, 12))
+        # upsilon meets its bound, about 1.8e3, where the SNR reaches 3050 dB
+        upsilon = float(10.0 ** rng.uniform(-3, 6)) \
+            if kind is SweepKind.RHO_DB else 0.01
+        cfg = SweepConfig(sweep_kind=kind, from_value=lo, to_value=hi,
+                          steps=steps, upsilon=upsilon)
+
+        def passes(value):
+            return sweep_point_passes(**{**vars(cfg), kind.field: value})
+
+        document = (f"sweep={kind.value}\nfrom={lo!r}\nto={hi!r}\n"
+                    f"steps={steps}\nupsilon={upsilon!r}\n")
+        try:
+            assert parse_config(document) == cfg
+            outcome = "accepted"
+        except ConfigError as exc:
+            message = str(exc)
+            outcome = "rejected"
+        assert (outcome == "accepted") == all(
+            passes(float(value)) for value in cfg.sweep_values()), document
+        if outcome == "rejected" and passes(hi) and not passes(lo):
+            assert message.startswith("line 2: key 'from'"), (document, message)
+            outcome = "from"
+        outcomes[outcome] += 1
+    # the ends fall on both sides of the bounds
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def small_config(**extra):
@@ -175,25 +250,37 @@ class TestRunSweep:
         trials = kernels.CHUNK_TRIALS + 100_000 % kernels.CHUNK_TRIALS
         assert hits(f"trials={trials}") == [(35, 1), (0, 9)]
 
-    def test_largest_accepted_snr_gives_finite_estimates(self):
-        # the default geometry accepts 20 dB and rejects 3083 dB
-        lo, hi = 20.0, 3083.0
-        while (mid := (lo + hi) / 2) not in (lo, hi):
-            try:
-                parse_config(f"sweep=alpha\nrho_db={mid!r}")
-                lo = mid
-            except ConfigError:
-                hi = mid
-        assert hi == math.nextafter(lo, math.inf) and 3049.9 < lo < 3050.0
-        cfg = parse_config(f"sweep=alpha\nsteps=2\ntrials=100\nrho_db={lo!r}")
+    @staticmethod
+    def assert_finite_without_warnings(config):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rows = run_sweep(cfg)
+            rows = run_sweep(parse_config(config))
         assert len(rows) == 2 * len(SchemeId)
         for row in rows:
             assert math.isfinite(row.esc_mc) and math.isfinite(row.esc_ci95)
         assert all(math.isfinite(row.esc_analytic) for row in rows
                    if row.scheme is SchemeId.COMP_VPNOMA)
+
+    def test_largest_accepted_snr_gives_finite_estimates(self):
+        # the default geometry accepts 20 dB and rejects 3083 dB
+        lo = largest_accepted("sweep=alpha\nrho_db={!r}", 20.0, 3083.0)
+        assert 3049.9 < lo < 3050.0
+        self.assert_finite_without_warnings(
+            f"sweep=alpha\nsteps=2\ntrials=100\nrho_db={lo!r}")
+
+    def test_largest_accepted_upsilon_gives_finite_estimates(self):
+        # rho * upsilon at 40 dB must stay a finite float64
+        lo = largest_accepted("sweep=alpha\nrho_db=40\nupsilon={!r}",
+                              0.01, 1e308)
+        assert 1.79e304 < lo < 1.8e304
+        self.assert_finite_without_warnings(
+            f"sweep=alpha\nsteps=2\ntrials=100\nrho_db=40\nupsilon={lo!r}")
+
+    def test_tiny_snr_gives_a_finite_closed_form(self):
+        # the closed form's exp(z)E1(z) arguments reach about 2.9e20 here
+        rows = run_sweep(parse_config("sweep=alpha\nrho_db=-200\nsteps=2\n"
+                                      "trials=100\nschemes=comp-vpnoma"))
+        assert all(math.isfinite(row.esc_analytic) for row in rows)
 
     def test_infeasible_csi_reports_sweep_value(self):
         cfg = parse_config("trials=100\nsteps=3\nsweep=near-radius\n"

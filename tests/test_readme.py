@@ -3,7 +3,9 @@
 import re
 from pathlib import Path
 
-from comp_noma import SystemParams, db_to_linear, total_esc_closed
+from comp_noma import (SweepKind, SystemParams, db_to_linear, parse_config,
+                       total_esc_closed)
+from oracles import largest_accepted
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
     encoding="utf-8")
@@ -32,6 +34,28 @@ def test_esc_alpha_table_matches_the_closed_form(default_stats):
                                   upsilon=0.01)
             value = total_esc_closed(default_stats, params)
             assert format(value, ".4f") == cell.strip("*"), (rho_db, alpha)
+
+
+def test_key_table_matches_the_config_parser():
+    _, rows = table_rows("| key | default")
+    meaning = {key: text for key, _, text in rows}
+    assert re.findall(r"`([^`]+)`", meaning["`sweep`"]) == [
+        kind.value for kind in SweepKind]
+    ranges = re.findall(r"([\d.]+?)\.\.([\d.]+)/(\d+)",
+                        meaning["`from`, `to`, `steps`"])
+    assert [(float(lo), float(hi), int(steps)) for lo, hi, steps in ranges] == [
+        (*kind.default_range, parse_config(f"sweep={kind.value}").steps)
+        for kind in SweepKind]
+    limits = re.findall(r"at (?:most|least) (-?[\d.e]+)",
+                        meaning["`rho_db`"] + meaning["`upsilon`"])
+    # the largest and smallest SNR, and the largest upsilon at 40 dB
+    assert limits == [
+        format(largest_accepted("sweep=alpha\nrho_db={!r}", 20.0, 3083.0),
+               ".4f"),
+        format(-largest_accepted("sweep=alpha\nrho_db=-{!r}", 0.0, 5000.0),
+               ".4f"),
+        format(largest_accepted("sweep=alpha\nrho_db=40\nupsilon={!r}",
+                                0.01, 1e308), ".4e").replace("e+", "e")]
 
 
 def test_library_example_runs():
