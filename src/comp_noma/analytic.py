@@ -33,17 +33,25 @@ class DegenerateRatesError(ValueError):
     """Raised when rates still coincide exactly after perturbation."""
 
 
+# The series' term orders and the continued fraction's partial numerators
+# -i^2, as floats, so that neither loop converts an index per term.
+_SERIES_ORDERS = tuple(float(n) for n in range(1, 60))
+_CF_NUMERATORS = tuple(-float(i) * float(i) for i in range(1, 300))
+
+
 def _ei_series(x: float) -> float:
     # Ei(x) = gamma + ln|x| + sum x^n/(n n!), converges fast for |x| <= 1
     acc = _EULER_GAMMA + math.log(-x)
     term = 1.0
-    for n in range(1, 60):
+    for n in _SERIES_ORDERS:
         term *= x / n
         delta = term / n
         acc += delta
         # For x in [-1, 0) every partial sum after the first term is at most
-        # gamma - 3/4, so acc is never near zero here and needs no floor.
-        if abs(delta) < 1e-17 * abs(acc):
+        # gamma - 3/4, so acc is never near zero here and needs no floor. As
+        # acc < 0, bound is -1e-17 * |acc|: the test is |delta| < 1e-17 * |acc|.
+        bound = 1e-17 * acc
+        if bound < delta < -bound:
             break
     return acc
 
@@ -55,14 +63,14 @@ def _e1_scaled_cf(z: float, tolerance: float = 1e-16) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, 300):
-        a = -float(i) * float(i)
+    low = -tolerance
+    for a in _CF_NUMERATORS:
         b += 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < tolerance:
+        if low < delta - 1.0 < tolerance:
             return h
     # Above about 1e14, delta can settle at 1 - 2**-53, which the exact test
     # never accepts; the second pass stops where it first settles
@@ -90,16 +98,17 @@ def _e1_scaled(z: float) -> float:
 
 def _ensure_distinct(rates: list) -> list:
     ranked = sorted(rates)
-    n = len(ranked)
-    # the first rate whose upper neighbour is close; every rate before it
-    # keeps its value
-    for start in range(n - 1):
-        if ranked[start + 1] - ranked[start] < _DEGENERACY_GAP * ranked[start + 1]:
+    low = ranked[0]
+    for high in ranked[1:]:
+        if high - low < _DEGENERACY_GAP * high:
             break
+        low = high
     else:
         return rates
+    n = len(ranked)
     order = sorted(range(n), key=rates.__getitem__)
     adjusted = list(rates)
+    start = 0
     while start < n:
         end = start
         while end + 1 < n and \

@@ -6,6 +6,7 @@ draws are never sampled: the rate equations consume only the error variances,
 which enter the SINR denominators as deterministic rho * sigma_eps terms.
 """
 
+import math
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -35,13 +36,13 @@ class LinkStatistics:
             if np.shape(values) != (N_BS, N_USERS):
                 raise ValueError(f"{name} must have shape ({N_BS}, {N_USERS}), "
                                  f"got {np.shape(values)}")
-        # min and max carry a NaN, so each pair of comparisons passes only
+        # a chained comparison fails on a NaN, so each check passes only
         # when every link does; the search for the link runs on failure
-        if not (0 <= eps.min() and eps.max() < np.inf):
+        if not all(0 <= v < math.inf for v in eps.ravel().tolist()):
             i, u = np.argwhere(~((eps >= 0) & (eps < np.inf)))[0]
             raise ValueError(f"link (BS{i + 1}, UE{USERS[u]}): sigma_eps = "
                              f"{eps[i, u]:.6g} must be nonnegative and finite")
-        if not (0 < hat.min() and hat.max() < np.inf):
+        if not all(0 < v < math.inf for v in hat.ravel().tolist()):
             i, u = np.argwhere(~((hat > 0) & (hat < np.inf)))[0]
             raise InfeasibleCsiError(
                 f"link (BS{i + 1}, UE{USERS[u]}): d^-v = "

@@ -8,6 +8,7 @@ common cell edge.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,6 +62,17 @@ def build_layout(cell_radius, near_radii, far_radii) -> NetworkLayout:
             kind = "near" if user in NEAR_USERS else "far"
             raise ValueError(f"{kind} user {user}: radius {r} outside (0, {radius}]")
 
+    bs, user_sites, user_rays = _sites(radius)
+    positions = user_sites + np.array(near_radii + far_radii)[:, None] * user_rays
+    return NetworkLayout(radius, bs, positions[:3], positions[3:])
+
+
+# A sweep keeps the cell radius, so every layout of it shares one set of
+# sites and rays; the arrays are read-only, since every layout holds them.
+@lru_cache(maxsize=1)
+def _sites(radius: float) -> tuple:
+    """Base-station sites (3, 2), and each user's serving site and unit ray
+    toward the sites' centroid (6, 2), users 1..3, A..C."""
     side = np.sqrt(3.0) * radius
     bs = np.array([
         [0.0, 0.0],
@@ -70,13 +82,17 @@ def build_layout(cell_radius, near_radii, far_radii) -> NetworkLayout:
     centroid = bs.mean(axis=0)
     rays = centroid - bs
     rays /= np.linalg.norm(rays, axis=1)[:, None]
-    near = bs + np.asarray(near_radii)[:, None] * rays
-    far = bs + np.asarray(far_radii)[:, None] * rays
-    return NetworkLayout(radius, bs, near, far)
+    user_sites = np.concatenate((bs, bs))
+    user_rays = np.concatenate((rays, rays))
+    for array in (bs, user_sites, user_rays):
+        array.flags.writeable = False
+    return bs, user_sites, user_rays
 
 
 def distance_matrix(layout: NetworkLayout) -> np.ndarray:
     """All 18 link distances as a (3, 6) array, rows = BS, cols = users 1..3,A..C."""
-    positions = np.vstack([layout.near_user_positions, layout.far_user_positions])
+    positions = np.concatenate((layout.near_user_positions,
+                                layout.far_user_positions))
     diff = layout.bs_positions[:, None, :] - positions[None, :, :]
-    return np.linalg.norm(diff, axis=2)
+    # the Euclidean norm over the last axis, as np.linalg.norm computes it
+    return np.sqrt(np.add.reduce(diff * diff, axis=2))

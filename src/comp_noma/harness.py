@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import channel, geometry
 from .channel import InfeasibleCsiError, check_seed, derive_link_statistics
 from .geometry import build_layout
 from .montecarlo import estimate_esc
@@ -225,6 +226,46 @@ def _point_error(p: dict):
     if not math.isfinite(bound + rho * p["upsilon"]):
         return ("upsilon",), (f"{p['upsilon']} overflows float64 in the SINR "
                               f"terms at {rho_db} dB")
+    if SchemeId.COMP_VPNOMA in p["schemes"]:
+        return _closed_form_error(p, rho)
+
+
+def _closed_form_error(p: dict, rho: float):
+    """(keys, message) when the closed form's rates 1/(alpha rho sigma_hat)
+    or its exp(z)E1(z) arguments z = shift * rate overflow at sweep point p.
+
+    Each user's largest rate is on its weakest link; a far user's signal
+    rates, 1/((alpha + beta) rho sigma_hat), are smaller. Twice each z must
+    be finite, which leaves room for the closed form's spread of nearly
+    equal rates (at most 0.02%). z falls as rho, alpha or the near radius
+    grows, so a sweep whose two ends pass passes at every point.
+    """
+    # The ends' layouts and statistics are built through their modules, so
+    # that the names run_sweep calls stay one call per sweep point.
+    try:
+        stats = channel.derive_link_statistics(
+            geometry.build_layout(1.0, (p["near_radius"],) * 3,
+                                  (p["far_radius"],) * 3),
+            p["pathloss_exponent"], p["sigma_eps"])
+    except InfeasibleCsiError:
+        return None  # run_sweep reports the link, naming the sweep value
+    scale = p["alpha"] * rho
+    residual = rho * p["upsilon"]
+    for user, (column, eps) in enumerate(zip(stats.sigma_hat.T.tolist(),
+                                             stats.eps_sums.tolist())):
+        product = scale * min(column)
+        rate = 1.0 / product if product > 0.0 else math.inf
+        # the shift of a near user (users 0-2) carries the SIC residual
+        if not math.isfinite(2.0 * ((rho * eps + 1.0) * rate)):
+            return ("rho_db",), (
+                f"{p['rho_db']} dB overflows float64 in the closed form's "
+                f"rates and exp(z)E1(z) arguments")
+        if user < 3 and not math.isfinite(
+                2.0 * ((rho * eps + residual + 1.0) * rate)):
+            return ("upsilon",), (
+                f"{p['upsilon']} overflows float64 in the closed form's "
+                f"exp(z)E1(z) arguments at {p['rho_db']} dB")
+    return None
 
 
 def parse_config(text: str, overrides: dict | None = None) -> SweepConfig:

@@ -6,6 +6,7 @@ depends only on (seed, trial, link) and never on call order, chunking, or
 thread count.
 """
 
+import ctypes
 from functools import lru_cache
 
 import numpy as np
@@ -40,6 +41,22 @@ _LINKS_GOLDEN = np.uint64(N_LINKS * 0x9E3779B97F4A7C15 % 2**64)
 # chunk at 96 KB, below glibc's 128 KiB mmap threshold.
 _DRAW_LINKS = 6
 
+# The kernels' chunk-length buffers start on a 64-byte boundary, one cache
+# line and one AVX-512 vector. Left where the heap placed them, at offsets
+# 16 and 48 a full-chunk call of the draw kernel ran about 12% and one of
+# the CoMP rate kernel about 5% slower than at offsets 0 and 32.
+_ALIGN = 64
+
+
+def _aligned_empty(rows, n, dtype=np.float64):
+    """An uninitialized C-ordered (rows, n) array of an 8-byte dtype whose
+    data start on an _ALIGN-byte boundary: a slice of a block 64 bytes longer."""
+    raw = np.empty(rows * n + _ALIGN // 8, dtype)
+    # the address of raw's first byte, read in a third of the time that
+    # raw.__array_interface__ takes
+    start = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % _ALIGN // 8
+    return raw[start:start + rows * n].reshape(rows, n)
+
 
 def _draws(seed, start_trial, n):
     # Counter of (trial t, link l) is t*N_LINKS + l; the SplitMix64 input
@@ -53,8 +70,8 @@ def _draws(seed, start_trial, n):
     # The scratch block is allocated before the output: in the other order,
     # some processes running 2,000-trial sweeps had glibc return and
     # re-fault about 85 heap pages per estimate.
-    zb = np.empty((_DRAW_LINKS, n), dtype=np.uint64)
-    out = np.empty((N_LINKS, n))
+    zb = _aligned_empty(_DRAW_LINKS, n, np.uint64)
+    out = _aligned_empty(N_LINKS, n)
     for lo in range(0, N_LINKS, _DRAW_LINKS):
         hi = lo + _DRAW_LINKS
         db = out[lo:hi]
@@ -151,7 +168,9 @@ def _scheme_rates(draws, scheme_code, alpha, beta, rho, upsilon, band, eps_sums,
     # Row i*N_USERS + u is link (BS i, user u); copied only when the draws
     # are not link-major already.
     d = np.ascontiguousarray(np.transpose(draws, (1, 2, 0))).reshape(N_LINKS, n)
-    sigma = np.asarray(sigma_hat, dtype=np.float64).reshape(N_LINKS, 1)
+    # each gain is draw × (−σ̂), the product link_gains forms; σ̂ is negated
+    # once for all 18 links
+    neg_sigma = -np.asarray(sigma_hat, dtype=np.float64).reshape(N_LINKS, 1)
     near_links = slice(0, None, N_USERS + 1)     # links (j, j)
     far_links = slice(N_BS, None, N_USERS + 1)   # links (k, 3 + k)
     arho = alpha * rho
@@ -163,14 +182,15 @@ def _scheme_rates(draws, scheme_code, alpha, beta, rho, upsilon, band, eps_sums,
     # interference) and far rows keep the total. Until the signals are
     # formed, out holds one BS's six gains at a time, then the six serving
     # gains.
-    out = np.empty((N_USERS, n))
+    out = _aligned_empty(N_USERS, n)
     near, far = out[:N_BS], out[N_BS:]
-    den = link_gains(d[:N_USERS], sigma[:N_USERS])
+    den = np.multiply(d[:N_USERS], neg_sigma[:N_USERS],
+                      out=_aligned_empty(N_USERS, n))
     for lo in (N_USERS, 2 * N_USERS):
-        link_gains(d[lo:lo + N_USERS], sigma[lo:lo + N_USERS], out=out)
+        np.multiply(d[lo:lo + N_USERS], neg_sigma[lo:lo + N_USERS], out=out)
         den += out
-    link_gains(d[near_links], sigma[near_links], out=near)
-    link_gains(d[far_links], sigma[far_links], out=far)
+    np.multiply(d[near_links], neg_sigma[near_links], out=near)
+    np.multiply(d[far_links], neg_sigma[far_links], out=far)
     den[:N_BS] -= near
     near_den, far_den = den[:N_BS], den[N_BS:]
     if scheme_code == OMA_CODE:

@@ -49,8 +49,8 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
     check_seed(seed)
     chunk = kernels.CHUNK_TRIALS
     n_chunks = (trials + chunk - 1) // chunk
-    chunk_sums = np.zeros(n_chunks)
-    chunk_sumsq = np.zeros(n_chunks)
+    # row 0: each chunk's sum of per-trial totals; row 1: their sum of squares
+    chunk_moments = np.zeros((2, n_chunks))
     chunk_user_sums = np.zeros((n_chunks, len(USERS)))
 
     def run_chunk(index: int) -> None:
@@ -68,9 +68,9 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
         # sums are numpy's pairwise row sums.
         by_user = rates.T
         totals = by_user.sum(axis=0)
-        chunk_sums[index] = totals.sum()
+        chunk_moments[0, index] = totals.sum()
         totals *= totals
-        chunk_sumsq[index] = totals.sum()
+        chunk_moments[1, index] = totals.sum()
         chunk_user_sums[index] = by_user.sum(axis=1)
 
     pool_size = min(workers, n_chunks)
@@ -81,10 +81,12 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
         for index in range(n_chunks):
             run_chunk(index)
 
-    mean_total = float(chunk_sums.sum()) / trials
+    # each row reduces as the 1-d sum of its chunks would, pairwise in order
+    total_sum, total_sumsq = chunk_moments.sum(axis=1).tolist()
+    mean_total = total_sum / trials
     per_user = chunk_user_sums.sum(axis=0) / trials
     if trials > 1:
-        variance = (float(chunk_sumsq.sum()) - trials * mean_total ** 2) / (trials - 1)
+        variance = (total_sumsq - trials * mean_total ** 2) / (trials - 1)
         variance = max(variance, 0.0)
     else:
         variance = 0.0
@@ -96,7 +98,7 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
     return EscEstimate(
         scheme=scheme,
         mean_total=mean_total,
-        per_user_mean={label: float(per_user[i]) for i, label in enumerate(USERS)},
+        per_user_mean=dict(zip(USERS, per_user.tolist())),
         ci95_halfwidth=float(ci95),
         trials=trials,
         seed=seed,

@@ -6,6 +6,8 @@ special-function evaluation (mpmath); neither path touches the package's own
 exponential-integral code. The vectorized kernels are cross-checked against
 per-trial Python loops over the same counter stream and SINR formulas.
 The one-trial helpers give the tests a per-realization view of the kernels.
+The plain layout, distance and exp(z)E1(z) helpers keep the arithmetic those
+paths first had, which the package must match bit for bit.
 The config helpers state the per-point sweep rules directly, one point at a
 time, and find where parse_config's acceptance ends.
 """
@@ -16,7 +18,9 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from comp_noma import ConfigError, kernels, parse_config
+from comp_noma import (ConfigError, InfeasibleCsiError, SchemeId,
+                       build_layout, derive_link_statistics, kernels,
+                       parse_config)
 from comp_noma.geometry import user_index
 from comp_noma.kernels import (COMP_VPNOMA_CODE, N_BS, N_LINKS, N_USERS,
                                NOMA_CODE, VPNOMA_CODE)
@@ -79,6 +83,77 @@ def separated_rates(rng, count: int, low=1e-3, high=1e3, min_gap=0.02):
                  for i, a in enumerate(rates) for b in rates[i + 1:])
         if ok:
             return rates
+
+
+# The arithmetic the package first used for the layout and exp(z)E1(z):
+# fresh sites and rays for every layout, np.linalg.norm over stacked
+# positions, and loops that convert each index and test through abs().
+# The package must reproduce every bit of it.
+_EULER_GAMMA = 0.5772156649015328606
+
+
+def layout_plain(cell_radius, near_radii, far_radii):
+    """(base stations, near users, far users) positions, each (3, 2)."""
+    radius = float(cell_radius)
+    side = np.sqrt(3.0) * radius
+    bs = np.array([
+        [0.0, 0.0],
+        [side, 0.0],
+        [side / 2.0, 1.5 * radius],
+    ])
+    centroid = bs.mean(axis=0)
+    rays = centroid - bs
+    rays /= np.linalg.norm(rays, axis=1)[:, None]
+    near = bs + np.asarray([float(r) for r in near_radii])[:, None] * rays
+    far = bs + np.asarray([float(r) for r in far_radii])[:, None] * rays
+    return bs, near, far
+
+
+def distance_plain(bs, near, far):
+    """The (3, 6) link distances, rows = BS, columns = users 1..3, A..C."""
+    positions = np.vstack([near, far])
+    diff = bs[:, None, :] - positions[None, :, :]
+    return np.linalg.norm(diff, axis=2)
+
+
+def _ei_series_plain(x):
+    acc = _EULER_GAMMA + math.log(-x)
+    term = 1.0
+    for n in range(1, 60):
+        term *= x / n
+        delta = term / n
+        acc += delta
+        if abs(delta) < 1e-17 * abs(acc):
+            break
+    return acc
+
+
+def _e1_scaled_cf_plain(z, tolerance=1e-16):
+    tiny = 1e-300
+    b = z + 1.0
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 300):
+        a = -float(i) * float(i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < tolerance:
+            return h
+    if tolerance < 2.0 ** -52:
+        return _e1_scaled_cf_plain(z, 2.0 ** -52)
+    raise ArithmeticError(f"continued fraction failed to converge at z={z}")
+
+
+def e1_scaled_plain(z: float) -> float:
+    """exp(z)E1(z) for z > 0: the power series up to 1, the Lentz continued
+    fraction above."""
+    if z <= 1.0:
+        return -math.exp(z) * _ei_series_plain(-z)
+    return _e1_scaled_cf_plain(z)
 
 
 # SplitMix64: output i = finalize(seed + (i+1)*GOLDEN), with uint64 wrap.
@@ -181,11 +256,15 @@ def rates_reference(gains, scheme_code, alpha, beta, rho, upsilon, band,
 
 
 def sweep_point_passes(alpha, rho_db, near_radius, far_radius,
-                       pathloss_exponent, upsilon, **_):
+                       pathloss_exponent, upsilon, sigma_eps, schemes, **_):
     """The config rules for one sweep point: alpha in (0, 0.25), 0 < near <
     far, and finite float64 for the SNR, for the SNR times 3 · 38 · d^-v of
     the near users, and for that plus the SNR times upsilon; the SNR must
-    not underflow to 0."""
+    not underflow to 0. With comp-vpnoma, twice every closed-form argument
+    z = shift / (alpha · SNR · sigma_hat), over every link of every user,
+    must be finite, where a near user's shift is SNR · (its sigma_eps sum +
+    upsilon) + 1 and a far user's SNR · its sigma_eps sum + 1; a point whose
+    link statistics are infeasible passes this rule."""
     if not (0.0 < alpha < 0.25 and 0.0 < near_radius < far_radius):
         return False
     try:
@@ -193,8 +272,27 @@ def sweep_point_passes(alpha, rho_db, near_radius, far_radius,
         gains = rho * 3 * 38 * near_radius ** -pathloss_exponent
     except OverflowError:
         return False
-    return (rho > 0.0 and math.isfinite(gains)
-            and math.isfinite(gains + rho * upsilon))
+    if not (rho > 0.0 and math.isfinite(gains)
+            and math.isfinite(gains + rho * upsilon)):
+        return False
+    if SchemeId.COMP_VPNOMA not in schemes:
+        return True
+    try:
+        stats = derive_link_statistics(
+            build_layout(1.0, (near_radius,) * 3, (far_radius,) * 3),
+            pathloss_exponent, sigma_eps)
+    except InfeasibleCsiError:
+        return True
+    for user in range(N_USERS):
+        eps = float(stats.eps_sums[user])
+        shift = rho * eps + rho * upsilon + 1.0 if user < N_BS \
+            else rho * eps + 1.0
+        for sigma_hat in stats.sigma_hat[:, user].tolist():
+            product = alpha * rho * sigma_hat
+            if product == 0.0 or not math.isfinite(
+                    2.0 * (shift * (1.0 / product))):
+                return False
+    return True
 
 
 def largest_accepted(template: str, lo: float, hi: float) -> float:

@@ -11,8 +11,9 @@ from comp_noma import (DegenerateRatesError, LinkStatistics, SchemeId,
                        estimate_esc, exp_integral_ei, far_esc_closed,
                        hypoexp_log2_mean, near_esc_closed, total_esc_closed)
 from comp_noma import analytic, kernels
-from oracles import (e1_scaled_reference, erlang2_log2_mean_quad,
-                     hypoexp_log2_mean_quad, separated_rates)
+from oracles import (e1_scaled_plain, e1_scaled_reference,
+                     erlang2_log2_mean_quad, hypoexp_log2_mean_quad,
+                     separated_rates)
 
 # frozen from a 30-digit mpmath evaluation
 EI_MINUS_1 = -0.21938393439552027
@@ -340,6 +341,18 @@ def test_closed_form_is_bit_exact(group):
               for stats, params in CLOSED_FORM_INPUTS[group]]
     digest = hashlib.sha256(np.array(values, dtype=np.float64).tobytes())
     assert digest.hexdigest() == CLOSED_FORM_DIGESTS[group]
+
+
+def test_e1_scaled_matches_the_plain_loops_bitwise():
+    rng = np.random.default_rng(17)
+    # log-uniform over [1e-6, 1e300], and (1, 2], where the continued
+    # fraction runs longest
+    z = np.concatenate([
+        np.exp(rng.uniform(math.log(1e-6), math.log(1e300), 10_000)),
+        2.0 - rng.random(2_000), [1e-6, 1.0, 2.0, 1e14, 1e300]]).tolist()
+    got = np.array([analytic._e1_scaled(v) for v in z])
+    want = np.array([e1_scaled_plain(v) for v in z])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_total_evaluates_each_e1_argument_once(monkeypatch, default_stats,

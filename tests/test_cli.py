@@ -84,6 +84,23 @@ def test_snr_that_underflows_and_upsilon_that_overflows_exit_2(tmp_path,
     assert not out.exists()
 
 
+def test_snr_and_upsilon_that_overflow_the_closed_form_exit_2(tmp_path,
+                                                             capsys):
+    out = tmp_path / "x.csv"
+    run = ["--steps", "2", "--trials", "10", "--out", str(out)]
+    snr = ["--from", "-3100", "--to", "10"]
+    config = tmp_path / "upsilon.cfg"
+    config.write_text("sweep=alpha\nrho_db=-50\nupsilon=1e307\n")
+    assert main(snr + run + ["--schemes", "comp-vpnoma"]) == 2
+    assert "key 'from'" in capsys.readouterr().err
+    assert main(["--config", str(config), "--schemes", "comp-vpnoma"] + run) == 2
+    assert "key 'upsilon'" in capsys.readouterr().err
+    assert not out.exists()
+    # the Monte Carlo schemes run at both
+    assert main(snr + run + ["--schemes", "oma"]) == 0
+    assert main(["--config", str(config), "--schemes", "oma"] + run) == 0
+
+
 def test_unknown_flag_value_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["--sweep", "bandwidth"])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from comp_noma import NetworkLayout, build_layout, distance_matrix
+from comp_noma import NetworkLayout, build_layout, distance_matrix, geometry
 from comp_noma.geometry import user_index
-from oracles import link
+from oracles import distance_plain, layout_plain, link
 
 SQRT_1_75 = 1.3228756555322953  # sqrt(1.75), BS2 -> UE1 at near radius 0.5
 
@@ -97,3 +97,33 @@ def test_base_stations_pairwise_distinct_and_equilateral(default_layout):
     bs = default_layout.bs_positions
     sides = [np.linalg.norm(bs[i] - bs[j]) for i, j in ((0, 1), (1, 2), (0, 2))]
     assert np.allclose(sides, np.sqrt(3.0), atol=1e-12)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cell_radius", [0.5, 1.0, 2.5])
+def test_layout_and_distances_match_the_plain_arithmetic_bitwise(cell_radius):
+    rng = np.random.default_rng(int(cell_radius * 10))
+    for _ in range(200):
+        # radii in (0, cell_radius], some of them at the cell edge
+        near, far = (cell_radius * (1.0 - rng.random(3)) for _ in range(2))
+        far[rng.random(3) < 0.2] = cell_radius
+        layout = build_layout(cell_radius, near, far)
+        bs, near_positions, far_positions = layout_plain(cell_radius, near,
+                                                         far)
+        assert _same_bits(layout.bs_positions, bs)
+        assert _same_bits(layout.near_user_positions, near_positions)
+        assert _same_bits(layout.far_user_positions, far_positions)
+        assert _same_bits(distance_matrix(layout),
+                          distance_plain(bs, near_positions, far_positions))
+
+
+def test_layouts_of_one_cell_radius_share_read_only_sites():
+    first = build_layout(1.0, (0.5,) * 3, (0.95,) * 3)
+    second = build_layout(1.0, (0.2, 0.4, 0.6), (0.9,) * 3)
+    assert second.bs_positions is first.bs_positions
+    for array in geometry._sites(1.0):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0

@@ -7,7 +7,7 @@ import pytest
 from comp_noma import (ConfigError, InfeasibleCsiError, SchemeId, SweepConfig,
                        SweepKind, emit_plot, parse_config, read_results,
                        run_sweep, write_results)
-from comp_noma import analytic, kernels
+from comp_noma import analytic, geometry, kernels
 from oracles import largest_accepted, sweep_point_passes
 
 
@@ -103,7 +103,13 @@ class TestParseConfig:
             parse_config("sweep=alpha\nrho_db=-3237")
         with pytest.raises(ConfigError, match=r"command line: key 'from'"):
             parse_config("", {"from": "-5000"})
-        assert parse_config("sweep=alpha\nrho_db=-3236").rho_db == -3236.0
+        # the Monte Carlo schemes run down to the underflow; the closed form
+        # overflows before it
+        assert parse_config("sweep=alpha\nrho_db=-3236\nschemes=oma").rho_db \
+            == -3236.0
+        with pytest.raises(ConfigError,
+                           match=r"line 2: key 'rho_db'.*closed form"):
+            parse_config("sweep=alpha\nrho_db=-3236")
 
     def test_upsilon_that_overflows_with_the_snr_names_its_key(self):
         # the default sweep's largest SNR is 40 dB
@@ -142,11 +148,12 @@ class TestParseConfig:
 
 
 # One sweep end, drawn on both sides of the rules' bounds on the default
-# geometry: the SNR's underflow near -3236 dB and its SINR-term overflow near
-# 3050 dB; radii about 0, about far_radius, and about 9e-77, where d^-v
-# overflows at 20 dB; alpha about 0 and 0.25.
+# geometry: the SNR's underflow near -3236 dB, the closed form's overflow
+# near -3065 dB and the SINR-term overflow near 3050 dB; radii about 0,
+# about far_radius, and about 9e-77, where d^-v overflows at 20 dB; alpha
+# about 0 and 0.25.
 END_SAMPLERS = {
-    SweepKind.RHO_DB: lambda rng: rng.choice([-3236.07, 3049.94])
+    SweepKind.RHO_DB: lambda rng: rng.choice([-3236.07, -3064.66, 3049.94])
     + rng.normal(0.0, 1.0),
     SweepKind.NEAR_RADIUS: lambda rng: 10.0 ** rng.uniform(-78, -75)
     if rng.random() < 0.3 else rng.choice([0.0, 0.95]) + rng.normal(0.0, 0.02),
@@ -163,17 +170,22 @@ def test_sweep_accepted_exactly_when_every_point_passes(kind):
         if lo == hi:
             continue
         steps = int(rng.integers(2, 12))
-        # upsilon meets its bound, about 1.8e3, where the SNR reaches 3050 dB
+        # upsilon meets its bound, about 1.8e3, where the SNR reaches 3050 dB;
+        # half the SNR sweeps leave out comp-vpnoma, whose closed-form bound
+        # would hide the SNR's underflow
         upsilon = float(10.0 ** rng.uniform(-3, 6)) \
             if kind is SweepKind.RHO_DB else 0.01
+        schemes = (SchemeId.OMA,) if kind is SweepKind.RHO_DB \
+            and rng.random() < 0.5 else tuple(SchemeId)
         cfg = SweepConfig(sweep_kind=kind, from_value=lo, to_value=hi,
-                          steps=steps, upsilon=upsilon)
+                          steps=steps, upsilon=upsilon, schemes=schemes)
 
         def passes(value):
             return sweep_point_passes(**{**vars(cfg), kind.field: value})
 
         document = (f"sweep={kind.value}\nfrom={lo!r}\nto={hi!r}\n"
-                    f"steps={steps}\nupsilon={upsilon!r}\n")
+                    f"steps={steps}\nupsilon={upsilon!r}\nschemes="
+                    f"{','.join(scheme.token for scheme in schemes)}\n")
         try:
             assert parse_config(document) == cfg
             outcome = "accepted"
@@ -234,21 +246,25 @@ class TestRunSweep:
         assert rows[-1].esc_mc > rows[0].esc_mc
 
     def test_memo_hit_shares_match_the_readme(self):
-        """Draw and far-term memo hits over two sweeps, each started cold."""
+        """Draw, far-term and sites memo hits over two sweeps, each started
+        cold once its config is parsed (the closed form's config rule builds
+        the layouts of the sweep's two ends)."""
+        memos = (kernels._short_draws, analytic._far_values, geometry._sites)
+
         def hits(config):
-            for memo in (kernels._short_draws, analytic._far_values):
+            cfg = parse_config(config)
+            for memo in memos:
                 memo.cache_clear()
-            run_sweep(parse_config(config))
-            return [memo.cache_info()[:2]
-                    for memo in (kernels._short_draws, analytic._far_values)]
+            run_sweep(cfg)
+            return [memo.cache_info()[:2] for memo in memos]
 
         # 200 one-chunk CoMP estimates: only the near users move
         assert hits("sweep=near-radius\nsteps=200\ntrials=2000\n"
-                    "schemes=comp-vpnoma") == [(199, 1), (199, 1)]
+                    "schemes=comp-vpnoma") == [(199, 1), (199, 1), (199, 1)]
         # the default SNR sweep's 36 estimates, each a full chunk and the
         # default tail of 1,696 trials; rho moves at every point
         trials = kernels.CHUNK_TRIALS + 100_000 % kernels.CHUNK_TRIALS
-        assert hits(f"trials={trials}") == [(35, 1), (0, 9)]
+        assert hits(f"trials={trials}") == [(35, 1), (0, 9), (8, 1)]
 
     @staticmethod
     def assert_finite_without_warnings(config):

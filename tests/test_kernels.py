@@ -233,6 +233,25 @@ def test_rate_kernel_restores_the_callers_buffer_size():
     assert np.getbufsize() == default
 
 
+@pytest.mark.parametrize("n", [576, 1696, 2000, 8192])
+def test_kernel_outputs_start_on_64_byte_boundaries(n):
+    """Draws and rates start on a cache line, wherever the heap stands."""
+    stats, params, seed = _rate_case("uneven")
+    held = []
+    for pad in (1, 2, 3, 5, 8):
+        # move the heap between calls by a few 16-byte steps
+        held.append(np.empty(pad * 2))
+        kernels._short_draws.cache_clear()
+        draws = kernels.sample_gains(seed, pad * n, n)
+        assert draws.__array_interface__["data"][0] % 64 == 0
+        for code in (kernels.OMA_CODE, kernels.COMP_VPNOMA_CODE):
+            rates = kernels.scheme_rates(
+                draws, code, params.alpha, params.beta, params.rho,
+                params.upsilon, params.band_fractions, stats.eps_sums,
+                stats.sigma_hat)
+            assert rates.__array_interface__["data"][0] % 64 == 0
+
+
 def _traced_peak(call):
     """(result, peak bytes traced while call() ran); numpy reports its buffers."""
     tracemalloc.start()
