@@ -289,7 +289,9 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list:
     rays; far users stay fixed. Rows come out ordered by (sweep_value, scheme).
     """
     rows = []
-    for value in cfg.sweep_values():
+    # Python floats, so that SystemParams and the closed form's scalar loops
+    # see the same types on every sweep kind
+    for value in cfg.sweep_values().tolist():
         point = {**vars(cfg), cfg.sweep_kind.field: value}
         layout = build_layout(1.0, (point["near_radius"],) * 3,
                               (cfg.far_radius,) * 3)
@@ -306,7 +308,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list:
                                     cfg.seed, workers)
             rows.append(ResultRow(
                 sweep_kind=cfg.sweep_kind,
-                sweep_value=float(value),
+                sweep_value=value,
                 scheme=scheme,
                 esc_mc=estimate.mean_total,
                 esc_ci95=estimate.ci95_halfwidth,

@@ -7,8 +7,9 @@ the same fading draws (common random numbers), which makes scheme-ordering
 comparisons sharp at modest trial counts.
 """
 
+import collections
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,9 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
     """Average the scheme's total rate over `trials` fading realizations.
 
     The result is a pure function of (stats, params, scheme, trials, seed),
-    identical to the serial order for any worker count.
+    identical to the serial order for any worker count. Up to `workers`
+    threads compute, the calling thread among them, and none outlives the
+    call; the first error a chunk raises is raised here.
     """
     trials = int(trials)
     if trials < 1:
@@ -73,13 +76,34 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
         chunk_moments[1, index] = totals.sum()
         chunk_user_sums[index] = by_user.sum(axis=1)
 
-    pool_size = min(workers, n_chunks)
-    if pool_size > 1:
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        for index in range(n_chunks):
-            run_chunk(index)
+    # The calling thread and min(workers, n_chunks) - 1 helpers take chunk
+    # indices from one iterator; next() on a range iterator is one C call
+    # under the GIL, so each index goes to exactly one thread. A failing
+    # chunk empties the iterator, also in one C call, so that no index is
+    # handed out after it.
+    indices = iter(range(n_chunks))
+    errors = []
+
+    def work() -> None:
+        try:
+            for index in indices:
+                run_chunk(index)
+        except BaseException as exc:
+            errors.append(exc)
+            collections.deque(indices, maxlen=0)
+
+    helpers = []
+    try:
+        for _ in range(min(workers, n_chunks) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
     # each row reduces as the 1-d sum of its chunks would, pairwise in order
     total_sum, total_sumsq = chunk_moments.sum(axis=1).tolist()

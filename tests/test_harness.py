@@ -7,7 +7,8 @@ import pytest
 from comp_noma import (ConfigError, InfeasibleCsiError, SchemeId, SweepConfig,
                        SweepKind, emit_plot, parse_config, read_results,
                        run_sweep, write_results)
-from comp_noma import analytic, geometry, kernels
+from comp_noma import analytic, geometry, harness, kernels
+from comp_noma.montecarlo import estimate_esc
 from oracles import largest_accepted, sweep_point_passes
 
 
@@ -265,6 +266,26 @@ class TestRunSweep:
         # default tail of 1,696 trials; rho moves at every point
         trials = kernels.CHUNK_TRIALS + 100_000 % kernels.CHUNK_TRIALS
         assert hits(f"trials={trials}") == [(35, 1), (0, 9), (8, 1)]
+
+    @pytest.mark.parametrize("kind", list(SweepKind))
+    def test_swept_values_reach_the_estimator_as_python_floats(
+            self, monkeypatch, kind):
+        seen = []
+        build_layout = harness.build_layout
+
+        def recording_layout(radius, near, far):
+            seen.append(near[0])
+            return build_layout(radius, near, far)
+
+        def recording_estimate(stats, params, *rest):
+            seen.extend((params.alpha, params.rho))
+            return estimate_esc(stats, params, *rest)
+
+        monkeypatch.setattr(harness, "build_layout", recording_layout)
+        monkeypatch.setattr(harness, "estimate_esc", recording_estimate)
+        rows = run_sweep(small_config(sweep=kind.value, trials=10))
+        assert seen and all(type(value) is float for value in seen)
+        assert all(type(row.sweep_value) is float for row in rows)
 
     @staticmethod
     def assert_finite_without_warnings(config):

@@ -1,10 +1,11 @@
 import sys
+import threading
 
 import pytest
 
 from comp_noma import (SchemeId, SystemParams, build_layout, db_to_linear,
                        derive_link_statistics, estimate_esc, total_esc_closed)
-from comp_noma import kernels, montecarlo
+from comp_noma import kernels
 from comp_noma.geometry import USERS
 from oracles import gain_rates, kernel_gains
 
@@ -52,8 +53,8 @@ def test_two_workers_reproduce_one_exactly(default_stats, params_20db,
                                            scheme):
     """Kernels allocate their buffers per call, so threads share none.
 
-    The sweep's estimates all end in the same tail chunk; with two workers a
-    pool thread draws it first and the later estimates read it back.
+    The sweep's estimates all end in the same tail chunk; with two workers
+    one thread draws it first and the later estimates read it back.
     """
     trials = 4 * kernels.CHUNK_TRIALS + 123   # five chunks, the last partial
     sweep = radius_sweep_stats()
@@ -77,7 +78,7 @@ def test_two_workers_reproduce_one_exactly(default_stats, params_20db,
     assert threaded.ci95_halfwidth == serial.ci95_halfwidth
     assert threaded.per_user_mean == serial.per_user_mean
     assert threaded_sweep == serial_sweep
-    # every chunk ran on a pool thread: one drew the tail, three read it back
+    # one estimate drew the tail, the three others read it back
     info = kernels._short_draws.cache_info()
     assert (info.hits, info.misses) == (3, 1)
     kernels.sample_gains(6, 4 * kernels.CHUNK_TRIALS, 123)
@@ -100,35 +101,114 @@ def test_estimates_do_not_depend_on_the_tail_memo(params_20db, trials):
         assert warm == cold + cold[::-1]
 
 
-class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: records its size, starts no thread."""
+class _CountingThread(threading.Thread):
+    """Stands in for threading.Thread: counts the helpers an estimate starts."""
 
-    sizes = []
+    started = 0
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable):
-        return map(fn, iterable)
+    def start(self):
+        type(self).started += 1
+        super().start()
 
 
-def test_pool_size_is_clamped_to_chunk_count(monkeypatch, default_stats,
-                                             params_20db):
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    trials = 2 * kernels.CHUNK_TRIALS + 1
-    for workers in (2, 3, 10 ** 9):
-        estimate_esc(default_stats, params_20db,
-                     SchemeId.OMA, trials=trials, seed=1, workers=workers)
-    estimate_esc(default_stats, params_20db, SchemeId.OMA,
-                 trials=kernels.CHUNK_TRIALS, seed=1, workers=10 ** 9)
-    assert _RecordingPool.sizes == [2, 3, 3]
+def _recording_gains(monkeypatch, on_call=None):
+    """Patch kernels.sample_gains to log (thread id, chunk start) per call,
+    calling on_call(start) first; returns the log."""
+    calls = []
+    sample_gains = kernels.sample_gains
+
+    def recording(seed, start, count):
+        calls.append((threading.get_ident(), start))
+        if on_call is not None:
+            on_call(start)
+        return sample_gains(seed, start, count)
+
+    monkeypatch.setattr(kernels, "sample_gains", recording)
+    return calls
+
+
+def test_computing_threads_are_clamped_to_chunk_count(monkeypatch,
+                                                      default_stats,
+                                                      params_20db):
+    """workers counts the calling thread, and no more threads compute than
+    there are chunks."""
+    monkeypatch.setattr(threading, "Thread", _CountingThread)
+    calls = _recording_gains(monkeypatch)
+    three_chunks = 2 * kernels.CHUNK_TRIALS + 1
+    for trials, workers, helpers in ((three_chunks, 1, 0),
+                                     (three_chunks, 2, 1),
+                                     (three_chunks, 3, 2),
+                                     (three_chunks, 10 ** 9, 2),
+                                     (kernels.CHUNK_TRIALS, 10 ** 9, 0)):
+        monkeypatch.setattr(_CountingThread, "started", 0)
+        calls.clear()
+        estimate_esc(default_stats, params_20db, SchemeId.OMA, trials=trials,
+                     seed=1, workers=workers)
+        assert _CountingThread.started == helpers
+        assert len({thread for thread, _ in calls}) <= helpers + 1
+    # the one-chunk estimate ran on the calling thread
+    assert calls == [(threading.get_ident(), 0)]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_every_chunk_is_drawn_exactly_once(monkeypatch, default_stats,
+                                           params_20db, workers):
+    calls = _recording_gains(monkeypatch)
+    trials = 11 * kernels.CHUNK_TRIALS + 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        estimate_esc(default_stats, params_20db, SchemeId.NOMA,
+                     trials=trials, seed=4, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    starts = sorted(start for _, start in calls)
+    assert starts == list(range(0, trials, kernels.CHUNK_TRIALS))
+
+
+def test_a_failing_chunk_stops_the_serial_loop(monkeypatch, default_stats,
+                                               params_20db):
+    def fail_at_second_chunk(start):
+        if start == kernels.CHUNK_TRIALS:
+            raise RuntimeError("chunk failed")
+
+    calls = _recording_gains(monkeypatch, fail_at_second_chunk)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        estimate_esc(default_stats, params_20db, SchemeId.OMA,
+                     trials=4 * kernels.CHUNK_TRIALS, seed=1, workers=1)
+    assert [start for _, start in calls] == [0, kernels.CHUNK_TRIALS]
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_a_chunk_error_propagates_after_every_helper_ends(
+        monkeypatch, default_stats, params_20db, failing):
+    """Both threads take a chunk before either goes on; then the chosen
+    thread's chunk fails. When the helper's fails, the caller finishes its
+    chunk only after the helper has ended, so it takes no further one."""
+    caller = threading.get_ident()
+    before = set(threading.enumerate())
+    both_started = threading.Barrier(2, timeout=30)
+    first_call = set()
+
+    def fail_on_one_thread(start):
+        thread = threading.get_ident()
+        if thread in first_call:
+            return
+        first_call.add(thread)
+        both_started.wait()
+        if (thread == caller) == (failing == "caller"):
+            raise RuntimeError(f"{failing} chunk at {start} failed")
+        if failing == "helper":
+            for helper in set(threading.enumerate()) - before:
+                helper.join(timeout=30)
+
+    calls = _recording_gains(monkeypatch, fail_on_one_thread)
+    with pytest.raises(RuntimeError, match=f"{failing} chunk at"):
+        estimate_esc(default_stats, params_20db, SchemeId.OMA,
+                     trials=8 * kernels.CHUNK_TRIALS, seed=1, workers=2)
+    assert set(threading.enumerate()) == before
+    if failing == "helper":
+        assert len(calls) == 2
 
 
 def test_nonpositive_workers_rejected(default_stats, params_20db):
