@@ -12,8 +12,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .geometry import N_BS, N_USERS, USERS, NetworkLayout, distance_matrix, \
-    user_index
+from .geometry import N_BS, N_USERS, USERS, NetworkLayout, distance_matrix
 
 
 class InfeasibleCsiError(ValueError):
@@ -54,29 +53,28 @@ class LinkStatistics:
 
 
 def derive_link_statistics(layout: NetworkLayout, pathloss_exponent=4.0,
-                           sigma_eps_default=0.001,
-                           overrides=None) -> LinkStatistics:
+                           sigma_eps=0.001) -> LinkStatistics:
     """Compute sigma_hat = d^-v - sigma_eps for every link of the layout.
 
-    overrides maps (bs_index, user) to a per-link error variance; every other
-    link uses sigma_eps_default.
+    sigma_eps is one error variance for every link, or a (3, 6) array of
+    per-link variances, rows = BS, columns = users 1..3, A..C.
     """
     v = float(pathloss_exponent)
     if not 0 < v < np.inf:
         raise ValueError(f"path-loss exponent must be positive and finite, got {v}")
-    if not 0 <= sigma_eps_default < np.inf:
-        raise ValueError(
-            f"sigma_eps must be nonnegative and finite, got {sigma_eps_default}")
-    eps = np.full((N_BS, N_USERS), float(sigma_eps_default))
-    if overrides:
-        for (bs_index, user), value in overrides.items():
-            if bs_index not in range(1, N_BS + 1):
-                raise ValueError(f"sigma_eps override for (BS{bs_index}, UE"
-                                 f"{user}): BS index must be 1, 2 or 3")
-            if not 0 <= value < np.inf:
-                raise ValueError(f"sigma_eps override for (BS{bs_index}, UE"
-                                 f"{user}) must be nonnegative and finite")
-            eps[bs_index - 1, user_index(user)] = float(value)
+    shape = np.shape(sigma_eps)
+    if shape == ():
+        if not 0 <= sigma_eps < np.inf:
+            raise ValueError(
+                f"sigma_eps must be nonnegative and finite, got {sigma_eps}")
+        eps = np.full((N_BS, N_USERS), float(sigma_eps))
+    elif shape == (N_BS, N_USERS):
+        # a copy, so that the statistics cannot change under the caller;
+        # LinkStatistics checks each link
+        eps = np.array(sigma_eps, dtype=np.float64)
+    else:
+        raise ValueError(f"sigma_eps must be a scalar or have shape "
+                         f"({N_BS}, {N_USERS}), got {shape}")
 
     d = distance_matrix(layout)
     # LinkStatistics rejects an infinite mean power (d too short for

@@ -54,11 +54,11 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config file {args.config}: {exc}")
         else:
             text = ""
-        overrides = {"sweep": args.sweep, "from": args.from_value,
-                     "to": args.to_value, "steps": args.steps,
-                     "schemes": args.schemes, "trials": args.trials,
-                     "seed": args.seed}
-        cfg = parse_config(text, {k: v for k, v in overrides.items()
+        flags = {"sweep": args.sweep, "from": args.from_value,
+                 "to": args.to_value, "steps": args.steps,
+                 "schemes": args.schemes, "trials": args.trials,
+                 "seed": args.seed}
+        cfg = parse_config(text, {k: v for k, v in flags.items()
                                   if v is not None})
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -4,11 +4,10 @@ Base stations sit at the vertices of an equilateral triangle with inter-site
 distance sqrt(3)*R, so the shared centroid is exactly R away from every base
 station. Each cell's near and far user are placed on the ray from their
 serving base station toward the centroid, which clusters the far users at the
-common cell edge.
+common cell edge. Lengths are in units of the cell radius, R = 1.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,48 +35,19 @@ def user_index(user) -> int:
 class NetworkLayout:
     """Positions of the 3 base stations and 6 users, in units of the cell radius."""
 
-    cell_radius: float
     bs_positions: np.ndarray        # (3, 2)
     near_user_positions: np.ndarray  # (3, 2), users 1..3
     far_user_positions: np.ndarray   # (3, 2), users A..C
 
 
-def build_layout(cell_radius, near_radii, far_radii) -> NetworkLayout:
-    """Place base stations and users for the symmetric three-cell scenario.
-
-    near_radii / far_radii give each cell's user distance from its serving
-    base station along the ray toward the centroid; all must lie in
-    (0, cell_radius].
-    """
-    radius = float(cell_radius)
-    if not 0 < radius < np.inf:
-        raise ValueError(f"cell radius must be positive and finite, got "
-                         f"{cell_radius!r}")
-    near_radii = [float(r) for r in near_radii]
-    far_radii = [float(r) for r in far_radii]
-    if len(near_radii) != 3 or len(far_radii) != 3:
-        raise ValueError("expected exactly three near radii and three far radii")
-    for user, r in zip(USERS, near_radii + far_radii):
-        if not 0 < r <= radius:
-            kind = "near" if user in NEAR_USERS else "far"
-            raise ValueError(f"{kind} user {user}: radius {r} outside (0, {radius}]")
-
-    bs, user_sites, user_rays = _sites(radius)
-    positions = user_sites + np.array(near_radii + far_radii)[:, None] * user_rays
-    return NetworkLayout(radius, bs, positions[:3], positions[3:])
-
-
-# A sweep keeps the cell radius, so every layout of it shares one set of
-# sites and rays; the arrays are read-only, since every layout holds them.
-@lru_cache(maxsize=1)
-def _sites(radius: float) -> tuple:
+def _unit_cell_sites() -> tuple:
     """Base-station sites (3, 2), and each user's serving site and unit ray
     toward the sites' centroid (6, 2), users 1..3, A..C."""
-    side = np.sqrt(3.0) * radius
+    side = np.sqrt(3.0)
     bs = np.array([
         [0.0, 0.0],
         [side, 0.0],
-        [side / 2.0, 1.5 * radius],
+        [side / 2.0, 1.5],
     ])
     centroid = bs.mean(axis=0)
     rays = centroid - bs
@@ -87,6 +57,29 @@ def _sites(radius: float) -> tuple:
     for array in (bs, user_sites, user_rays):
         array.flags.writeable = False
     return bs, user_sites, user_rays
+
+
+# Every layout holds the same sites, so they are built once and read-only.
+_BS_SITES, _USER_SITES, _USER_RAYS = _unit_cell_sites()
+
+
+def build_layout(near_radii, far_radii) -> NetworkLayout:
+    """Place base stations and users for the symmetric three-cell scenario.
+
+    near_radii / far_radii give each cell's user distance from its serving
+    base station along the ray toward the centroid; all must lie in (0, 1].
+    """
+    near_radii = [float(r) for r in near_radii]
+    far_radii = [float(r) for r in far_radii]
+    if len(near_radii) != 3 or len(far_radii) != 3:
+        raise ValueError("expected exactly three near radii and three far radii")
+    for user, r in zip(USERS, near_radii + far_radii):
+        if not 0 < r <= 1.0:
+            kind = "near" if user in NEAR_USERS else "far"
+            raise ValueError(f"{kind} user {user}: radius {r} outside (0, 1]")
+
+    positions = _USER_SITES + np.array(near_radii + far_radii)[:, None] * _USER_RAYS
+    return NetworkLayout(_BS_SITES, positions[:3], positions[3:])
 
 
 def distance_matrix(layout: NetworkLayout) -> np.ndarray:

@@ -244,7 +244,7 @@ def _closed_form_error(p: dict, rho: float):
     # that the names run_sweep calls stay one call per sweep point.
     try:
         stats = channel.derive_link_statistics(
-            geometry.build_layout(1.0, (p["near_radius"],) * 3,
+            geometry.build_layout((p["near_radius"],) * 3,
                                   (p["far_radius"],) * 3),
             p["pathloss_exponent"], p["sigma_eps"])
     except InfeasibleCsiError:
@@ -268,14 +268,14 @@ def _closed_form_error(p: dict, rho: float):
     return None
 
 
-def parse_config(text: str, overrides: dict | None = None) -> SweepConfig:
+def parse_config(text: str, flags: dict | None = None) -> SweepConfig:
     """Parse a key=value document ('#' comments) into a validated SweepConfig.
 
-    overrides maps config keys to raw string values that take precedence over
-    the document (used for command-line flags).
+    flags maps config keys to raw string values from the command line, which
+    take precedence over the document.
     """
     raw = _raw_pairs(text)
-    for key, value in (overrides or {}).items():
+    for key, value in (flags or {}).items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"command line: unknown key '{key}'")
         raw[key] = (str(value), "command line")
@@ -293,7 +293,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list:
     # see the same types on every sweep kind
     for value in cfg.sweep_values().tolist():
         point = {**vars(cfg), cfg.sweep_kind.field: value}
-        layout = build_layout(1.0, (point["near_radius"],) * 3,
+        layout = build_layout((point["near_radius"],) * 3,
                               (cfg.far_radius,) * 3)
         try:
             stats = derive_link_statistics(layout, cfg.pathloss_exponent,
@@ -349,24 +349,29 @@ def write_results(rows, path) -> None:
 
 
 def read_results(path) -> list:
-    """Parse a CSV produced by write_results back into ResultRow values."""
+    """Parse a CSV produced by write_results back into ResultRow values; a
+    malformed row raises ValueError naming the file and its 1-based line."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         lines = handle.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path} does not carry the expected results header")
     rows = []
-    for line in lines[1:]:
-        kind, value, scheme, mc, ci95, analytic, trials, seed = line.split(",")
-        rows.append(ResultRow(
-            sweep_kind=SweepKind.from_token(kind),
-            sweep_value=float(value),
-            scheme=SchemeId.from_token(scheme),
-            esc_mc=float(mc),
-            esc_ci95=float(ci95),
-            esc_analytic=None if analytic == "" else float(analytic),
-            trials=int(trials),
-            seed=int(seed),
-        ))
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            kind, value, scheme, mc, ci95, analytic, trials, seed = \
+                line.split(",")
+            rows.append(ResultRow(
+                sweep_kind=SweepKind.from_token(kind),
+                sweep_value=float(value),
+                scheme=SchemeId.from_token(scheme),
+                esc_mc=float(mc),
+                esc_ci95=float(ci95),
+                esc_analytic=None if analytic == "" else float(analytic),
+                trials=int(trials),
+                seed=int(seed),
+            ))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from exc
     return rows
 
 

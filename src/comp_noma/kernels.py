@@ -110,24 +110,16 @@ _short_draws = lru_cache(maxsize=1)(_draws)
 def sample_gains(seed, start_trial, n):
     """Read-only log(u) draws (n, 3, 6) for trials [start_trial, start_trial+n).
 
-    A draw depends only on (seed, trial, link) and is negative; link_gains
-    turns it into a gain. The result is a view of link-major memory: each
-    link's draws over the chunk are contiguous, which is the layout
-    scheme_rates reads. Values do not depend on the layout. A repeated call
-    for a block shorter than CHUNK_TRIALS may return the same array.
+    A draw depends only on (seed, trial, link) and is negative; scheme_rates
+    turns it into the gain draw × (−σ̂). The result is a view of link-major
+    memory: each link's draws over the chunk are contiguous, which is the
+    layout scheme_rates reads. Values do not depend on the layout. A
+    repeated call for a block shorter than CHUNK_TRIALS may return the same
+    array.
     """
     if n < CHUNK_TRIALS:
         return _short_draws(seed, start_trial, n)
     return _draws(seed, start_trial, n)
-
-
-def link_gains(draws, sigma_hat, out=None):
-    """Channel power gains draw × (−σ̂); the arguments broadcast.
-
-    A gain is −log(u)·σ̂, and log(u)·(−σ̂) is the same IEEE product, since
-    negation is exact.
-    """
-    return np.multiply(draws, np.negative(sigma_hat), out=out)
 
 
 def scheme_rates(draws, scheme_code, alpha, beta, rho, upsilon, band,
@@ -168,8 +160,8 @@ def _scheme_rates(draws, scheme_code, alpha, beta, rho, upsilon, band, eps_sums,
     # Row i*N_USERS + u is link (BS i, user u); copied only when the draws
     # are not link-major already.
     d = np.ascontiguousarray(np.transpose(draws, (1, 2, 0))).reshape(N_LINKS, n)
-    # each gain is draw × (−σ̂), the product link_gains forms; σ̂ is negated
-    # once for all 18 links
+    # each gain is draw × (−σ̂), the same IEEE product as −log(u)·σ̂, since
+    # negation is exact; σ̂ is negated once for all 18 links
     neg_sigma = -np.asarray(sigma_hat, dtype=np.float64).reshape(N_LINKS, 1)
     near_links = slice(0, None, N_USERS + 1)     # links (j, j)
     far_links = slice(N_BS, None, N_USERS + 1)   # links (k, 3 + k)

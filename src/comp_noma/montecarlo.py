@@ -11,6 +11,7 @@ import collections
 import math
 import threading
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -44,11 +45,9 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
     threads compute, the calling thread among them, and none outlives the
     call; the first error a chunk raises is raised here.
     """
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers}")
+    for name, count in (("trials", trials), ("workers", workers)):
+        if not isinstance(count, Integral) or count < 1:
+            raise ValueError(f"{name} must be a positive integer, got {count!r}")
     check_seed(seed)
     chunk = kernels.CHUNK_TRIALS
     n_chunks = (trials + chunk - 1) // chunk

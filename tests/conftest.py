@@ -7,7 +7,7 @@ from comp_noma import (SystemParams, build_layout, db_to_linear,
 
 @pytest.fixture(scope="session")
 def default_layout():
-    return build_layout(1.0, (0.5, 0.5, 0.5), (0.95, 0.95, 0.95))
+    return build_layout((0.5, 0.5, 0.5), (0.95, 0.95, 0.95))
 
 
 @pytest.fixture(scope="session")

@@ -92,14 +92,14 @@ def separated_rates(rng, count: int, low=1e-3, high=1e3, min_gap=0.02):
 _EULER_GAMMA = 0.5772156649015328606
 
 
-def layout_plain(cell_radius, near_radii, far_radii):
-    """(base stations, near users, far users) positions, each (3, 2)."""
-    radius = float(cell_radius)
-    side = np.sqrt(3.0) * radius
+def layout_plain(near_radii, far_radii):
+    """(base stations, near users, far users) positions, each (3, 2), in a
+    cell of radius 1."""
+    side = np.sqrt(3.0)
     bs = np.array([
         [0.0, 0.0],
         [side, 0.0],
-        [side / 2.0, 1.5 * radius],
+        [side / 2.0, 1.5],
     ])
     centroid = bs.mean(axis=0)
     rays = centroid - bs
@@ -165,14 +165,27 @@ _TO_UNIT = 2.0 ** -53
 
 
 def kernel_gains(seed, start_trial, n, sigma_hat):
-    """Gains (n, 3, 6) as the estimator forms them: kernel draws × (−σ̂)."""
-    return kernels.link_gains(kernels.sample_gains(seed, start_trial, n),
-                              sigma_hat)
+    """Gains (n, 3, 6) as the estimator forms them: kernel draws × (−σ̂).
+
+    A gain is −log(u)·σ̂, and log(u)·(−σ̂) is the same IEEE product, since
+    negation is exact.
+    """
+    return np.multiply(kernels.sample_gains(seed, start_trial, n),
+                       np.negative(sigma_hat))
 
 
 def link(bs_index, user):
     """Index of link (BS bs_index, user) into a (3, 6) per-link array."""
     return bs_index - 1, user_index(user)
+
+
+def per_link(value, links):
+    """A (3, 6) per-link array of value, except at the links that links maps
+    from (bs_index, user) to their own value."""
+    array = np.full((N_BS, N_USERS), float(value))
+    for key, link_value in links.items():
+        array[link(*key)] = link_value
+    return array
 
 
 def gain_rates(gain, stats, params, scheme):
@@ -279,7 +292,7 @@ def sweep_point_passes(alpha, rho_db, near_radius, far_radius,
         return True
     try:
         stats = derive_link_statistics(
-            build_layout(1.0, (near_radius,) * 3, (far_radius,) * 3),
+            build_layout((near_radius,) * 3, (far_radius,) * 3),
             pathloss_exponent, sigma_eps)
     except InfeasibleCsiError:
         return True

@@ -24,7 +24,7 @@ DEFAULT_FAR = 0.95
 
 
 def default_setup(near=DEFAULT_NEAR):
-    layout = build_layout(1.0, (near,) * 3, (DEFAULT_FAR,) * 3)
+    layout = build_layout((near,) * 3, (DEFAULT_FAR,) * 3)
     return derive_link_statistics(layout, 4.0, 0.001)
 
 

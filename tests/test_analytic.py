@@ -12,7 +12,7 @@ from comp_noma import (DegenerateRatesError, LinkStatistics, SchemeId,
                        hypoexp_log2_mean, near_esc_closed, total_esc_closed)
 from comp_noma import analytic, kernels
 from oracles import (e1_scaled_plain, e1_scaled_reference,
-                     erlang2_log2_mean_quad, hypoexp_log2_mean_quad,
+                     erlang2_log2_mean_quad, hypoexp_log2_mean_quad, per_link,
                      separated_rates)
 
 # frozen from a 30-digit mpmath evaluation
@@ -158,7 +158,7 @@ class TestClosedFormsAgainstMonteCarlo:
 
     def test_degenerate_far_links_still_match_simulation(self, params_10db):
         # far users at the centroid: all nine far-link variances coincide
-        layout = build_layout(1.0, (0.5,) * 3, (1.0,) * 3)
+        layout = build_layout((0.5,) * 3, (1.0,) * 3)
         stats = derive_link_statistics(layout, 4.0, 0.001)
         trials = 200_000
         estimate = estimate_esc(stats, params_10db,
@@ -256,13 +256,11 @@ class TestClosedFormStructure:
 
 def closed_form_inputs():
     """(stats, params) inputs by group: the three sweep grids, uneven band
-    fractions, random layouts with per-link error overrides, and rates that
-    sit within 1e-4 of each other so that the spread fires in the near and
-    far functions and again inside the log-mean."""
-    def stats_at(near=(0.5,) * 3, far=(0.95,) * 3, sigma_eps=0.001,
-                 overrides=None):
-        return derive_link_statistics(build_layout(1.0, near, far), 4.0,
-                                      sigma_eps, overrides)
+    fractions, random layouts with uneven per-link error variances, and
+    rates that sit within 1e-4 of each other so that the spread fires in the
+    near and far functions and again inside the log-mean."""
+    def stats_at(near=(0.5,) * 3, far=(0.95,) * 3, sigma_eps=0.001):
+        return derive_link_statistics(build_layout(near, far), 4.0, sigma_eps)
 
     def params_at(alpha=0.1, rho_db=20.0, upsilon=0.01,
                   band_fractions=(1.0 / 3.0,) * 3):
@@ -283,11 +281,13 @@ def closed_form_inputs():
     rng = np.random.default_rng(5150)
     layouts = []
     for _ in range(40):
-        overrides = {(int(rng.integers(1, 4)), user): float(rng.uniform(0.0, 0.01))
-                     for user in rng.choice(list("123ABC"), size=3, replace=False)}
+        # three links' variances are drawn before the layout and the
+        # variance of every other link
+        links = {(int(rng.integers(1, 4)), user): float(rng.uniform(0.0, 0.01))
+                 for user in rng.choice(list("123ABC"), size=3, replace=False)}
         stats = stats_at(tuple(rng.uniform(0.1, 0.9, 3)),
                          tuple(rng.uniform(0.6, 1.0, 3)),
-                         float(rng.uniform(1e-4, 3e-3)), overrides)
+                         per_link(rng.uniform(1e-4, 3e-3), links))
         params = params_at(rng.uniform(0.02, 0.24), rng.uniform(0.0, 40.0),
                            rng.uniform(0.0, 0.05),
                            tuple(rng.dirichlet((2.0, 2.0, 2.0))))

@@ -4,7 +4,7 @@ import pytest
 from comp_noma import (InfeasibleCsiError, LinkStatistics, build_layout,
                        derive_link_statistics)
 from comp_noma.channel import check_seed
-from oracles import kernel_gains, link
+from oracles import kernel_gains, link, per_link
 
 
 def uniform_stats(sigma_hat=1.0, sigma_eps=0.0):
@@ -13,7 +13,7 @@ def uniform_stats(sigma_hat=1.0, sigma_eps=0.0):
 
 
 def test_unit_distance_perfect_csi_gives_unit_variance():
-    layout = build_layout(1.0, (0.5,) * 3, (1.0,) * 3)
+    layout = build_layout((0.5,) * 3, (1.0,) * 3)
     stats = derive_link_statistics(layout, 4.0, 0.0)
     assert stats.sigma_hat[link(1, "A")] == pytest.approx(1.0, abs=1e-12)
     assert stats.sigma_eps[link(1, "A")] == 0.0
@@ -32,26 +32,40 @@ def test_infeasible_csi_error_names_link(default_layout):
     with pytest.raises(InfeasibleCsiError, match=r"BS1, UE2"):
         derive_link_statistics(default_layout, 4.0, 0.4)
     with pytest.raises(InfeasibleCsiError, match=r"BS2, UE1"):
-        derive_link_statistics(default_layout, 4.0, 0.001,
-                               overrides={(2, 1): 0.9})
+        derive_link_statistics(default_layout, 4.0,
+                               per_link(0.001, {(2, 1): 0.9}))
 
 
 def test_override_applies_per_link(default_layout):
-    stats = derive_link_statistics(default_layout, 4.0, 0.001,
-                                   overrides={(3, "B"): 0.05})
+    eps = per_link(0.001, {(3, "B"): 0.05})
+    stats = derive_link_statistics(default_layout, 4.0, eps)
     assert stats.sigma_eps[link(3, "B")] == 0.05
     assert stats.sigma_eps[link(3, "A")] == 0.001
     assert stats.sigma_hat[link(3, "B")] == pytest.approx(
         stats.sigma_hat[link(3, "A")] - 0.049, rel=1e-9)
+    # the statistics keep their own copy of the caller's array
+    eps[link(3, "B")] = 0.0
+    assert stats.sigma_eps[link(3, "B")] == 0.05
 
 
-def test_override_bs_index_outside_1_to_3_rejected(default_layout):
-    # index 0 would wrap round to BS3's row, and 4 would fall off the array
-    for bs_index in (0, 4):
-        with pytest.raises(ValueError,
-                           match=rf"override for \(BS{bs_index}, UEA\)"):
-            derive_link_statistics(default_layout, 4.0, 0.001,
-                                   overrides={(bs_index, "A"): 0.005})
+@pytest.mark.parametrize("value", [0.0, 0.001, 0.0123])
+def test_per_link_array_of_one_value_matches_the_scalar_bitwise(
+        default_layout, value):
+    scalar = derive_link_statistics(default_layout, 4.0, value)
+    array = derive_link_statistics(default_layout, 4.0, np.full((3, 6), value))
+    for name in ("sigma_hat", "sigma_eps", "eps_sums"):
+        a, b = getattr(scalar, name), getattr(array, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("shape", [(6,), (3, 1), (2,), (1, 6), (6, 3),
+                                   (3, 6, 1)], ids=str)
+def test_sigma_eps_of_any_other_shape_is_rejected_by_name(default_layout,
+                                                          shape):
+    # (6,), (3, 1) and (1, 6) would broadcast against the (3, 6) distances
+    with pytest.raises(ValueError, match=r"sigma_eps must be a scalar or "
+                                         r"have shape \(3, 6\)"):
+        derive_link_statistics(default_layout, 4.0, np.full(shape, 0.001))
 
 
 def test_negative_inputs_rejected(default_layout):
@@ -59,9 +73,9 @@ def test_negative_inputs_rejected(default_layout):
         derive_link_statistics(default_layout, 0.0, 0.001)
     with pytest.raises(ValueError, match="sigma_eps"):
         derive_link_statistics(default_layout, 4.0, -0.1)
-    with pytest.raises(ValueError, match="negative"):
-        derive_link_statistics(default_layout, 4.0, 0.001,
-                               overrides={(1, 1): -1e-6})
+    with pytest.raises(ValueError, match=r"link \(BS1, UE1\): sigma_eps"):
+        derive_link_statistics(default_layout, 4.0,
+                               per_link(0.001, {(1, 1): -1e-6}))
 
 
 def test_non_finite_inputs_rejected_by_name(default_layout):
@@ -70,14 +84,14 @@ def test_non_finite_inputs_rejected_by_name(default_layout):
             derive_link_statistics(default_layout, bad, 0.001)
         with pytest.raises(ValueError, match="sigma_eps must"):
             derive_link_statistics(default_layout, 4.0, bad)
-        with pytest.raises(ValueError, match=r"override for \(BS2, UEB\)"):
-            derive_link_statistics(default_layout, 4.0, 0.001,
-                                   overrides={(2, "B"): bad})
+        with pytest.raises(ValueError, match=r"link \(BS2, UEB\): sigma_eps"):
+            derive_link_statistics(default_layout, 4.0,
+                                   per_link(0.001, {(2, "B"): bad}))
 
 
 def test_overflowing_sigma_hat_names_its_link():
     # the near users' serving links are too short to raise to -4 in float64
-    layout = build_layout(1.0, (1e-80,) * 3, (0.95,) * 3)
+    layout = build_layout((1e-80,) * 3, (0.95,) * 3)
     with pytest.raises(InfeasibleCsiError, match=r"BS1, UE1\): d\^-v = inf"):
         derive_link_statistics(layout, 4.0, 0.001)
 
@@ -101,8 +115,8 @@ def test_link_statistics_built_directly_are_validated_by_link():
 
 
 def test_eps_sums_are_each_users_read_only_column_sums(default_layout):
-    stats = derive_link_statistics(default_layout, 4.0, 0.001,
-                                   overrides={(1, "A"): 0.004, (3, 2): 0.0})
+    stats = derive_link_statistics(
+        default_layout, 4.0, per_link(0.001, {(1, "A"): 0.004, (3, 2): 0.0}))
     assert stats.eps_sums.tolist() == [
         (a + b) + c for a, b, c in zip(*stats.sigma_eps.tolist())]
     assert np.array_equal(stats.eps_sums, stats.sigma_eps.sum(axis=0))

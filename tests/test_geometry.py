@@ -33,13 +33,13 @@ def test_cross_link_distance_matches_coordinate_arithmetic(default_layout):
 
 
 def test_far_users_at_full_radius_coincide_at_centroid():
-    layout = build_layout(1.0, (0.5,) * 3, (1.0,) * 3)
+    layout = build_layout((0.5,) * 3, (1.0,) * 3)
     far = distance_matrix(layout)[:, 3:]
     assert np.all(np.abs(far - 1.0) < 1e-12)
 
 
 def test_serving_distance_equals_given_radius():
-    d = distance_matrix(build_layout(1.0, (0.123, 0.456, 0.789),
+    d = distance_matrix(build_layout((0.123, 0.456, 0.789),
                                      (0.9, 0.8, 0.7)))
     for cell, radius in enumerate((0.123, 0.456, 0.789), start=1):
         assert d[link(cell, cell)] == pytest.approx(radius, abs=1e-15)
@@ -49,15 +49,16 @@ def test_serving_distance_equals_given_radius():
 
 def test_radius_out_of_range_names_offending_user():
     with pytest.raises(ValueError, match="far user B"):
-        build_layout(1.0, (0.5,) * 3, (0.95, 1.2, 0.95))
+        build_layout((0.5,) * 3, (0.95, 1.2, 0.95))
     with pytest.raises(ValueError, match="near user 1"):
-        build_layout(1.0, (0.0, 0.5, 0.5), (0.95,) * 3)
-    with pytest.raises(ValueError, match="near user 3"):
-        build_layout(0.8, (0.5, 0.5, 0.9), (0.7,) * 3)
+        build_layout((0.0, 0.5, 0.5), (0.95,) * 3)
+    with pytest.raises(ValueError, match=r"near user 3: radius 1.1 outside "
+                                         r"\(0, 1\]"):
+        build_layout((0.5, 0.5, 1.1), (0.7,) * 3)
     with pytest.raises(ValueError, match="near user 2"):
-        build_layout(1.0, (0.5, float("nan"), 0.5), (0.95,) * 3)
-    with pytest.raises(ValueError, match="cell radius"):
-        build_layout(float("inf"), (0.5,) * 3, (0.95,) * 3)
+        build_layout((0.5, float("nan"), 0.5), (0.95,) * 3)
+    with pytest.raises(ValueError, match="far user C"):
+        build_layout((0.5,) * 3, (0.95, 0.95, float("inf")))
 
 
 def test_unknown_indices_rejected():
@@ -84,7 +85,6 @@ def test_distances_invariant_under_rotation_and_translation(default_layout):
         return points @ rot.T + shift
 
     transformed = NetworkLayout(
-        default_layout.cell_radius,
         moved(default_layout.bs_positions),
         moved(default_layout.near_user_positions),
         moved(default_layout.far_user_positions),
@@ -103,16 +103,14 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("cell_radius", [0.5, 1.0, 2.5])
-def test_layout_and_distances_match_the_plain_arithmetic_bitwise(cell_radius):
-    rng = np.random.default_rng(int(cell_radius * 10))
+def test_layout_and_distances_match_the_plain_arithmetic_bitwise():
+    rng = np.random.default_rng(10)
     for _ in range(200):
-        # radii in (0, cell_radius], some of them at the cell edge
-        near, far = (cell_radius * (1.0 - rng.random(3)) for _ in range(2))
-        far[rng.random(3) < 0.2] = cell_radius
-        layout = build_layout(cell_radius, near, far)
-        bs, near_positions, far_positions = layout_plain(cell_radius, near,
-                                                         far)
+        # radii in (0, 1], some of them at the cell edge
+        near, far = (1.0 - rng.random(3) for _ in range(2))
+        far[rng.random(3) < 0.2] = 1.0
+        layout = build_layout(near, far)
+        bs, near_positions, far_positions = layout_plain(near, far)
         assert _same_bits(layout.bs_positions, bs)
         assert _same_bits(layout.near_user_positions, near_positions)
         assert _same_bits(layout.far_user_positions, far_positions)
@@ -121,9 +119,10 @@ def test_layout_and_distances_match_the_plain_arithmetic_bitwise(cell_radius):
 
 
 def test_layouts_of_one_cell_radius_share_read_only_sites():
-    first = build_layout(1.0, (0.5,) * 3, (0.95,) * 3)
-    second = build_layout(1.0, (0.2, 0.4, 0.6), (0.9,) * 3)
+    first = build_layout((0.5,) * 3, (0.95,) * 3)
+    second = build_layout((0.2, 0.4, 0.6), (0.9,) * 3)
     assert second.bs_positions is first.bs_positions
-    for array in geometry._sites(1.0):
+    for array in (geometry._BS_SITES, geometry._USER_SITES,
+                  geometry._USER_RAYS):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 1.0

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from comp_noma import (ConfigError, InfeasibleCsiError, SchemeId, SweepConfig,
                        SweepKind, emit_plot, parse_config, read_results,
                        run_sweep, write_results)
-from comp_noma import analytic, geometry, harness, kernels
+from comp_noma import analytic, harness, kernels
 from comp_noma.montecarlo import estimate_esc
 from oracles import largest_accepted, sweep_point_passes
 
@@ -247,10 +248,8 @@ class TestRunSweep:
         assert rows[-1].esc_mc > rows[0].esc_mc
 
     def test_memo_hit_shares_match_the_readme(self):
-        """Draw, far-term and sites memo hits over two sweeps, each started
-        cold once its config is parsed (the closed form's config rule builds
-        the layouts of the sweep's two ends)."""
-        memos = (kernels._short_draws, analytic._far_values, geometry._sites)
+        """Draw and far-term memo hits over two sweeps, each started cold."""
+        memos = (kernels._short_draws, analytic._far_values)
 
         def hits(config):
             cfg = parse_config(config)
@@ -261,11 +260,11 @@ class TestRunSweep:
 
         # 200 one-chunk CoMP estimates: only the near users move
         assert hits("sweep=near-radius\nsteps=200\ntrials=2000\n"
-                    "schemes=comp-vpnoma") == [(199, 1), (199, 1), (199, 1)]
+                    "schemes=comp-vpnoma") == [(199, 1), (199, 1)]
         # the default SNR sweep's 36 estimates, each a full chunk and the
         # default tail of 1,696 trials; rho moves at every point
         trials = kernels.CHUNK_TRIALS + 100_000 % kernels.CHUNK_TRIALS
-        assert hits(f"trials={trials}") == [(35, 1), (0, 9), (8, 1)]
+        assert hits(f"trials={trials}") == [(35, 1), (0, 9)]
 
     @pytest.mark.parametrize("kind", list(SweepKind))
     def test_swept_values_reach_the_estimator_as_python_floats(
@@ -273,9 +272,9 @@ class TestRunSweep:
         seen = []
         build_layout = harness.build_layout
 
-        def recording_layout(radius, near, far):
+        def recording_layout(near, far):
             seen.append(near[0])
-            return build_layout(radius, near, far)
+            return build_layout(near, far)
 
         def recording_estimate(stats, params, *rest):
             seen.extend((params.alpha, params.rho))
@@ -366,6 +365,22 @@ class TestOutputs:
                     before.esc_analytic, rel=1e-11)
             assert after.trials == before.trials
             assert after.seed == before.seed
+
+    @pytest.mark.parametrize("row, error", [
+        ("rho,20,oma,1,0.1,,100", "not enough values to unpack"),
+        ("rho,20,oma,1,0.1,,100,7,9", "too many values to unpack"),
+        ("rho,20,oma,x,0.1,,100,7", "could not convert string to float: 'x'"),
+        ("rho,20,oma,1,0.1,,1e2,7", "invalid literal for int"),
+        ("rho,20,cdma,1,0.1,,100,7", "unknown scheme 'cdma'"),
+        ("snr,20,oma,1,0.1,,100,7", "unknown sweep kind 'snr'"),
+    ])
+    def test_a_bad_row_is_named_by_file_and_line(self, tmp_path, row, error):
+        path = tmp_path / "bad.csv"
+        good = "rho,10,oma,1,0.1,,100,7"
+        path.write_text(f"{harness.CSV_HEADER}\n{good}\n{row}\n{good}\n")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'{path}, line 3: {error}')}"):
+            read_results(path)
 
     def test_plot_contains_one_series_per_scheme(self, tmp_path):
         cfg = parse_config("trials=200\nsteps=3\n")  # all four schemes

@@ -7,7 +7,7 @@ import pytest
 
 from comp_noma import SystemParams, build_layout, derive_link_statistics
 from comp_noma import kernels
-from oracles import kernel_gains
+from oracles import kernel_gains, per_link
 
 
 def test_chunked_and_whole_stream_agree():
@@ -121,11 +121,11 @@ def _rate_case(name):
     """(stats, params, gains seed) of a digest case's layout."""
     if name == "default":
         stats = derive_link_statistics(
-            build_layout(1.0, (0.5,) * 3, (0.95,) * 3), 4.0, 0.001)
+            build_layout((0.5,) * 3, (0.95,) * 3), 4.0, 0.001)
         return stats, SystemParams(alpha=0.1, upsilon=0.01), 1
     stats = derive_link_statistics(
-        build_layout(1.0, (0.3, 0.5, 0.7), (0.8, 0.95, 0.9)), 3.5, 0.001,
-        overrides={(1, "A"): 0.004, (3, "2"): 0.0})
+        build_layout((0.3, 0.5, 0.7), (0.8, 0.95, 0.9)), 3.5,
+        per_link(0.001, {(1, "A"): 0.004, (3, "2"): 0.0}))
     params = SystemParams(alpha=0.07, upsilon=0.03,
                           band_fractions=(0.2, 0.3, 0.5))
     return stats, params, 2

@@ -1,6 +1,8 @@
+import re
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from comp_noma import (SchemeId, SystemParams, build_layout, db_to_linear,
@@ -44,7 +46,7 @@ def test_worker_count_does_not_change_results(default_stats, params_20db):
 
 def radius_sweep_stats(radii=(0.3, 0.5, 0.7)):
     """Link statistics of a near-radius sweep: sigma_hat differs per point."""
-    return [derive_link_statistics(build_layout(1.0, (r,) * 3, (0.95,) * 3),
+    return [derive_link_statistics(build_layout((r,) * 3, (0.95,) * 3),
                                    4.0, 0.001) for r in radii]
 
 
@@ -216,6 +218,30 @@ def test_nonpositive_workers_rejected(default_stats, params_20db):
         with pytest.raises(ValueError, match="workers"):
             estimate_esc(default_stats, params_20db,
                          SchemeId.OMA, trials=10, seed=1, workers=workers)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("trials", 2.7), ("trials", "100"), ("trials", 100.0),
+    ("workers", 2.5), ("workers", "2"), ("workers", 2.0),
+])
+def test_counts_that_are_not_integers_rejected(default_stats, params_20db,
+                                               name, value):
+    # 2.5 workers on three chunks would reach range() and raise TypeError;
+    # 2.7 trials would run 2 and "100" would run 100
+    counts = {"trials": 3 * kernels.CHUNK_TRIALS, "workers": 1, name: value}
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be a positive integer, got {value!r}")):
+        estimate_esc(default_stats, params_20db, SchemeId.OMA, seed=1,
+                     **counts)
+
+
+def test_numpy_integer_counts_are_accepted(default_stats, params_20db):
+    plain = estimate_esc(default_stats, params_20db, SchemeId.OMA,
+                         trials=100, seed=1, workers=2)
+    numpy_counts = estimate_esc(default_stats, params_20db, SchemeId.OMA,
+                                trials=np.int64(100), seed=1,
+                                workers=np.int64(2))
+    assert numpy_counts.mean_total == plain.mean_total
 
 
 def test_seed_must_be_a_64_bit_integer(default_stats, params_20db):

@@ -4,7 +4,8 @@ import pytest
 from comp_noma import (LinkStatistics, SchemeId, SystemParams, build_layout,
                        derive_link_statistics, estimate_esc)
 from comp_noma import kernels
-from oracles import gain_rates, gains_reference, kernel_gains, rates_reference
+from oracles import (gain_rates, gains_reference, kernel_gains, per_link,
+                     rates_reference)
 
 FAR_COMP_EXAMPLE = 0.56681323938036405  # (1/3) * log2(1 + 9/4)
 
@@ -255,8 +256,8 @@ class TestKernelOracles:
     @pytest.mark.parametrize("code", range(4))
     def test_rates_match_reference_on_all_schemes(self, code):
         stats = derive_link_statistics(
-            build_layout(1.0, (0.3, 0.5, 0.7), (0.8, 0.95, 0.9)), 3.5, 0.001,
-            overrides={(1, "A"): 0.004, (3, "2"): 0.0})
+            build_layout((0.3, 0.5, 0.7), (0.8, 0.95, 0.9)), 3.5,
+            per_link(0.001, {(1, "A"): 0.004, (3, "2"): 0.0}))
         params = SystemParams(alpha=0.07, upsilon=0.03,
                               band_fractions=(0.2, 0.3, 0.5))
         draws = kernels.sample_gains(77, 0, 300)
