@@ -86,7 +86,12 @@ def exp_integral_ei(x: float) -> float:
         raise ValueError(f"Ei is only evaluated for x < 0, got {x}")
     if x >= -1.0:
         return _ei_series(x)
-    return -math.exp(x) * _e1_scaled_cf(-x)
+    scale = math.exp(x)
+    # below about -745, exp(x) underflows to 0 and Ei(x) to -0.0 whatever
+    # the continued fraction gives, which at -inf never converges
+    if scale == 0.0:
+        return -0.0
+    return -scale * _e1_scaled_cf(-x)
 
 
 def _e1_scaled(z: float) -> float:
@@ -132,10 +137,11 @@ def _log2_mean(rates: list, shift: float, e1: dict) -> float:
     rates = _ensure_distinct(rates)
     ln_shift = math.log(shift)
     acc = 0.0
-    for i, k_i in enumerate(rates):
+    for k_i in rates:
+        # the rates are distinct now, so k_h != k_i picks every other rate
         weight = 1.0
-        for h, k_h in enumerate(rates):
-            if h != i:
+        for k_h in rates:
+            if k_h != k_i:
                 weight *= k_h / (k_h - k_i)
         z = shift * k_i
         scaled = e1.get(z)
@@ -148,7 +154,8 @@ def _log2_mean(rates: list, shift: float, e1: dict) -> float:
 def hypoexp_log2_mean(rates, shift: float) -> float:
     """E[log2(X + shift)] for X a sum of independent exponentials.
 
-    rates are the exponential rates (reciprocal means); shift must be >= 1.
+    rates are the exponential rates (reciprocal means); shift must be finite
+    and >= 1.
     Nearly-equal rates are separated by a deterministic, centered relative
     spread before the distinct-rate identity is applied.
     """
@@ -158,24 +165,31 @@ def hypoexp_log2_mean(rates, shift: float) -> float:
     if np.any(rates <= 0) or not np.all(np.isfinite(rates)):
         raise ValueError(f"rates must be positive finite reals, got {rates.tolist()}")
     shift = float(shift)
-    if not shift >= 1.0:
-        raise ValueError(f"shift must be >= 1, got {shift}")
+    if not 1.0 <= shift < math.inf:
+        raise ValueError(f"shift must be finite and >= 1, got {shift}")
     return _log2_mean(rates.tolist(), shift, {})
 
 
 def _columns(stats: LinkStatistics) -> tuple:
-    # Per-user sigma_hat columns and sigma_eps sums, as tuples of Python floats
-    sigma = tuple(map(tuple, stats.sigma_hat.T.tolist()))
-    return sigma, tuple(stats.eps_sums.tolist())
+    # Per-user sigma_hat columns, as tuples, and sigma_eps sums, as Python
+    # floats
+    return list(zip(*stats.sigma_hat.tolist())), stats.eps_sums.tolist()
 
 
-def _near_value(sigma: tuple, eps: float, params: SystemParams, j: int,
-                e1: dict) -> float:
-    # rate of near user j over the whole band, before its band fraction
-    shift = params.rho * eps + params.rho * params.upsilon + 1.0
-    scale = params.alpha * params.rho
-    k = _ensure_distinct([1.0 / (scale * s) for s in sigma])
-    return _log2_mean(k, shift, e1) - _log2_mean(k[:j] + k[j + 1:], shift, e1)
+def _near_values(sigma: list, eps: list, params: SystemParams, users,
+                 e1: dict) -> list:
+    # rates of near users `users` over the whole band, before their band
+    # fractions
+    rho = params.rho
+    residual = rho * params.upsilon
+    scale = params.alpha * rho
+    values = []
+    for j in users:
+        shift = rho * eps[j] + residual + 1.0
+        k = _ensure_distinct([1.0 / (scale * s) for s in sigma[j]])
+        values.append(_log2_mean(k, shift, e1)
+                      - _log2_mean(k[:j] + k[j + 1:], shift, e1))
+    return values
 
 
 def _far_value(sigma: tuple, eps: float, alpha: float, beta: float,
@@ -200,6 +214,12 @@ def _far_values(sigma: tuple, eps: tuple, alpha: float, beta: float,
                  for s, e in zip(sigma, eps))
 
 
+def _far_users(sigma: list, eps: list, params: SystemParams) -> tuple:
+    # the far users' rates from the memo, which tuples of their columns key
+    return _far_values(tuple(sigma[3:]), tuple(eps[3:]), params.alpha,
+                       params.beta, params.rho)
+
+
 def near_esc_closed(stats: LinkStatistics, params: SystemParams,
                     cell: int, subband: int) -> float:
     """Exact ergodic rate of near user `cell` on sub-band `subband`."""
@@ -209,7 +229,7 @@ def near_esc_closed(stats: LinkStatistics, params: SystemParams,
     if not 1 <= subband <= 3:
         raise ValueError(f"sub-band index must be 1..3, got {subband}")
     sigma, eps = _columns(stats)
-    value = _near_value(sigma[j], eps[j], params, j, {})
+    value, = _near_values(sigma, eps, params, (j,), {})
     return max(params.band_fractions[subband - 1] * value, 0.0)
 
 
@@ -219,8 +239,7 @@ def far_esc_closed(stats: LinkStatistics, params: SystemParams, far_user) -> flo
     if u < 3:
         raise ValueError(f"{far_user!r} is not a far user (expected A, B or C)")
     sigma, eps = _columns(stats)
-    value = _far_values(sigma[3:], eps[3:], params.alpha, params.beta,
-                        params.rho)[u - 3]
+    value = _far_users(sigma, eps, params)[u - 3]
     return max(params.band_fractions[u - 3] * value, 0.0)
 
 
@@ -233,13 +252,14 @@ def total_esc_closed(stats: LinkStatistics, params: SystemParams) -> float:
     the far users' rates once while their inputs stay the same.
     """
     sigma, eps = _columns(stats)
-    e1 = {}
-    near = [_near_value(sigma[j], eps[j], params, j, e1) for j in range(3)]
-    far = _far_values(sigma[3:], eps[3:], params.alpha, params.beta,
-                      params.rho)
+    near = _near_values(sigma, eps, params, range(3), {})
+    far = _far_users(sigma, eps, params)
+    # each term is max(term, 0.0), which keeps a NaN or -0.0 term as it is
     total = 0.0
     for band, far_value in zip(params.band_fractions, far):
         for value in near:
-            total += max(band * value, 0.0)
-        total += max(band * far_value, 0.0)
+            term = band * value
+            total += 0.0 if term < 0.0 else term
+        term = band * far_value
+        total += 0.0 if term < 0.0 else term
     return total

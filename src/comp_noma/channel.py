@@ -8,7 +8,7 @@ which enter the SINR denominators as deterministic rho * sigma_eps terms.
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -35,21 +35,43 @@ class LinkStatistics:
             if np.shape(values) != (N_BS, N_USERS):
                 raise ValueError(f"{name} must have shape ({N_BS}, {N_USERS}), "
                                  f"got {np.shape(values)}")
-        # a chained comparison fails on a NaN, so each check passes only
-        # when every link does; the search for the link runs on failure
-        if not all(0 <= v < math.inf for v in eps.ravel().tolist()):
-            i, u = np.argwhere(~((eps >= 0) & (eps < np.inf)))[0]
-            raise ValueError(f"link (BS{i + 1}, UE{USERS[u]}): sigma_eps = "
-                             f"{eps[i, u]:.6g} must be nonnegative and finite")
-        if not all(0 < v < math.inf for v in hat.ravel().tolist()):
-            i, u = np.argwhere(~((hat > 0) & (hat < np.inf)))[0]
-            raise InfeasibleCsiError(
-                f"link (BS{i + 1}, UE{USERS[u]}): d^-v = "
-                f"{hat[i, u] + eps[i, u]:.6g} and sigma_eps = {eps[i, u]:.6g} "
-                f"leave no positive finite sigma_hat")
-        eps_sums = eps.sum(axis=0)
+        # A NaN or an infinity makes a list's sum NaN or infinite, and
+        # without them its min is exact: each first test passes only when
+        # every link does. The search for the link decides the rest, which
+        # includes finite values whose sum overflows.
+        values = eps.ravel().tolist()
+        if not (sum(values) < math.inf and min(values) >= 0.0):
+            bad = np.argwhere(~((eps >= 0) & (eps < np.inf)))
+            if len(bad):
+                i, u = bad[0]
+                raise ValueError(f"link (BS{i + 1}, UE{USERS[u]}): sigma_eps = "
+                                 f"{eps[i, u]:.6g} must be nonnegative and finite")
+        values = hat.ravel().tolist()
+        if not (sum(values) < math.inf and min(values) > 0.0):
+            bad = np.argwhere(~((hat > 0) & (hat < np.inf)))
+            if len(bad):
+                i, u = bad[0]
+                raise InfeasibleCsiError(
+                    f"link (BS{i + 1}, UE{USERS[u]}): d^-v = "
+                    f"{hat[i, u] + eps[i, u]:.6g} and sigma_eps = {eps[i, u]:.6g} "
+                    f"leave no positive finite sigma_hat")
+        # each user's sum over the BSs, added in BS order
+        eps_sums = eps[0] + eps[1]
+        eps_sums += eps[2]
         eps_sums.flags.writeable = False
         object.__setattr__(self, "eps_sums", eps_sums)
+
+
+def _is_real(value) -> bool:
+    """A Python or numpy real number that is not a bool."""
+    return type(value) is float or (isinstance(value, Real)
+                                    and not isinstance(value, bool))
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer that is not a bool."""
+    return type(value) is int or (isinstance(value, Integral)
+                                  and not isinstance(value, bool))
 
 
 def derive_link_statistics(layout: NetworkLayout, pathloss_exponent=4.0,
@@ -59,19 +81,35 @@ def derive_link_statistics(layout: NetworkLayout, pathloss_exponent=4.0,
     sigma_eps is one error variance for every link, or a (3, 6) array of
     per-link variances, rows = BS, columns = users 1..3, A..C.
     """
+    if not _is_real(pathloss_exponent):
+        raise ValueError(f"pathloss_exponent must be a real number, "
+                         f"got {pathloss_exponent!r}")
     v = float(pathloss_exponent)
     if not 0 < v < np.inf:
         raise ValueError(f"path-loss exponent must be positive and finite, got {v}")
-    shape = np.shape(sigma_eps)
+    if _is_real(sigma_eps):
+        shape = ()
+    else:
+        # a copy, so that the statistics cannot change under the caller
+        try:
+            array = np.array(sigma_eps)
+        except ValueError:
+            raise ValueError(f"sigma_eps must be a scalar or have shape "
+                             f"({N_BS}, {N_USERS}), got a ragged sequence") from None
+        if array.dtype.kind not in "iuf":
+            raise ValueError(f"sigma_eps must be a real number or an array of "
+                             f"reals, got {sigma_eps!r}")
+        sigma_eps, shape = array, array.shape
     if shape == ():
         if not 0 <= sigma_eps < np.inf:
             raise ValueError(
                 f"sigma_eps must be nonnegative and finite, got {sigma_eps}")
-        eps = np.full((N_BS, N_USERS), float(sigma_eps))
+        # what np.full does, without its conversions
+        eps = np.empty((N_BS, N_USERS))
+        eps.fill(float(sigma_eps))
     elif shape == (N_BS, N_USERS):
-        # a copy, so that the statistics cannot change under the caller;
         # LinkStatistics checks each link
-        eps = np.array(sigma_eps, dtype=np.float64)
+        eps = sigma_eps.astype(np.float64, copy=False)
     else:
         raise ValueError(f"sigma_eps must be a scalar or have shape "
                          f"({N_BS}, {N_USERS}), got {shape}")
@@ -81,11 +119,18 @@ def derive_link_statistics(layout: NetworkLayout, pathloss_exponent=4.0,
     # float64), naming the link
     with np.errstate(over="ignore", divide="ignore"):
         power = d ** (-v)
-    return LinkStatistics(power - eps, eps)
+    power -= eps
+    return LinkStatistics(power, eps)
+
+
+def check_count(name: str, count: int) -> None:
+    """Reject a trial or worker count that is not a positive integer."""
+    if not _is_integer(count) or count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {count!r}")
 
 
 def check_seed(seed: int) -> None:
     """Reject seeds the 64-bit counter stream would otherwise wrap or round."""
-    if not isinstance(seed, Integral) or not 0 <= seed < 2 ** 64:
+    if not _is_integer(seed) or not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 

@@ -35,9 +35,16 @@ def user_index(user) -> int:
 class NetworkLayout:
     """Positions of the 3 base stations and 6 users, in units of the cell radius."""
 
-    bs_positions: np.ndarray        # (3, 2)
-    near_user_positions: np.ndarray  # (3, 2), users 1..3
-    far_user_positions: np.ndarray   # (3, 2), users A..C
+    bs_positions: np.ndarray    # (3, 2)
+    user_positions: np.ndarray  # (6, 2), users 1..3, A..C
+
+    @property
+    def near_user_positions(self) -> np.ndarray:
+        return self.user_positions[:3]
+
+    @property
+    def far_user_positions(self) -> np.ndarray:
+        return self.user_positions[3:]
 
 
 def _unit_cell_sites() -> tuple:
@@ -73,19 +80,22 @@ def build_layout(near_radii, far_radii) -> NetworkLayout:
     far_radii = [float(r) for r in far_radii]
     if len(near_radii) != 3 or len(far_radii) != 3:
         raise ValueError("expected exactly three near radii and three far radii")
-    for user, r in zip(USERS, near_radii + far_radii):
+    radii = near_radii + far_radii
+    for user, r in zip(USERS, radii):
         if not 0 < r <= 1.0:
             kind = "near" if user in NEAR_USERS else "far"
             raise ValueError(f"{kind} user {user}: radius {r} outside (0, 1]")
 
-    positions = _USER_SITES + np.array(near_radii + far_radii)[:, None] * _USER_RAYS
-    return NetworkLayout(_BS_SITES, positions[:3], positions[3:])
+    positions = np.array(radii)[:, None] * _USER_RAYS
+    positions += _USER_SITES
+    return NetworkLayout(_BS_SITES, positions)
 
 
 def distance_matrix(layout: NetworkLayout) -> np.ndarray:
     """All 18 link distances as a (3, 6) array, rows = BS, cols = users 1..3,A..C."""
-    positions = np.concatenate((layout.near_user_positions,
-                                layout.far_user_positions))
-    diff = layout.bs_positions[:, None, :] - positions[None, :, :]
-    # the Euclidean norm over the last axis, as np.linalg.norm computes it
-    return np.sqrt(np.add.reduce(diff * diff, axis=2))
+    diff = layout.bs_positions[:, None, :] - layout.user_positions
+    # the Euclidean norm over the last axis, as np.linalg.norm computes it:
+    # its sum of the two squares is one addition
+    diff *= diff
+    distances = diff[..., 0] + diff[..., 1]
+    return np.sqrt(distances, out=distances)

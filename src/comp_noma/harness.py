@@ -289,20 +289,27 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list:
     rays; far users stay fixed. Rows come out ordered by (sweep_value, scheme).
     """
     rows = []
+    swept = cfg.sweep_kind.field
+    far_radii = (cfg.far_radius,) * 3
+    params_key = params = None
     # Python floats, so that SystemParams and the closed form's scalar loops
     # see the same types on every sweep kind
     for value in cfg.sweep_values().tolist():
-        point = {**vars(cfg), cfg.sweep_kind.field: value}
-        layout = build_layout((point["near_radius"],) * 3,
-                              (cfg.far_radius,) * 3)
+        point = {**vars(cfg), swept: value}
+        layout = build_layout((point["near_radius"],) * 3, far_radii)
         try:
             stats = derive_link_statistics(layout, cfg.pathloss_exponent,
                                            cfg.sigma_eps)
         except InfeasibleCsiError as exc:
             raise InfeasibleCsiError(
                 f"sweep value {value:.6g}: {exc}") from exc
-        params = SystemParams(alpha=point["alpha"], rho=db_to_linear(point["rho_db"]),
-                              upsilon=cfg.upsilon)
+        # built again only where alpha or the SNR moves: once on a
+        # near-radius sweep
+        if (point["alpha"], point["rho_db"]) != params_key:
+            params_key = point["alpha"], point["rho_db"]
+            params = SystemParams(alpha=point["alpha"],
+                                  rho=db_to_linear(point["rho_db"]),
+                                  upsilon=cfg.upsilon)
         for scheme in cfg.schemes:
             estimate = estimate_esc(stats, params, scheme, cfg.trials,
                                     cfg.seed, workers)

@@ -11,13 +11,12 @@ import collections
 import math
 import threading
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from . import kernels
 from .analytic import total_esc_closed
-from .channel import LinkStatistics, check_seed
+from .channel import LinkStatistics, check_count, check_seed
 from .geometry import USERS
 from .schemes import SchemeId, SystemParams
 
@@ -45,9 +44,10 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
     threads compute, the calling thread among them, and none outlives the
     call; the first error a chunk raises is raised here.
     """
-    for name, count in (("trials", trials), ("workers", workers)):
-        if not isinstance(count, Integral) or count < 1:
-            raise ValueError(f"{name} must be a positive integer, got {count!r}")
+    if not isinstance(scheme, SchemeId):
+        raise TypeError(f"scheme must be a SchemeId, got {scheme!r}")
+    check_count("trials", trials)
+    check_count("workers", workers)
     check_seed(seed)
     chunk = kernels.CHUNK_TRIALS
     n_chunks = (trials + chunk - 1) // chunk
@@ -67,13 +67,14 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
         # Summing over its outer axis adds the users in order, one row at a
         # time, as rates.sum(axis=1) does, which keeps mean_total and
         # ci95_halfwidth bit-identical to a C-ordered reduction; per-user
-        # sums are numpy's pairwise row sums.
+        # sums are numpy's pairwise row sums. np.add.reduce is what
+        # ndarray.sum calls, without the Python wrapper around it.
         by_user = rates.T
-        totals = by_user.sum(axis=0)
-        chunk_moments[0, index] = totals.sum()
+        totals = np.add.reduce(by_user, axis=0)
+        chunk_moments[0, index] = np.add.reduce(totals)
         totals *= totals
-        chunk_moments[1, index] = totals.sum()
-        chunk_user_sums[index] = by_user.sum(axis=1)
+        chunk_moments[1, index] = np.add.reduce(totals)
+        chunk_user_sums[index] = np.add.reduce(by_user, axis=1)
 
     # The calling thread and min(workers, n_chunks) - 1 helpers take chunk
     # indices from one iterator; next() on a range iterator is one C call
@@ -105,9 +106,9 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
         raise errors[0]
 
     # each row reduces as the 1-d sum of its chunks would, pairwise in order
-    total_sum, total_sumsq = chunk_moments.sum(axis=1).tolist()
+    total_sum, total_sumsq = np.add.reduce(chunk_moments, axis=1).tolist()
     mean_total = total_sum / trials
-    per_user = chunk_user_sums.sum(axis=0) / trials
+    per_user = np.add.reduce(chunk_user_sums, axis=0) / trials
     if trials > 1:
         variance = (total_sumsq - trials * mean_total ** 2) / (trials - 1)
         variance = max(variance, 0.0)

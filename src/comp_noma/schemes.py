@@ -16,10 +16,19 @@ from . import kernels
 
 
 class SchemeId(enum.Enum):
-    OMA = "oma"
-    NOMA = "noma"
-    VPNOMA = "vpnoma"
-    COMP_VPNOMA = "comp-vpnoma"
+    """A transmission scheme: its CSV token (the value) and the code that
+    selects its rates in kernels.scheme_rates."""
+
+    OMA = ("oma", kernels.OMA_CODE)
+    NOMA = ("noma", kernels.NOMA_CODE)
+    VPNOMA = ("vpnoma", kernels.VPNOMA_CODE)
+    COMP_VPNOMA = ("comp-vpnoma", kernels.COMP_VPNOMA_CODE)
+
+    def __new__(cls, token, code):
+        scheme = object.__new__(cls)
+        scheme._value_ = token
+        scheme.code = code
+        return scheme
 
     @property
     def token(self) -> str:
@@ -32,18 +41,6 @@ class SchemeId(enum.Enum):
                 return scheme
         raise ValueError(f"unknown scheme {token!r}; expected one of "
                          f"{', '.join(s.value for s in cls)}")
-
-    @property
-    def code(self) -> int:
-        return _SCHEME_CODES[self]
-
-
-_SCHEME_CODES = {
-    SchemeId.OMA: kernels.OMA_CODE,
-    SchemeId.NOMA: kernels.NOMA_CODE,
-    SchemeId.VPNOMA: kernels.VPNOMA_CODE,
-    SchemeId.COMP_VPNOMA: kernels.COMP_VPNOMA_CODE,
-}
 
 
 @dataclass(frozen=True)

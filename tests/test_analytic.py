@@ -39,6 +39,17 @@ class TestExponentialIntegral:
             with pytest.raises(ValueError, match="x < 0"):
                 exp_integral_ei(x)
 
+    def test_underflow_to_zero_skips_the_continued_fraction(self,
+                                                             monkeypatch):
+        def unreachable(z, tolerance=0.0):
+            raise AssertionError(f"continued fraction entered at z={z}")
+
+        want = -math.exp(-800.0) * analytic._e1_scaled_cf(800.0)
+        monkeypatch.setattr(analytic, "_e1_scaled_cf", unreachable)
+        for x in (-800.0, -1e300, -math.inf):
+            value = exp_integral_ei(x)
+            assert value == want == 0.0 and math.copysign(1.0, value) == -1.0
+
     def test_strictly_negative_and_decreasing_toward_zero(self):
         grid = -np.logspace(np.log10(1e-6), np.log10(500.0), 200)
         values = np.array([exp_integral_ei(x) for x in grid])
@@ -126,8 +137,9 @@ class TestHypoexpLogMean:
             hypoexp_log2_mean([1.0, -2.0], 1.5)
         with pytest.raises(ValueError, match="positive"):
             hypoexp_log2_mean([0.0], 1.5)
-        with pytest.raises(ValueError, match="shift"):
-            hypoexp_log2_mean([1.0], 0.5)
+        for shift in (0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="shift"):
+                hypoexp_log2_mean([1.0], shift)
         with pytest.raises(ValueError, match="non-empty"):
             hypoexp_log2_mean([], 1.5)
 

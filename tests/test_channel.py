@@ -3,6 +3,7 @@ import pytest
 
 from comp_noma import (InfeasibleCsiError, LinkStatistics, build_layout,
                        derive_link_statistics)
+from comp_noma import channel
 from comp_noma.channel import check_seed
 from oracles import kernel_gains, link, per_link
 
@@ -89,6 +90,38 @@ def test_non_finite_inputs_rejected_by_name(default_layout):
                                    per_link(0.001, {(2, "B"): bad}))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("sigma_eps", [[0.001] * 6, [0.001] * 6, [0.001] * 5]),
+    ("sigma_eps", "0.001"),
+    ("sigma_eps", True),
+    ("sigma_eps", np.full((3, 6), True)),
+    ("pathloss_exponent", "4"),
+    ("pathloss_exponent", True),
+], ids=["sigma_eps-ragged", "sigma_eps-string", "sigma_eps-bool",
+        "sigma_eps-bool-array", "pathloss_exponent-string",
+        "pathloss_exponent-bool"])
+def test_arguments_of_other_types_are_rejected_by_name(default_layout, monkeypatch,
+                                                       name, value):
+    # rejected before any arithmetic: the distances are never computed
+    monkeypatch.setattr(channel, "distance_matrix", None)
+    args = {"pathloss_exponent": 4.0, "sigma_eps": 0.001, name: value}
+    with pytest.raises(ValueError, match=name):
+        derive_link_statistics(default_layout, **args)
+
+
+@pytest.mark.parametrize("exponent, sigma_eps", [
+    (4, 0.001), (np.float64(4.0), np.float64(0.001)),
+    (np.float32(4.0), np.float32(0.001)), (np.int64(4), 0),
+])
+def test_python_and_numpy_scalars_are_accepted(default_layout, exponent,
+                                               sigma_eps):
+    stats = derive_link_statistics(default_layout, exponent, sigma_eps)
+    plain = derive_link_statistics(default_layout, float(exponent),
+                                   float(sigma_eps))
+    for name in ("sigma_hat", "sigma_eps", "eps_sums"):
+        assert getattr(stats, name).tobytes() == getattr(plain, name).tobytes()
+
+
 def test_overflowing_sigma_hat_names_its_link():
     # the near users' serving links are too short to raise to -4 in float64
     layout = build_layout((1e-80,) * 3, (0.95,) * 3)
@@ -156,7 +189,7 @@ def test_scaling_one_links_variance_scales_its_gain_exactly():
 
 
 def test_seed_must_be_a_64_bit_integer():
-    for seed in (-1, 2**64, 1.5):
+    for seed in (-1, 2**64, 1.5, True):
         with pytest.raises(ValueError, match="seed"):
             check_seed(seed)
     check_seed(2**64 - 1)

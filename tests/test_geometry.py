@@ -86,8 +86,7 @@ def test_distances_invariant_under_rotation_and_translation(default_layout):
 
     transformed = NetworkLayout(
         moved(default_layout.bs_positions),
-        moved(default_layout.near_user_positions),
-        moved(default_layout.far_user_positions),
+        moved(default_layout.user_positions),
     )
     original = distance_matrix(default_layout)
     assert np.allclose(distance_matrix(transformed), original, atol=1e-12)

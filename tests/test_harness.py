@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from comp_noma import (ConfigError, InfeasibleCsiError, SchemeId, SweepConfig,
-                       SweepKind, emit_plot, parse_config, read_results,
-                       run_sweep, write_results)
+                       SweepKind, SystemParams, build_layout, db_to_linear,
+                       derive_link_statistics, emit_plot, parse_config,
+                       read_results, run_sweep, write_results)
 from comp_noma import analytic, harness, kernels
 from comp_noma.montecarlo import estimate_esc
 from oracles import largest_accepted, sweep_point_passes
@@ -317,6 +319,32 @@ class TestRunSweep:
         rows = run_sweep(parse_config("sweep=alpha\nrho_db=-200\nsteps=2\n"
                                       "trials=100\nschemes=comp-vpnoma"))
         assert all(math.isfinite(row.esc_analytic) for row in rows)
+
+    @pytest.mark.parametrize("trials", [2000, kernels.CHUNK_TRIALS + 1],
+                             ids=["one-chunk", "two-chunk"])
+    @pytest.mark.parametrize("kind", list(SweepKind))
+    def test_a_sweep_adds_nothing_to_its_points(self, kind, trials):
+        # every row equals the estimate made from the public constructors
+        # for its point alone
+        cfg = parse_config(f"sweep={kind.value}\nsteps=2\ntrials={trials}\n")
+        rows = iter(run_sweep(cfg))
+        for value in cfg.sweep_values().tolist():
+            point = dataclasses.replace(cfg, **{kind.field: value})
+            layout = build_layout((point.near_radius,) * 3,
+                                  (point.far_radius,) * 3)
+            stats = derive_link_statistics(layout, point.pathloss_exponent,
+                                           point.sigma_eps)
+            params = SystemParams(alpha=point.alpha,
+                                  rho=db_to_linear(point.rho_db),
+                                  upsilon=point.upsilon)
+            for scheme in cfg.schemes:
+                row = next(rows)
+                alone = estimate_esc(stats, params, scheme, trials, cfg.seed)
+                assert (row.sweep_value, row.scheme) == (value, scheme)
+                assert row.esc_mc == alone.mean_total
+                assert row.esc_ci95 == alone.ci95_halfwidth
+                assert row.esc_analytic == alone.analytic_total
+        assert next(rows, None) is None
 
     def test_infeasible_csi_reports_sweep_value(self):
         cfg = parse_config("trials=100\nsteps=3\nsweep=near-radius\n"

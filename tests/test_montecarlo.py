@@ -221,8 +221,8 @@ def test_nonpositive_workers_rejected(default_stats, params_20db):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("trials", 2.7), ("trials", "100"), ("trials", 100.0),
-    ("workers", 2.5), ("workers", "2"), ("workers", 2.0),
+    ("trials", 2.7), ("trials", "100"), ("trials", 100.0), ("trials", True),
+    ("workers", 2.5), ("workers", "2"), ("workers", 2.0), ("workers", True),
 ])
 def test_counts_that_are_not_integers_rejected(default_stats, params_20db,
                                                name, value):
@@ -233,6 +233,12 @@ def test_counts_that_are_not_integers_rejected(default_stats, params_20db,
             f"{name} must be a positive integer, got {value!r}")):
         estimate_esc(default_stats, params_20db, SchemeId.OMA, seed=1,
                      **counts)
+
+
+def test_a_scheme_that_is_not_a_scheme_id_is_rejected_by_name(default_stats,
+                                                             params_20db):
+    with pytest.raises(TypeError, match="scheme must be a SchemeId, got 'oma'"):
+        estimate_esc(default_stats, params_20db, "oma", trials=10, seed=1)
 
 
 def test_numpy_integer_counts_are_accepted(default_stats, params_20db):
