@@ -8,11 +8,11 @@ which enter the SINR denominators as deterministic rho * sigma_eps terms.
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
-from .geometry import N_BS, N_USERS, USERS, NetworkLayout, distance_matrix
+from .geometry import N_BS, N_USERS, USERS, _is_real, distance_matrix
 
 
 class InfeasibleCsiError(ValueError):
@@ -62,21 +62,16 @@ class LinkStatistics:
         object.__setattr__(self, "eps_sums", eps_sums)
 
 
-def _is_real(value) -> bool:
-    """A Python or numpy real number that is not a bool."""
-    return type(value) is float or (isinstance(value, Real)
-                                    and not isinstance(value, bool))
-
-
 def _is_integer(value) -> bool:
     """A Python or numpy integer that is not a bool."""
     return type(value) is int or (isinstance(value, Integral)
                                   and not isinstance(value, bool))
 
 
-def derive_link_statistics(layout: NetworkLayout, pathloss_exponent=4.0,
+def derive_link_statistics(positions: np.ndarray, pathloss_exponent=4.0,
                            sigma_eps=0.001) -> LinkStatistics:
-    """Compute sigma_hat = d^-v - sigma_eps for every link of the layout.
+    """Compute sigma_hat = d^-v - sigma_eps for every link to the (6, 2) user
+    positions that build_layout returns.
 
     sigma_eps is one error variance for every link, or a (3, 6) array of
     per-link variances, rows = BS, columns = users 1..3, A..C.
@@ -114,7 +109,7 @@ def derive_link_statistics(layout: NetworkLayout, pathloss_exponent=4.0,
         raise ValueError(f"sigma_eps must be a scalar or have shape "
                          f"({N_BS}, {N_USERS}), got {shape}")
 
-    d = distance_matrix(layout)
+    d = distance_matrix(positions)
     # LinkStatistics rejects an infinite mean power (d too short for
     # float64), naming the link
     with np.errstate(over="ignore", divide="ignore"):

@@ -7,7 +7,7 @@ serving base station toward the centroid, which clusters the far users at the
 common cell edge. Lengths are in units of the cell radius, R = 1.
 """
 
-from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -31,20 +31,10 @@ def user_index(user) -> int:
     raise ValueError(f"unknown user id {user!r}")
 
 
-@dataclass(frozen=True)
-class NetworkLayout:
-    """Positions of the 3 base stations and 6 users, in units of the cell radius."""
-
-    bs_positions: np.ndarray    # (3, 2)
-    user_positions: np.ndarray  # (6, 2), users 1..3, A..C
-
-    @property
-    def near_user_positions(self) -> np.ndarray:
-        return self.user_positions[:3]
-
-    @property
-    def far_user_positions(self) -> np.ndarray:
-        return self.user_positions[3:]
+def _is_real(value) -> bool:
+    """A Python or numpy real number that is not a bool."""
+    return type(value) is float or (isinstance(value, Real)
+                                    and not isinstance(value, bool))
 
 
 def _unit_cell_sites() -> tuple:
@@ -66,34 +56,41 @@ def _unit_cell_sites() -> tuple:
     return bs, user_sites, user_rays
 
 
-# Every layout holds the same sites, so they are built once and read-only.
+# The sites never move, so they are built once and read-only.
 _BS_SITES, _USER_SITES, _USER_RAYS = _unit_cell_sites()
 
 
-def build_layout(near_radii, far_radii) -> NetworkLayout:
-    """Place base stations and users for the symmetric three-cell scenario.
+def build_layout(near_radii, far_radii) -> np.ndarray:
+    """Place the six users of the symmetric three-cell scenario.
 
     near_radii / far_radii give each cell's user distance from its serving
-    base station along the ray toward the centroid; all must lie in (0, 1].
+    base station along the ray toward the centroid; each must be a real
+    number in (0, 1]. Returns the read-only (6, 2) user positions, rows
+    users 1..3, A..C.
     """
-    near_radii = [float(r) for r in near_radii]
-    far_radii = [float(r) for r in far_radii]
+    near_radii, far_radii = tuple(near_radii), tuple(far_radii)
     if len(near_radii) != 3 or len(far_radii) != 3:
         raise ValueError("expected exactly three near radii and three far radii")
     radii = near_radii + far_radii
     for user, r in zip(USERS, radii):
+        kind = "near" if user in NEAR_USERS else "far"
+        if not _is_real(r):
+            raise ValueError(f"{kind} user {user}: radius {r!r} is not a "
+                             f"real number")
         if not 0 < r <= 1.0:
-            kind = "near" if user in NEAR_USERS else "far"
-            raise ValueError(f"{kind} user {user}: radius {r} outside (0, 1]")
+            raise ValueError(f"{kind} user {user}: radius {float(r)} outside "
+                             f"(0, 1]")
 
-    positions = np.array(radii)[:, None] * _USER_RAYS
+    positions = np.array(radii, dtype=np.float64)[:, None] * _USER_RAYS
     positions += _USER_SITES
-    return NetworkLayout(_BS_SITES, positions)
+    positions.flags.writeable = False
+    return positions
 
 
-def distance_matrix(layout: NetworkLayout) -> np.ndarray:
-    """All 18 link distances as a (3, 6) array, rows = BS, cols = users 1..3,A..C."""
-    diff = layout.bs_positions[:, None, :] - layout.user_positions
+def distance_matrix(positions: np.ndarray) -> np.ndarray:
+    """All 18 link distances from the base-station sites to the (6, 2) user
+    positions, as a (3, 6) array, rows = BS, cols = users 1..3,A..C."""
+    diff = _BS_SITES[:, None, :] - positions
     # the Euclidean norm over the last axis, as np.linalg.norm computes it:
     # its sum of the two squares is one addition
     diff *= diff

@@ -240,7 +240,7 @@ def _closed_form_error(p: dict, rho: float):
     equal rates (at most 0.02%). z falls as rho, alpha or the near radius
     grows, so a sweep whose two ends pass passes at every point.
     """
-    # The ends' layouts and statistics are built through their modules, so
+    # The ends' positions and statistics are built through their modules, so
     # that the names run_sweep calls stay one call per sweep point.
     try:
         stats = channel.derive_link_statistics(
@@ -296,9 +296,9 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list:
     # see the same types on every sweep kind
     for value in cfg.sweep_values().tolist():
         point = {**vars(cfg), swept: value}
-        layout = build_layout((point["near_radius"],) * 3, far_radii)
+        positions = build_layout((point["near_radius"],) * 3, far_radii)
         try:
-            stats = derive_link_statistics(layout, cfg.pathloss_exponent,
+            stats = derive_link_statistics(positions, cfg.pathloss_exponent,
                                            cfg.sigma_eps)
         except InfeasibleCsiError as exc:
             raise InfeasibleCsiError(

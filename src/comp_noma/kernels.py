@@ -122,26 +122,24 @@ def sample_gains(seed, start_trial, n):
     return _draws(seed, start_trial, n)
 
 
-def scheme_rates(draws, scheme_code, alpha, beta, rho, upsilon, band,
-                 eps_sums, sigma_hat):
+def scheme_rates(draws, scheme_code, params, stats):
     """Per-user bandwidth-normalized rates (n, 6) for one scheme.
 
-    draws are sample_gains draws and sigma_hat the (3, 6) per-link means;
-    each gain is formed here while the SINR denominators are built. The
-    result is a view of user-major memory: each user's rates over the chunk
-    are contiguous. Each SINR is evaluated in the left-to-right order of its
+    draws are sample_gains draws, params a schemes.SystemParams and stats a
+    channel.LinkStatistics, whose (3, 6) per-link means sigma_hat turn each
+    draw into a gain while the SINR denominators are built. The result is a
+    view of user-major memory: each user's rates over the chunk are
+    contiguous. Each SINR is evaluated in the left-to-right order of its
     formula, so every rate is reproducible to the last bit.
     """
     if scheme_code not in (OMA_CODE, NOMA_CODE, VPNOMA_CODE, COMP_VPNOMA_CODE):
         raise ValueError(f"unknown scheme code {scheme_code!r}")
     n = draws.shape[0]
-    args = (draws, scheme_code, alpha, beta, rho, upsilon, band, eps_sums,
-            sigma_hat)
     # A full chunk keeps the caller's buffer: setting and restoring it makes
     # a full-chunk call about 20 us (2-3%) slower on a 2-vCPU Xeon guest,
     # and the default SNR sweep about 2% slower end to end.
     if n >= CHUNK_TRIALS:
-        return _scheme_rates(*args)
+        return _scheme_rates(draws, scheme_code, params, stats)
     # numpy's iterator copies a broadcast row shorter than its ufunc buffer
     # into that buffer: a (6, 1) column times a 2,000-trial row costs about
     # three times as much as with a buffer no longer than the row. The
@@ -149,24 +147,24 @@ def scheme_rates(draws, scheme_code, alpha, beta, rho, upsilon, band,
     # on it, and there are no reductions here.
     caller = np.setbufsize(max(16, n - n % 16))
     try:
-        return _scheme_rates(*args)
+        return _scheme_rates(draws, scheme_code, params, stats)
     finally:
         np.setbufsize(caller)
 
 
-def _scheme_rates(draws, scheme_code, alpha, beta, rho, upsilon, band, eps_sums,
-                  sigma_hat):
+def _scheme_rates(draws, scheme_code, params, stats):
+    alpha, rho, band = params.alpha, params.rho, params.band_fractions
     n = draws.shape[0]
     # Row i*N_USERS + u is link (BS i, user u); copied only when the draws
     # are not link-major already.
     d = np.ascontiguousarray(np.transpose(draws, (1, 2, 0))).reshape(N_LINKS, n)
     # each gain is draw × (−σ̂), the same IEEE product as −log(u)·σ̂, since
     # negation is exact; σ̂ is negated once for all 18 links
-    neg_sigma = -np.asarray(sigma_hat, dtype=np.float64).reshape(N_LINKS, 1)
+    neg_sigma = -stats.sigma_hat.reshape(N_LINKS, 1)
     near_links = slice(0, None, N_USERS + 1)     # links (j, j)
     far_links = slice(N_BS, None, N_USERS + 1)   # links (k, 3 + k)
     arho = alpha * rho
-    brho = beta * rho
+    brho = params.beta * rho
 
     # One SINR denominator per user, built in place so that the whole chunk
     # takes one pass of each step: row u starts as user u's gain summed over
@@ -212,9 +210,9 @@ def _scheme_rates(draws, scheme_code, alpha, beta, rho, upsilon, band, eps_sums,
             far *= brho
         near_scale = band[0] + band[1] + band[2]
         scale = (near_scale,) * N_BS + tuple(band)
-    den += (rho * eps_sums)[:, None]
+    den += (rho * stats.eps_sums)[:, None]
     if scheme_code != OMA_CODE:
-        near_den += rho * upsilon
+        near_den += rho * params.upsilon
     den += 1.0
     # rate = scale * log2(1 + signal/den) for all six users at once; a scale
     # of 1.0 leaves a rate unchanged to the bit.

@@ -59,10 +59,7 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
         start = index * chunk
         count = min(chunk, trials - start)
         draws = kernels.sample_gains(seed, start, count)
-        rates = kernels.scheme_rates(draws, scheme.code, params.alpha,
-                                     params.beta, params.rho, params.upsilon,
-                                     params.band_fractions, stats.eps_sums,
-                                     stats.sigma_hat)
+        rates = kernels.scheme_rates(draws, scheme.code, params, stats)
         # by_user is the kernel's contiguous user-major (6, count) buffer.
         # Summing over its outer axis adds the users in order, one row at a
         # time, as rates.sum(axis=1) does, which keeps mean_total and

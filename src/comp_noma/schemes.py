@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
+from .geometry import _is_real
 
 
 class SchemeId(enum.Enum):
@@ -58,6 +59,10 @@ class SystemParams:
     band_fractions: tuple = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
     def __post_init__(self):
+        for name in ("alpha", "rho", "upsilon"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.alpha < 0.25:
             raise ValueError(f"alpha must lie in (0, 0.25), got {self.alpha}")
         if not 0 < self.rho < math.inf:
@@ -65,10 +70,12 @@ class SystemParams:
         if not 0 <= self.upsilon < math.inf:
             raise ValueError(
                 f"upsilon must be nonnegative and finite, got {self.upsilon}")
-        fractions = tuple(float(b) for b in self.band_fractions)
-        if len(fractions) != 3 or not all(0 < b < math.inf for b in fractions):
+        fractions = tuple(self.band_fractions)
+        if len(fractions) != 3 or not all(_is_real(b) and 0 < b < math.inf
+                                          for b in fractions):
             raise ValueError(f"band_fractions must be three positive finite "
                              f"reals, got {self.band_fractions}")
+        fractions = tuple(float(b) for b in fractions)
         if abs(sum(fractions) - 1.0) > 1e-12:
             raise ValueError(f"band_fractions must sum to 1, got {sum(fractions)}")
         object.__setattr__(self, "band_fractions", fractions)

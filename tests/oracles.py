@@ -18,8 +18,8 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from comp_noma import (ConfigError, InfeasibleCsiError, SchemeId,
-                       build_layout, derive_link_statistics, kernels,
+from comp_noma import (ConfigError, InfeasibleCsiError, LinkStatistics,
+                       SchemeId, build_layout, derive_link_statistics, kernels,
                        parse_config)
 from comp_noma.geometry import user_index
 from comp_noma.kernels import (COMP_VPNOMA_CODE, N_BS, N_LINKS, N_USERS,
@@ -190,15 +190,14 @@ def per_link(value, links):
 
 def gain_rates(gain, stats, params, scheme):
     """Per-user rates (6,) of one (3, 6) gain matrix, from the estimator's
-    rate kernel; stats supplies only the per-user sigma_eps sums.
+    rate kernel; stats supplies only the per-link sigma_eps.
 
     The kernel forms each gain as draw × (−σ̂). With draws −gain and σ̂ = 1
     that product is the gain itself, since negation and ×1.0 are exact.
     """
-    return kernels.scheme_rates(
-        -np.asarray(gain, dtype=float)[None], scheme.code, params.alpha,
-        params.beta, params.rho, params.upsilon, params.band_fractions,
-        stats.eps_sums, np.ones((N_BS, N_USERS)))[0]
+    unit = LinkStatistics(np.ones((N_BS, N_USERS)), stats.sigma_eps)
+    return kernels.scheme_rates(-np.asarray(gain, dtype=float)[None],
+                                scheme.code, params, unit)[0]
 
 
 def gains_reference(seed, start_trial, n, sigma_hat):
@@ -220,9 +219,11 @@ def gains_reference(seed, start_trial, n, sigma_hat):
     return out
 
 
-def rates_reference(gains, scheme_code, alpha, beta, rho, upsilon, band,
-                    eps_sums):
-    """Per-user rates (n, 6) evaluated one trial and one user at a time."""
+def rates_reference(gains, scheme_code, params, stats):
+    """Per-user rates (n, 6) evaluated one trial and one user at a time;
+    stats supplies only the per-user sigma_eps sums."""
+    alpha, rho, upsilon = params.alpha, params.rho, params.upsilon
+    beta, band, eps_sums = params.beta, params.band_fractions, stats.eps_sums
     n = gains.shape[0]
     out = np.empty((n, N_USERS))
     arho = alpha * rho

@@ -86,14 +86,10 @@ def test_criterion_3_comp_never_loses_per_realization():
     stats = default_setup()
     params = params_at(20.0)
     draws = kernels.sample_gains(303, 0, 10_000)
-    band = params.band_fractions
-    eps_sums = stats.eps_sums
-    comp = kernels.scheme_rates(draws, SchemeId.COMP_VPNOMA.code, params.alpha,
-                                params.beta, params.rho, params.upsilon, band,
-                                eps_sums, stats.sigma_hat)[:, 3:]
-    vp = kernels.scheme_rates(draws, SchemeId.VPNOMA.code, params.alpha,
-                              params.beta, params.rho, params.upsilon, band,
-                              eps_sums, stats.sigma_hat)[:, 3:]
+    comp = kernels.scheme_rates(draws, SchemeId.COMP_VPNOMA.code, params,
+                                stats)[:, 3:]
+    vp = kernels.scheme_rates(draws, SchemeId.VPNOMA.code, params,
+                              stats)[:, 3:]
     violations = int(np.sum(comp < vp))
     ok = violations == 0
     assert report(3, "per-realization CoMP dominance", ok,

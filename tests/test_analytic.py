@@ -146,10 +146,7 @@ class TestHypoexpLogMean:
 
 def per_user_standard_errors(stats, params, scheme, trials, seed):
     draws = kernels.sample_gains(seed, 0, trials)
-    rates = kernels.scheme_rates(draws, scheme.code, params.alpha, params.beta,
-                                 params.rho, params.upsilon,
-                                 params.band_fractions,
-                                 stats.eps_sums, stats.sigma_hat)
+    rates = kernels.scheme_rates(draws, scheme.code, params, stats)
     return rates.std(axis=0, ddof=1)
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from comp_noma import NetworkLayout, build_layout, distance_matrix, geometry
+from comp_noma import build_layout, distance_matrix, geometry
 from comp_noma.geometry import user_index
 from oracles import distance_plain, layout_plain, link
 
 SQRT_1_75 = 1.3228756555322953  # sqrt(1.75), BS2 -> UE1 at near radius 0.5
+BS_SITES = geometry._BS_SITES
 
 
 def test_near_user_placed_on_own_ray(default_layout):
@@ -15,18 +16,17 @@ def test_near_user_placed_on_own_ray(default_layout):
     assert d[link(1, "A")] == pytest.approx(0.95, abs=1e-15)
 
 
-def test_centroid_is_unit_distance_from_every_base_station(default_layout):
-    centroid = default_layout.bs_positions.mean(axis=0)
-    for bs in default_layout.bs_positions:
+def test_centroid_is_unit_distance_from_every_base_station():
+    centroid = BS_SITES.mean(axis=0)
+    for bs in BS_SITES:
         assert np.linalg.norm(bs - centroid) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cross_link_distance_matches_coordinate_arithmetic(default_layout):
     # BS1=(0,0), BS2=(sqrt(3),0), UE1=(sqrt(3)/4, 1/4) -> sqrt(1.75)
-    assert default_layout.bs_positions[0] == pytest.approx([0.0, 0.0], abs=1e-15)
-    assert default_layout.bs_positions[1] == pytest.approx([np.sqrt(3.0), 0.0],
-                                                           abs=1e-15)
-    assert default_layout.near_user_positions[0] == pytest.approx(
+    assert BS_SITES[0] == pytest.approx([0.0, 0.0], abs=1e-15)
+    assert BS_SITES[1] == pytest.approx([np.sqrt(3.0), 0.0], abs=1e-15)
+    assert default_layout[0] == pytest.approx(
         [np.sqrt(3.0) / 4.0, 0.25], abs=1e-12)
     assert distance_matrix(default_layout)[link(2, 1)] == pytest.approx(
         SQRT_1_75, abs=1e-12)
@@ -75,25 +75,8 @@ def test_user_index_accepts_both_spellings():
     assert user_index("C") == 5
 
 
-def test_distances_invariant_under_rotation_and_translation(default_layout):
-    angle = 0.731
-    rot = np.array([[np.cos(angle), -np.sin(angle)],
-                    [np.sin(angle), np.cos(angle)]])
-    shift = np.array([2.5, -1.75])
-
-    def moved(points):
-        return points @ rot.T + shift
-
-    transformed = NetworkLayout(
-        moved(default_layout.bs_positions),
-        moved(default_layout.user_positions),
-    )
-    original = distance_matrix(default_layout)
-    assert np.allclose(distance_matrix(transformed), original, atol=1e-12)
-
-
-def test_base_stations_pairwise_distinct_and_equilateral(default_layout):
-    bs = default_layout.bs_positions
+def test_base_stations_pairwise_distinct_and_equilateral():
+    bs = BS_SITES
     sides = [np.linalg.norm(bs[i] - bs[j]) for i, j in ((0, 1), (1, 2), (0, 2))]
     assert np.allclose(sides, np.sqrt(3.0), atol=1e-12)
 
@@ -108,20 +91,38 @@ def test_layout_and_distances_match_the_plain_arithmetic_bitwise():
         # radii in (0, 1], some of them at the cell edge
         near, far = (1.0 - rng.random(3) for _ in range(2))
         far[rng.random(3) < 0.2] = 1.0
-        layout = build_layout(near, far)
+        positions = build_layout(near, far)
         bs, near_positions, far_positions = layout_plain(near, far)
-        assert _same_bits(layout.bs_positions, bs)
-        assert _same_bits(layout.near_user_positions, near_positions)
-        assert _same_bits(layout.far_user_positions, far_positions)
-        assert _same_bits(distance_matrix(layout),
+        assert _same_bits(BS_SITES, bs)
+        assert _same_bits(positions[:3], near_positions)
+        assert _same_bits(positions[3:], far_positions)
+        assert _same_bits(distance_matrix(positions),
                           distance_plain(bs, near_positions, far_positions))
 
 
 def test_layouts_of_one_cell_radius_share_read_only_sites():
-    first = build_layout((0.5,) * 3, (0.95,) * 3)
-    second = build_layout((0.2, 0.4, 0.6), (0.9,) * 3)
-    assert second.bs_positions is first.bs_positions
-    for array in (geometry._BS_SITES, geometry._USER_SITES,
+    positions = build_layout((0.2, 0.4, 0.6), (0.9,) * 3)
+    assert positions.shape == (6, 2)
+    for array in (positions, geometry._BS_SITES, geometry._USER_SITES,
                   geometry._USER_RAYS):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("radius, label", [
+    (True, "True"), (np.True_, "np.True_"), ("0.5", "'0.5'"),
+    (None, "None"), (1 + 0j, r"\(1\+0j\)"),
+])
+def test_radii_of_other_types_are_rejected_by_user(radius, label):
+    with pytest.raises(ValueError, match=f"near user 2: radius {label} is not "
+                                         f"a real number"):
+        build_layout((0.5, radius, 0.5), (0.95,) * 3)
+    with pytest.raises(ValueError, match="far user C: radius"):
+        build_layout((0.5,) * 3, (0.95, 0.95, radius))
+
+
+def test_python_and_numpy_real_radii_are_accepted_bitwise():
+    plain = build_layout((0.5, 0.25, 1.0), (0.95,) * 3)
+    for near in ((np.float64(0.5), np.float32(0.25), np.int64(1)),
+                 np.array([0.5, 0.25, 1.0]), (0.5, 0.25, 1)):
+        assert _same_bits(build_layout(near, (0.95,) * 3), plain)

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,13 +144,10 @@ def test_gains_are_bit_exact(default_stats, seed, start, n):
 def test_rates_are_bit_exact_in_any_gains_layout(name, code):
     stats, params, seed = _rate_case(name)
     draws = kernels.sample_gains(seed, 0, kernels.CHUNK_TRIALS)
-    band = params.band_fractions
-    eps_sums = stats.eps_sums
     for rho, expected in zip(RATE_RHOS, RATES_DIGESTS[(name, code)]):
+        at_rho = dataclasses.replace(params, rho=rho)
         for layout in (draws, np.ascontiguousarray(draws)):
-            rates = kernels.scheme_rates(layout, code, params.alpha,
-                                         params.beta, rho, params.upsilon,
-                                         band, eps_sums, stats.sigma_hat)
+            rates = kernels.scheme_rates(layout, code, at_rho, stats)
             assert rates.shape == (kernels.CHUNK_TRIALS, kernels.N_USERS)
             assert _digest(rates) == expected, (name, code, rho)
 
@@ -188,28 +187,24 @@ SHORT_RATES_DIGESTS = {
 def test_short_chunk_rates_are_bit_exact(n):
     stats, params, seed = _rate_case("uneven")
     draws = kernels.sample_gains(seed, 0, n)
-    band = params.band_fractions
-    eps_sums = stats.eps_sums
     for code, expected in enumerate(SHORT_RATES_DIGESTS[n]):
         digest = hashlib.sha256()
         for rho in RATE_RHOS:
-            rates = kernels.scheme_rates(draws, code, params.alpha,
-                                         params.beta, rho, params.upsilon,
-                                         band, eps_sums, stats.sigma_hat)
+            rates = kernels.scheme_rates(
+                draws, code, dataclasses.replace(params, rho=rho), stats)
             digest.update(rates.tobytes(order="C"))
         assert digest.hexdigest() == expected, (n, code)
 
 
 def test_rate_kernel_restores_the_callers_buffer_size():
     stats, params, seed = _rate_case("uneven")
-    band = params.band_fractions
-    eps_sums = stats.eps_sums
+    # a stand-in whose sigma_hat has the wrong shape makes the kernel raise
+    broken = SimpleNamespace(sigma_hat=np.ones(5), eps_sums=stats.eps_sums)
 
-    def call(n, sigma_hat=stats.sigma_hat):
+    def call(n, stats=stats):
         return kernels.scheme_rates(
             kernels.sample_gains(seed, 0, n), kernels.COMP_VPNOMA_CODE,
-            params.alpha, params.beta, params.rho, params.upsilon, band,
-            eps_sums, sigma_hat)
+            params, stats)
 
     def sizes_after_calls(n, bufsize):
         # (size after a call, size after a call that raises) under bufsize
@@ -218,7 +213,7 @@ def test_rate_kernel_restores_the_callers_buffer_size():
             call(n)
             after_call = np.getbufsize()
             with pytest.raises(ValueError):
-                call(n, sigma_hat=np.ones(5))
+                call(n, stats=broken)
             return after_call, np.getbufsize()
 
     default = np.getbufsize()
@@ -245,10 +240,7 @@ def test_kernel_outputs_start_on_64_byte_boundaries(n):
         draws = kernels.sample_gains(seed, pad * n, n)
         assert draws.__array_interface__["data"][0] % 64 == 0
         for code in (kernels.OMA_CODE, kernels.COMP_VPNOMA_CODE):
-            rates = kernels.scheme_rates(
-                draws, code, params.alpha, params.beta, params.rho,
-                params.upsilon, params.band_fractions, stats.eps_sums,
-                stats.sigma_hat)
+            rates = kernels.scheme_rates(draws, code, params, stats)
             assert rates.__array_interface__["data"][0] % 64 == 0
 
 
@@ -278,8 +270,6 @@ def test_kernels_allocate_one_block_of_scratch(n):
     """
     kernels._short_draws.cache_clear()
     stats, params, seed = _rate_case("uneven")
-    band = params.band_fractions
-    eps_sums = stats.eps_sums
     row = 8 * n
     slack = 2 * min(np.getbufsize(), 6 * n) * 8 + 4096
 
@@ -294,7 +284,6 @@ def test_kernels_allocate_one_block_of_scratch(n):
     for code in (kernels.OMA_CODE, kernels.NOMA_CODE, kernels.VPNOMA_CODE,
                  kernels.COMP_VPNOMA_CODE):
         _, peak = _traced_peak(lambda: kernels.scheme_rates(
-            draws, code, params.alpha, params.beta, params.rho,
-            params.upsilon, band, eps_sums, stats.sigma_hat))
+            draws, code, params, stats))
         assert peak < (kernels.N_USERS + 6 + 3) * row + rate_slack, \
             (code, peak / row)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,8 @@ def comp_rates(gain, stats, params):
 
 def reference_rates(gain, stats, params, scheme):
     """Per-user rates of one gain matrix from the per-trial oracle."""
-    return rates_reference(np.asarray(gain)[None], scheme.code, params.alpha,
-                           params.beta, params.rho, params.upsilon,
-                           params.band_fractions,
-                           stats.eps_sums)[0]
+    return rates_reference(np.asarray(gain)[None], scheme.code, params,
+                           stats)[0]
 
 
 class TestSystemParams:
@@ -68,6 +68,25 @@ class TestSystemParams:
                 SystemParams(band_fractions=(bad, 0.5, 0.5))
         with pytest.raises(ValueError, match="alpha"):
             SystemParams(alpha=float("nan"))
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, "10", "0.1",
+                                     None, 1 + 0j])
+    def test_knobs_of_other_types_are_rejected_by_name(self, bad):
+        for name in ("alpha", "rho", "upsilon"):
+            with pytest.raises(ValueError,
+                               match=f"{name} must be a real number"):
+                SystemParams(**{name: bad})
+        with pytest.raises(ValueError, match="band_fractions"):
+            SystemParams(band_fractions=(bad, 0.5, 0.5))
+
+    def test_python_and_numpy_reals_are_accepted(self):
+        plain = SystemParams(alpha=0.1, rho=10.0, upsilon=0.0,
+                             band_fractions=(0.5, 0.25, 0.25))
+        numpy_reals = SystemParams(
+            alpha=np.float64(0.1), rho=np.int64(10), upsilon=0,
+            band_fractions=np.array([0.5, 0.25, 0.25]))
+        assert numpy_reals == plain
+        assert numpy_reals.band_fractions == (0.5, 0.25, 0.25)
 
     def test_scheme_tokens_round_trip(self):
         for scheme in SchemeId:
@@ -262,12 +281,8 @@ class TestKernelOracles:
                               band_fractions=(0.2, 0.3, 0.5))
         draws = kernels.sample_gains(77, 0, 300)
         gains = kernel_gains(77, 0, 300, stats.sigma_hat)
-        band = params.band_fractions
-        eps_sums = stats.eps_sums
         for rho in (1.0, 100.0, 1e4):
-            args = (code, params.alpha, params.beta, rho, params.upsilon,
-                    band, eps_sums)
-            np.testing.assert_allclose(kernels.scheme_rates(draws, *args,
-                                                            stats.sigma_hat),
+            args = (code, dataclasses.replace(params, rho=rho), stats)
+            np.testing.assert_allclose(kernels.scheme_rates(draws, *args),
                                        rates_reference(gains, *args),
                                        rtol=5e-13, atol=0.0)
