@@ -163,50 +163,54 @@ def _scheme_rates(draws, scheme_code, params, stats):
     neg_sigma = -stats.sigma_hat.reshape(N_LINKS, 1)
     near_links = slice(0, None, N_USERS + 1)     # links (j, j)
     far_links = slice(N_BS, None, N_USERS + 1)   # links (k, 3 + k)
+    # the interference weights: −σ̂, with every serving link's weight 0
+    cross_weights = neg_sigma.copy()
+    cross_weights[near_links] = cross_weights[far_links] = 0.0
     arho = alpha * rho
     brho = params.beta * rho
 
     # One SINR denominator per user, built in place so that the whole chunk
-    # takes one pass of each step: row u starts as user u's gain summed over
-    # the three BSs; near rows then drop their serving link (the cross
-    # interference) and far rows keep the total. Until the signals are
-    # formed, out holds one BS's six gains at a time, then the six serving
-    # gains.
+    # takes one pass of each step: row u is the sum of user u's two
+    # non-serving gains, as the formulas print it (the serving link adds an
+    # exact zero). No interference is formed as the total less the serving
+    # gain, which cancels when the serving gain dwarfs the other two. Until
+    # the signals are formed, out holds one BS's six weighted gains at a
+    # time, then the six serving gains.
     out = _aligned_empty(N_USERS, n)
     near, far = out[:N_BS], out[N_BS:]
-    den = np.multiply(d[:N_USERS], neg_sigma[:N_USERS],
+    den = np.multiply(d[:N_USERS], cross_weights[:N_USERS],
                       out=_aligned_empty(N_USERS, n))
     for lo in (N_USERS, 2 * N_USERS):
-        np.multiply(d[lo:lo + N_USERS], neg_sigma[lo:lo + N_USERS], out=out)
+        np.multiply(d[lo:lo + N_USERS], cross_weights[lo:lo + N_USERS],
+                    out=out)
         den += out
     np.multiply(d[near_links], neg_sigma[near_links], out=near)
     np.multiply(d[far_links], neg_sigma[far_links], out=far)
-    den[:N_BS] -= near
     near_den, far_den = den[:N_BS], den[N_BS:]
     if scheme_code == OMA_CODE:
-        far_den -= far
         den *= rho
         out *= rho
         scale = (0.5,) * N_USERS
     elif scheme_code == NOMA_CODE:
         near *= arho
-        near_den *= rho
-        interference = far_den - far
-        interference *= rho
-        np.multiply(far, arho, out=far_den)
-        far_den += interference
+        den *= rho
+        far_den += arho * far
         far *= (1.0 - alpha) * rho
         scale = (1.0,) * N_USERS
     else:
         near *= arho
+        # a far user's total gain is its cross interference plus its
+        # serving gain
         if scheme_code == COMP_VPNOMA_CODE:
+            far_den += far
             np.multiply(far_den, brho, out=far)
             den *= arho
         else:
-            interference = far_den - far
-            interference *= brho
-            den *= arho
-            far_den += interference
+            total = far_den + far
+            total *= arho
+            far_den *= brho
+            far_den += total
+            near_den *= arho
             far *= brho
         near_scale = band[0] + band[1] + band[2]
         scale = (near_scale,) * N_BS + tuple(band)

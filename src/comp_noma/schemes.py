@@ -63,6 +63,13 @@ class SystemParams:
             value = getattr(self, name)
             if not _is_real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+            # a Python float, so that beta and the rates are never computed
+            # in a narrower numpy type; an int too large for one is infinite
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
+            object.__setattr__(self, name, value)
         if not 0.0 < self.alpha < 0.25:
             raise ValueError(f"alpha must lie in (0, 0.25), got {self.alpha}")
         if not 0 < self.rho < math.inf:

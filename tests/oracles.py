@@ -250,21 +250,23 @@ def rates_reference(gains, scheme_code, params, stats):
         for k in range(N_BS):
             u = N_BS + k
             serving = gains[t, k, u]
-            total = 0.0
+            total = cross = 0.0
             for i in range(N_BS):
                 total += gains[t, i, u]
+                if i != k:
+                    cross += gains[t, i, u]
             noise = rho * eps_sums[u]
             if scheme_code == COMP_VPNOMA_CODE:
                 sinr = brho * total / (arho * total + noise + 1.0)
                 out[t, u] = band[k] * np.log2(1.0 + sinr)
             elif scheme_code == VPNOMA_CODE:
-                den = arho * total + brho * (total - serving) + noise + 1.0
+                den = arho * total + brho * cross + noise + 1.0
                 out[t, u] = band[k] * np.log2(1.0 + brho * serving / den)
             elif scheme_code == NOMA_CODE:
-                den = arho * serving + rho * (total - serving) + noise + 1.0
+                den = arho * serving + rho * cross + noise + 1.0
                 out[t, u] = np.log2(1.0 + (1.0 - alpha) * rho * serving / den)
             else:
-                den = rho * (total - serving) + noise + 1.0
+                den = rho * cross + noise + 1.0
                 out[t, u] = 0.5 * np.log2(1.0 + rho * serving / den)
     return out
 

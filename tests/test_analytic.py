@@ -178,6 +178,19 @@ class TestClosedFormsAgainstMonteCarlo:
         far_closed = far_esc_closed(stats, params_10db, "B")
         assert abs(estimate.per_user_mean["B"] - far_closed) <= 4.0 * se[4]
 
+    def test_near_users_at_their_base_stations_match_simulation(
+            self, params_20db):
+        # At near radius 1e-4 each near user's serving gain exceeds its
+        # interference by about 1e16, where interference formed as the
+        # total less the serving gain was lost entirely.
+        stats = derive_link_statistics(
+            build_layout((1e-4,) * 3, (0.95,) * 3), 4.0, 0.001)
+        estimate = estimate_esc(stats, params_20db, SchemeId.COMP_VPNOMA,
+                                100_000, seed=1)
+        z = ((estimate.mean_total - estimate.analytic_total)
+             / (estimate.ci95_halfwidth / 1.96))
+        assert abs(z) <= 4.0, z
+
 
 class TestClosedFormStructure:
     def test_vanishing_serving_variance_gives_vanishing_rate(self, params_20db):

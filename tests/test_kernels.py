@@ -6,10 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from comp_noma import SystemParams, build_layout, derive_link_statistics
+from comp_noma import (SystemParams, build_layout, db_to_linear,
+                       derive_link_statistics)
 from comp_noma import kernels
-from oracles import kernel_gains, per_link
+from oracles import kernel_gains, per_link, rates_reference
 
 
 def test_chunked_and_whole_stream_agree():
@@ -58,9 +61,10 @@ def test_unit_interval_draws_are_strictly_inside():
     assert np.all(np.isfinite(gains))
 
 
-# SHA-256 of the C-order bytes of kernel outputs, recorded from the kernels
-# before their fused in-place rewrite. A drawn gain or a rate that moves by
-# one ulp changes its digest.
+# SHA-256 of the C-order bytes of kernel outputs. The gains were recorded
+# from the kernels before their fused in-place rewrite; the rates again when
+# the rate kernel began to form interference as the sum of the non-serving
+# gains. A drawn gain or a rate that moves by one ulp changes its digest.
 GAINS_DIGESTS = {
     (1, 0, 8192):
         "51e9e3050f10ce5a87fe9e3c050516ce123223c378122dbca18c940a6576e4a1",
@@ -72,44 +76,44 @@ GAINS_DIGESTS = {
 RATE_RHOS = (1.0, 100.0, 1e4)
 RATES_DIGESTS = {  # (layout, scheme code) -> one digest per RATE_RHOS
     ("default", 0): (
-        "d7897048e017e296ef82595246c1469be82aab060ca822fdfd8faa4e96ec088e",
-        "e1128bd9ddf4f118cc7f3533265c07c3536b2a47cedd0b9f14a34e31138e362e",
-        "df262d53523eaf958a9596a005978527cef52a5a8d9feb44c972614bdba1dcff",
+        "f2695dd842942068bf8532ea31749e16c39bdf072c4b2b7f14722f07a499148c",
+        "f3fdfdcf238187eebb8d605b3d801961c7f08d90a037385b50c4377a671f0ce3",
+        "9cf51a382d8a108c6e8636991abd5ca1e33c5493967af9bc547e84997a54858f",
     ),
     ("default", 1): (
-        "cdef0cb0932e0bfecc8ebf0e64ea5b83f889f80029efc3b9b71d2271d458846e",
-        "e28639662e7b571305daca829d10b3ee944af46abeccab48ad8b30c965a4ef09",
-        "294d8764660c27b764cac7abe037988fc7df2d7092deb79eea0e9159ce7e4b32",
+        "202cd1de31e5889cb83fe9ae052bc1f0203b902103f0dd26cf91c3d58017250f",
+        "68943b5881eb98e8664cc9db1b77f6755d25b44ccfdec79f0d59f06683d83bc8",
+        "2481b65dd6632ebc8177931deee3478b6949d2eabd9cf2654a125509f65d21a3",
     ),
     ("default", 2): (
-        "e78da8684de3cfc9647bde96c7b39a8a920f244fdd2ac018c035a95719080260",
-        "0a5e364e641c069767ae320f405f340aa9420f55dce25efa38e2c48e69ba2da4",
-        "af405d7ddd9dfa52fb27c0f75ed5f7c9f564416a28b52b171a2f2aa88d7279cb",
+        "710690de09559f3998999af68e8cfa0c8e33353d213311213a40dc4d25149bf9",
+        "621bd88c9f90c232cc9d5b26a5314ba5e2269d150f05ca4fc4f78fbca9c442fa",
+        "32d5c33fdb25da74356319236c4f6616082ce4073d59c907b4c9b074d4c12cfe",
     ),
     ("default", 3): (
-        "7c787253cf297bbdb3cc1bc05524e7fa108b75501532ebe9a208f5d59faa4e82",
-        "6c6cf4af9d583e8d3396375a9c9267e7abb36d3392fc49764f49cb3fe315d6ad",
-        "de89031f260cbf4094d7436ea66b595f8933d79f06dbf6af548c20592070c082",
+        "8b187b9913f4e4a767ec47828d0bfdc3eb94a8010936d05ce391100edb676df5",
+        "e3e56fd490416e3392e1259bea33b718c9cbaabcf774199b8a32c1e2d9463936",
+        "3854de0c99ecbea8258b4ad3d1bdd2dc2acfe5ab57c8c08c94e5f5d2c780979b",
     ),
     ("uneven", 0): (
-        "55d14d36dad4c0a89a60181ad1e92fe38d96245d6518913815025b0704d9853a",
-        "b96a111d56436a838bcf32ed8f3824499ff2f8c3586fc8c54cbb284ba35aab27",
-        "52cb15e8931ddf5b1f93cb635327ef075f191b6a30232688a419ca5f1fa05b2b",
+        "90d0dac37d86690081f038fddbaa2a1a7d775c5bcde9cb2918c93f03209ca0db",
+        "a170ff697d6a4bb1159f4df8adb9b51631e7adba5e00c00c1c4c2af745e7db7e",
+        "538137a7febfd734494c0ed402bd26fda615c71631adf0dc94f08e5355e3eb08",
     ),
     ("uneven", 1): (
-        "ff6e9858ae633d71956a6986b1090d114f1f073c18b7bbcd81bc36b9a55f13d1",
-        "aa970b6b161b20d97d1860df82173985c86b76e851673fefda9e16f5db38f0da",
-        "c1d2af06ab420349a10828970eefe193b33d282479f66c7e18d0274bbd4aeddf",
+        "f96c054fe115564791a4b33569bca7761826c32a025f9a80c597838c9f67f17c",
+        "5c66b52b16f49449d8afffb9505f0af77cce0279c89d0314fc823f0ceff4e5ff",
+        "201c6c8662e04d3ecc0c4c377c96460b3a1fdc1dae8bda2749531187e0e61e22",
     ),
     ("uneven", 2): (
-        "97bd6cd1094e7a0b84ae5b4dfdacfe68de19faaa84f98b49bbad4cc446fa6f08",
-        "23ff879fdf76da335ef192d8c61a75fe2abe41c508409c1fe4c80dc8e5639425",
-        "e8772e161f98fb5fa6fd03e5bb29d5973c1eaf3f4fb7269a9dac6dd7e42ad777",
+        "c59a374c4391d258e2fdf2f0d3e6bfc298997c20f2ec6cec06d91eda6db8cbdf",
+        "bd2bf6a24265ec2748209c8198863c0402d42b468d4ae132aa6216c81e10a5b1",
+        "aa77a446ba39e35cc8bea20ab9d9237078dc5bbfce160f572595f3d928951293",
     ),
     ("uneven", 3): (
-        "259fcbaedaf4f1f7e3b13980ad94e50bb09704272eff0ec79ed7e8b6ddcb50ac",
-        "36c4326bbe4bc51071ad9ca3239e0ba09153b1a1939d24da4d31cb0150deec7f",
-        "a8164aeae9a7899ee60b2777c996b29880fdc40a44d58f117ba3dc944622f49f",
+        "9949512e0aaae8de9029f70a1063bfaff7460c57024041e5a363ee2ef52339f8",
+        "8ad54465863d63319c5b2c98760a74cba794d03ba5e7614f01bbec248cc27ffb",
+        "1cf69ff89561e9c032e2b27e5fa3e187a22b0ea58f86257e05fe60b1ae463969",
     ),
 }
 
@@ -153,32 +157,33 @@ def test_rates_are_bit_exact_in_any_gains_layout(name, code):
 
 
 # SHA-256 of the "uneven" case's rates at the three RATE_RHOS, one digest per
-# scheme code, for calls shorter than a chunk; recorded from the kernel
-# before it bounded numpy's ufunc buffer on such calls.
+# scheme code, for calls shorter than a chunk; first recorded from the kernel
+# before it bounded numpy's ufunc buffer on such calls, and again when it
+# began to form interference as the sum of the non-serving gains.
 SHORT_RATES_DIGESTS = {
     1: (
-        "c5d0f21d2e8ce2a1c7f612b280891129239314e9e6c5c194a31b27021efe952a",
-        "cbb932651a8fb7a8221c35ec0ede6b661bd2edd75f8172df1b8b9a3097d32cf2",
-        "786e834a0887e2dfcbdf68f123581a82d5bfbcf051258a057a69a8d997e91387",
-        "90031aa4b4d72a755214bbd2c5d3b3ab795819395bbe57978bc48bbb4d32f12a",
+        "086fd948d3fed9ec58a19691597435b1cacc471cc92efb8dba318daec6148345",
+        "6c9bca0042c8993931e3a2e987fed39309e96dfac217f0ae02ebe2d51f2efce1",
+        "b015a9cf62bbf6002a5c7dd43c359ddc06c3d2164f591a8ac0dfcf6efcf318d0",
+        "135e6b22dc8391ac93879a829725a953909c4430b457e456ac0f9ca7b1b4e5af",
     ),
     576: (
-        "04fea8ac7d1cb13d43d0c04e71c78fad3775d3dd3a7129390d433477d79daf78",
-        "6d89cec8692a5c140ed24eccc29784f60d79f9f98328d10f89c7fd2b7aa0eddd",
-        "94c18813e822f8da4ca9ed92b7dd1956a34f8d786a708c61649cdd9dccb927f2",
-        "1488ff69cf9e1aa172663a800a2d3b241654f2da8f6af35d6840ccf6fb1c88dc",
+        "ade1678b582495033f84ee171bd3cf04dc4540ac1bb47718691ea201c84d4c89",
+        "d849c219fe2db4096d8ab73d06025e609189eeafb79057f28e1eba34384c51f3",
+        "4ce70f9be551d0e48768e91056a9c063e697eba37e2e0ca48bb4c0df99134a96",
+        "3fdbf9d7a55026ce3c51fbe313697c2018223163cf11c0ae6be2554a656d6bed",
     ),
     1696: (
-        "a8333f3fc9777fc74168693e4f696ee1577691433ef077c68b1e6d8365eedcb7",
-        "47f8b8bdfb69eb7a2fc5451a50fc142e6c732181ef08f6c4f571d1b323f8dc24",
-        "445c6086a23f317f5ceabf0befc5bacb444e5ac3b8ca0b1df2d6ce3f819019cd",
-        "741de0b9344342362479068a085b305a86b890b587500a6e6db8b79143436cec",
+        "01e93df04634125074797f71b539c4b1368158205c194262d7e78bf6cb4925a2",
+        "b62ed0410103b2cb7e66be68c795321d947d741dd38455129397bca62792f9fa",
+        "d4cc50a467298d2690d020c9a0020477e75fe038fd149761763d22fc09cbcc3f",
+        "2534eff3d2642af66023dc1911d6dc3173918618fc022c30b35ebc5d27514479",
     ),
     2000: (
-        "fc5d589cd0a0a50d9eb9a4073a35e64b9898cae7fd4f944511b16459daea8e22",
-        "5ae5e99a52fb25470c2b0c3303572e97203eccb3133adcc488d81768cba25b16",
-        "01344d406f0d6587f14e2c0bd88acf84fbb2b47f80541092f8cbf568c6cb4e31",
-        "03aeba3efc2d1d0637038929e2482f5c3678bcee5836768f86fa8e8e3c5254cf",
+        "0e8923e29786ed0d8b4e97fd610c76db55bae6c41401540eb5423f90f0fe2127",
+        "596ad3f9ad79ea83e9cb31604f8d64117346827080ed5efce19eb76bcf4966ab",
+        "a66547ba2c089d18dde88ae144f648669a3efd1aa28c46a25b175cf44b914e1f",
+        "8a01d3224da1782d040387d92cd1b8de5e7317d6a7c352299ef246d881f4a107",
     ),
 }
 
@@ -287,3 +292,39 @@ def test_kernels_allocate_one_block_of_scratch(n):
             draws, code, params, stats))
         assert peak < (kernels.N_USERS + 6 + 3) * row + rate_slack, \
             (code, peak / row)
+
+
+_radius = st.floats(1e-5, 1.0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(near=st.tuples(_radius, _radius, _radius),
+       far=st.tuples(_radius, _radius, _radius),
+       sigma_eps=st.lists(st.floats(0.0, 0.01), min_size=18, max_size=18),
+       exponent=st.floats(2.0, 6.0),
+       alpha=st.floats(1e-3, 0.249),
+       rho_db=st.floats(-10.0, 40.0),
+       upsilon=st.floats(0.0, 0.1),
+       band_weights=st.tuples(*[st.floats(0.05, 1.0)] * 3),
+       seed=st.integers(0, 2**64 - 1))
+def test_rates_match_the_printed_formulas_on_generated_inputs(
+        near, far, sigma_eps, exponent, alpha, rho_db, upsilon, band_weights,
+        seed):
+    """Every scheme's rates equal rates_reference per draw, down to users a
+    hundred thousandth of the cell radius from their base station, where a
+    serving gain dwarfs the interference by many orders of magnitude."""
+    # every link's mean power d^-v is at least 3^-3 > 0.01, the largest σ_ε
+    stats = derive_link_statistics(build_layout(near, far), exponent,
+                                   np.reshape(sigma_eps, (3, 6)))
+    total = sum(band_weights)
+    params = SystemParams(alpha=alpha, rho=db_to_linear(rho_db),
+                          upsilon=upsilon,
+                          band_fractions=[w / total for w in band_weights])
+    n = 64
+    draws = kernels.sample_gains(seed, 0, n)
+    gains = kernel_gains(seed, 0, n, stats.sigma_hat)
+    for code in range(4):
+        np.testing.assert_allclose(
+            kernels.scheme_rates(draws, code, params, stats),
+            rates_reference(gains, code, params, stats), rtol=5e-13, atol=0.0,
+            err_msg=f"scheme code {code}")

@@ -86,7 +86,19 @@ class TestSystemParams:
             alpha=np.float64(0.1), rho=np.int64(10), upsilon=0,
             band_fractions=np.array([0.5, 0.25, 0.25]))
         assert numpy_reals == plain
-        assert numpy_reals.band_fractions == (0.5, 0.25, 0.25)
+        for value in (numpy_reals.alpha, numpy_reals.rho, numpy_reals.upsilon,
+                      *numpy_reals.band_fractions):
+            assert type(value) is float
+
+    def test_numpy_float32_knobs_keep_float64_arithmetic(self):
+        p = SystemParams(alpha=np.float32(0.1))
+        assert p.alpha == float(np.float32(0.1))
+        assert p.beta == (1.0 - float(np.float32(0.1))) / 3.0
+        assert type(p.beta) is float
+
+    def test_an_integer_snr_too_large_for_float_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            SystemParams(rho=10 ** 400)
 
     def test_scheme_tokens_round_trip(self):
         for scheme in SchemeId:
