@@ -15,16 +15,17 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import LinkStatistics
-from .geometry import user_index
 from .schemes import SystemParams
 
 _LN2 = math.log(2.0)
 _EULER_GAMMA = 0.5772156649015328606
 
-# Rates closer than _DEGENERACY_GAP (relative) are spread symmetrically
-# within their cluster with step _CLUSTER_SPREAD. Centering the spread cancels
-# the first-order bias, and the step keeps the partial-fraction weights small
-# enough that the identity retains ~8 digits in the fully degenerate case.
+# Rates no further apart than _DEGENERACY_GAP (relative) are spread
+# symmetrically within their cluster with step _CLUSTER_SPREAD. The test is
+# inclusive, so a tie is clustered even where the gap underflows to 0.
+# Centering the spread cancels the first-order bias, and the step keeps the
+# partial-fraction weights small enough that the identity retains ~8 digits
+# in the fully degenerate case.
 _DEGENERACY_GAP = 1e-7
 _CLUSTER_SPREAD = 1e-4
 
@@ -105,7 +106,7 @@ def _ensure_distinct(rates: list) -> list:
     ranked = sorted(rates)
     low = ranked[0]
     for high in ranked[1:]:
-        if high - low < _DEGENERACY_GAP * high:
+        if high - low <= _DEGENERACY_GAP * high:
             break
         low = high
     else:
@@ -117,7 +118,7 @@ def _ensure_distinct(rates: list) -> list:
     while start < n:
         end = start
         while end + 1 < n and \
-                ranked[end + 1] - ranked[end] < _DEGENERACY_GAP * ranked[end + 1]:
+                ranked[end + 1] - ranked[end] <= _DEGENERACY_GAP * ranked[end + 1]:
             end += 1
         size = end - start + 1
         # a lone rate gets factor 1.0, which leaves it as it is
@@ -170,21 +171,15 @@ def hypoexp_log2_mean(rates, shift: float) -> float:
     return _log2_mean(rates.tolist(), shift, {})
 
 
-def _columns(stats: LinkStatistics) -> tuple:
-    # Per-user sigma_hat columns, as tuples, and sigma_eps sums, as Python
-    # floats
-    return list(zip(*stats.sigma_hat.tolist())), stats.eps_sums.tolist()
-
-
-def _near_values(sigma: list, eps: list, params: SystemParams, users,
-                 e1: dict) -> list:
-    # rates of near users `users` over the whole band, before their band
+def _near_values(sigma: list, eps: list, params: SystemParams) -> list:
+    # rates of the three near users over the whole band, before their band
     # fractions
     rho = params.rho
     residual = rho * params.upsilon
     scale = params.alpha * rho
+    e1 = {}
     values = []
-    for j in users:
+    for j in range(3):
         shift = rho * eps[j] + residual + 1.0
         k = _ensure_distinct([1.0 / (scale * s) for s in sigma[j]])
         values.append(_log2_mean(k, shift, e1)
@@ -214,46 +209,27 @@ def _far_values(sigma: tuple, eps: tuple, alpha: float, beta: float,
                  for s, e in zip(sigma, eps))
 
 
-def _far_users(sigma: list, eps: list, params: SystemParams) -> tuple:
-    # the far users' rates from the memo, which tuples of their columns key
-    return _far_values(tuple(sigma[3:]), tuple(eps[3:]), params.alpha,
-                       params.beta, params.rho)
-
-
-def near_esc_closed(stats: LinkStatistics, params: SystemParams,
-                    cell: int, subband: int) -> float:
-    """Exact ergodic rate of near user `cell` on sub-band `subband`."""
-    j = user_index(cell)
-    if j >= 3:
-        raise ValueError(f"{cell!r} is not a near user (expected 1, 2 or 3)")
-    if not 1 <= subband <= 3:
-        raise ValueError(f"sub-band index must be 1..3, got {subband}")
-    sigma, eps = _columns(stats)
-    value, = _near_values(sigma, eps, params, (j,), {})
-    return max(params.band_fractions[subband - 1] * value, 0.0)
-
-
-def far_esc_closed(stats: LinkStatistics, params: SystemParams, far_user) -> float:
-    """Exact ergodic rate of a jointly-served far user on its sub-band."""
-    u = user_index(far_user)
-    if u < 3:
-        raise ValueError(f"{far_user!r} is not a far user (expected A, B or C)")
-    sigma, eps = _columns(stats)
-    value = _far_users(sigma, eps, params)[u - 3]
-    return max(params.band_fractions[u - 3] * value, 0.0)
+def _user_rates(stats: LinkStatistics, params: SystemParams) -> tuple:
+    """The near users' rates (1, 2, 3) and the far users' (A, B, C) over the
+    whole band, before their band fractions; the far ones from the memo."""
+    # per-user sigma_hat columns, as tuples, and sigma_eps sums, as Python
+    # floats
+    sigma = list(zip(*stats.sigma_hat.tolist()))
+    eps = stats.eps_sums.tolist()
+    return _near_values(sigma, eps, params), _far_values(
+        tuple(sigma[3:]), tuple(eps[3:]), params.alpha, params.beta,
+        params.rho)
 
 
 def total_esc_closed(stats: LinkStatistics, params: SystemParams) -> float:
     """Exact ergodic sum capacity of JT-CoMP VP-NOMA over all six users.
 
-    Adds the same twelve terms, in the same order, as summing near_esc_closed
-    over sub-bands and cells and far_esc_closed over far users; each near
-    user's rate and each exp(z)E1(z) argument is evaluated once per call, and
-    the far users' rates once while their inputs stay the same.
+    Adds twelve terms, sub-band by sub-band: the three near users' and then
+    that sub-band's far user's, each max(band fraction * rate, 0.0). Each
+    near user's rate and each exp(z)E1(z) argument is evaluated once per
+    call, and the far users' rates once while their inputs stay the same.
     """
-    sigma, eps = _columns(stats)
-    near = _near_values(sigma, eps, params, range(3), {})
-    far = _far_users(sigma, eps, params)
+    near, far = _user_rates(stats, params)
     # each term is max(term, 0.0), which keeps a NaN or -0.0 term as it is
     total = 0.0
     for band, far_value in zip(params.band_fractions, far):

@@ -19,22 +19,20 @@ N_BS = 3
 N_USERS = 6
 
 
-def user_index(user) -> int:
-    """Map a user id (1..3, 'A'..'C', or their string forms) to 0..5."""
-    if isinstance(user, (int, np.integer)):
-        if 1 <= user <= 3:
-            return int(user) - 1
-        raise ValueError(f"unknown user id {user!r}")
-    label = str(user).upper()
-    if label in USERS:
-        return USERS.index(label)
-    raise ValueError(f"unknown user id {user!r}")
-
-
 def _is_real(value) -> bool:
     """A Python or numpy real number that is not a bool."""
     return type(value) is float or (isinstance(value, Real)
                                     and not isinstance(value, bool))
+
+
+def _as_tuple(values, name: str) -> tuple:
+    """values as a tuple; a ValueError naming them if they are not a
+    sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of three reals, got "
+                         f"{values!r}") from None
 
 
 def _unit_cell_sites() -> tuple:
@@ -68,7 +66,8 @@ def build_layout(near_radii, far_radii) -> np.ndarray:
     number in (0, 1]. Returns the read-only (6, 2) user positions, rows
     users 1..3, A..C.
     """
-    near_radii, far_radii = tuple(near_radii), tuple(far_radii)
+    near_radii = _as_tuple(near_radii, "near_radii")
+    far_radii = _as_tuple(far_radii, "far_radii")
     if len(near_radii) != 3 or len(far_radii) != 3:
         raise ValueError("expected exactly three near radii and three far radii")
     radii = near_radii + far_radii

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .geometry import _is_real
+from .geometry import _as_tuple, _is_real
 
 
 class SchemeId(enum.Enum):
@@ -77,7 +77,7 @@ class SystemParams:
         if not 0 <= self.upsilon < math.inf:
             raise ValueError(
                 f"upsilon must be nonnegative and finite, got {self.upsilon}")
-        fractions = tuple(self.band_fractions)
+        fractions = _as_tuple(self.band_fractions, "band_fractions")
         if len(fractions) != 3 or not all(_is_real(b) and 0 < b < math.inf
                                           for b in fractions):
             raise ValueError(f"band_fractions must be three positive finite "

@@ -6,6 +6,8 @@ special-function evaluation (mpmath); neither path touches the package's own
 exponential-integral code. The vectorized kernels are cross-checked against
 per-trial Python loops over the same counter stream and SINR formulas.
 The one-trial helpers give the tests a per-realization view of the kernels.
+The per-user closed-form terms come from the package's one closed form, split
+into the terms that total_esc_closed adds.
 The plain layout, distance and exp(z)E1(z) helpers keep the arithmetic those
 paths first had, which the package must match bit for bit.
 The config helpers state the per-point sweep rules directly, one point at a
@@ -18,10 +20,10 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from comp_noma import (ConfigError, InfeasibleCsiError, LinkStatistics,
-                       SchemeId, build_layout, derive_link_statistics, kernels,
+from comp_noma import (FAR_USERS, NEAR_USERS, USERS, ConfigError,
+                       InfeasibleCsiError, LinkStatistics, SchemeId, analytic,
+                       build_layout, derive_link_statistics, kernels,
                        parse_config)
-from comp_noma.geometry import user_index
 from comp_noma.kernels import (COMP_VPNOMA_CODE, N_BS, N_LINKS, N_USERS,
                                NOMA_CODE, VPNOMA_CODE)
 
@@ -73,6 +75,20 @@ def erlang2_log2_mean_quad(rate: float, shift: float) -> float:
     value, _ = integrate.quad(integrand, 0.0, np.inf,
                               epsabs=1e-13, epsrel=1e-11, limit=300)
     return value
+
+
+def closed_form_terms(stats, params):
+    """Each user's closed-form terms, formed as total_esc_closed forms them:
+    max(band fraction * rate, 0.0) on each of a near user's three sub-bands
+    and on a far user's one. Keys are the user ids "1".."3", "A".."C"; a
+    user's ergodic rate is the sum of its terms."""
+    near, far = analytic._user_rates(stats, params)
+    bands = params.band_fractions
+    terms = {user: tuple(max(band * rate, 0.0) for band in bands)
+             for user, rate in zip(NEAR_USERS, near)}
+    terms.update((user, (max(band * rate, 0.0),))
+                 for user, band, rate in zip(FAR_USERS, bands, far))
+    return terms
 
 
 def separated_rates(rng, count: int, low=1e-3, high=1e3, min_gap=0.02):
@@ -172,6 +188,18 @@ def kernel_gains(seed, start_trial, n, sigma_hat):
     """
     return np.multiply(kernels.sample_gains(seed, start_trial, n),
                        np.negative(sigma_hat))
+
+
+def user_index(user) -> int:
+    """Map a user id (1..3, 'A'..'C', or their string forms) to 0..5."""
+    if isinstance(user, (int, np.integer)):
+        if 1 <= user <= 3:
+            return int(user) - 1
+        raise ValueError(f"unknown user id {user!r}")
+    label = str(user).upper()
+    if label in USERS:
+        return USERS.index(label)
+    raise ValueError(f"unknown user id {user!r}")
 
 
 def link(bs_index, user):

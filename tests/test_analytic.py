@@ -8,10 +8,10 @@ from scipy import special
 
 from comp_noma import (DegenerateRatesError, LinkStatistics, SchemeId,
                        SystemParams, build_layout, derive_link_statistics,
-                       estimate_esc, exp_integral_ei, far_esc_closed,
-                       hypoexp_log2_mean, near_esc_closed, total_esc_closed)
+                       USERS, estimate_esc, exp_integral_ei,
+                       hypoexp_log2_mean, total_esc_closed)
 from comp_noma import analytic, kernels
-from oracles import (e1_scaled_plain, e1_scaled_reference,
+from oracles import (closed_form_terms, e1_scaled_plain, e1_scaled_reference,
                      erlang2_log2_mean_quad, hypoexp_log2_mean_quad, per_link,
                      separated_rates)
 
@@ -132,6 +132,16 @@ class TestHypoexpLogMean:
         with pytest.raises(DegenerateRatesError):
             hypoexp_log2_mean([2.0, 2.0, 2.0 * (1.0 + 5e-5)], 1.0)
 
+    def test_subnormal_ties_are_clustered(self):
+        # 1e-7 times a rate of 1e-320 underflows to 0; a tie there is still
+        # a tie, which the spread cannot separate, not two distinct rates
+        with pytest.raises(DegenerateRatesError):
+            hypoexp_log2_mean([1e-320, 1e-320], 1.0)
+        # X ~ Erlang(2, k) with k -> 0: E[log2 X] = log2(1/k) + (1 - gamma)/ln 2
+        expected = -math.log2(1e-316) + (1.0 - np.euler_gamma) / math.log(2.0)
+        assert hypoexp_log2_mean([1e-316, 1e-316], 1.0) == pytest.approx(
+            expected, rel=1e-9)
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="positive"):
             hypoexp_log2_mean([1.0, -2.0], 1.5)
@@ -159,11 +169,11 @@ class TestClosedFormsAgainstMonteCarlo:
         se = per_user_standard_errors(default_stats, params_10db,
                                       SchemeId.COMP_VPNOMA, 100_000,
                                       seed=32) / math.sqrt(trials)
-        near_closed = sum(near_esc_closed(default_stats, params_10db, 1, m)
-                          for m in (1, 2, 3))
-        assert abs(estimate.per_user_mean["1"] - near_closed) <= 3.0 * se[0]
-        far_closed = far_esc_closed(default_stats, params_10db, "A")
-        assert abs(estimate.per_user_mean["A"] - far_closed) <= 3.0 * se[3]
+        terms = closed_form_terms(default_stats, params_10db)
+        for u, user in enumerate(USERS):
+            closed = sum(terms[user])
+            assert abs(estimate.per_user_mean[user] - closed) <= 3.0 * se[u], \
+                user
 
     def test_degenerate_far_links_still_match_simulation(self, params_10db):
         # far users at the centroid: all nine far-link variances coincide
@@ -175,7 +185,7 @@ class TestClosedFormsAgainstMonteCarlo:
         se = per_user_standard_errors(stats, params_10db,
                                       SchemeId.COMP_VPNOMA, 50_000,
                                       seed=78) / math.sqrt(trials)
-        far_closed = far_esc_closed(stats, params_10db, "B")
+        far_closed, = closed_form_terms(stats, params_10db)["B"]
         assert abs(estimate.per_user_mean["B"] - far_closed) <= 4.0 * se[4]
 
     def test_near_users_at_their_base_stations_match_simulation(
@@ -197,17 +207,17 @@ class TestClosedFormStructure:
         sigma_hat = np.ones((3, 6))
         sigma_hat[1, 1] = 1e-12
         stats = LinkStatistics(sigma_hat, np.zeros((3, 6)))
-        assert near_esc_closed(stats, params_20db, 2, 1) < 1e-9
+        assert closed_form_terms(stats, params_20db)["2"][0] < 1e-9
 
     def test_vanishing_alpha_gives_vanishing_near_rate(self, default_stats):
         params = SystemParams(alpha=1e-12, rho=100.0, upsilon=0.01)
-        assert near_esc_closed(default_stats, params, 1, 1) < 1e-6
+        assert closed_form_terms(default_stats, params)["1"][0] < 1e-6
 
     def test_far_rate_shrinks_as_beta_approaches_alpha(self, default_stats):
-        mid = far_esc_closed(default_stats,
-                             SystemParams(alpha=0.1, rho=100.0), "A")
-        edge = far_esc_closed(default_stats,
-                              SystemParams(alpha=0.2499, rho=100.0), "A")
+        mid, = closed_form_terms(default_stats,
+                                 SystemParams(alpha=0.1, rho=100.0))["A"]
+        edge, = closed_form_terms(default_stats,
+                                  SystemParams(alpha=0.2499, rho=100.0))["A"]
         assert 0.0 < edge < mid
 
     def test_monotone_in_serving_link_variance(self, params_20db):
@@ -216,23 +226,22 @@ class TestClosedFormStructure:
             sigma_hat = np.full((3, 6), 0.3)
             sigma_hat[0, 0] = serving
             stats = LinkStatistics(sigma_hat, np.full((3, 6), 0.001))
-            values.append(near_esc_closed(stats, params_20db, 1, 1))
+            values.append(closed_form_terms(stats, params_20db)["1"][0])
         assert all(a < b for a, b in zip(values, values[1:]))
         values = []
         for serving in (0.5, 1.0, 2.0, 4.0):
             sigma_hat = np.full((3, 6), 0.3)
             sigma_hat[0, 3] = serving
             stats = LinkStatistics(sigma_hat, np.full((3, 6), 0.001))
-            values.append(far_esc_closed(stats, params_20db, "A"))
+            values.append(closed_form_terms(stats, params_20db)["A"][0])
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_total_is_sum_of_twelve_terms(self, default_stats, params_20db):
+        terms = closed_form_terms(default_stats, params_20db)
         parts = []
-        for subband, far_user in zip((1, 2, 3), "ABC"):
-            for cell in (1, 2, 3):
-                parts.append(near_esc_closed(default_stats, params_20db,
-                                             cell, subband))
-            parts.append(far_esc_closed(default_stats, params_20db, far_user))
+        for m, far_user in enumerate("ABC"):
+            parts += [terms[cell][m] for cell in "123"]
+            parts += terms[far_user]
         # the same twelve terms added in the same order
         assert total_esc_closed(default_stats, params_20db) == sum(parts)
         assert len(parts) == 12 and all(p >= 0.0 for p in parts)
@@ -243,9 +252,9 @@ class TestClosedFormStructure:
         assert totals[0] < totals[1] < totals[2]
 
     def test_cell_symmetry(self, default_stats, params_20db):
-        near = [near_esc_closed(default_stats, params_20db, j, 1)
-                for j in (1, 2, 3)]
-        far = [far_esc_closed(default_stats, params_20db, k) for k in "ABC"]
+        terms = closed_form_terms(default_stats, params_20db)
+        near = [terms[j][0] for j in "123"]
+        far = [terms[k][0] for k in "ABC"]
         assert near[0] == pytest.approx(near[1], rel=1e-9)
         assert near[0] == pytest.approx(near[2], rel=1e-9)
         assert far[0] == pytest.approx(far[1], rel=1e-9)
@@ -268,12 +277,6 @@ class TestClosedFormStructure:
         moved = total_esc_closed(LinkStatistics(permuted_hat, permuted_eps),
                                  params_20db)
         assert moved == pytest.approx(base, rel=1e-12)
-
-    def test_wrong_user_class_rejected(self, default_stats, params_20db):
-        with pytest.raises(ValueError, match="near user"):
-            near_esc_closed(default_stats, params_20db, "A", 1)
-        with pytest.raises(ValueError, match="far user"):
-            far_esc_closed(default_stats, params_20db, 2)
 
 
 def closed_form_inputs():
@@ -335,10 +338,10 @@ def closed_form_inputs():
 
 
 def closed_form_values(stats, params):
+    terms = closed_form_terms(stats, params)
     values = [total_esc_closed(stats, params)]
-    values += [near_esc_closed(stats, params, cell, subband)
-               for cell in (1, 2, 3) for subband in (1, 2, 3)]
-    values += [far_esc_closed(stats, params, far) for far in "ABC"]
+    values += [term for cell in "123" for term in terms[cell]]
+    values += [term for far in "ABC" for term in terms[far]]
     return values
 
 
@@ -355,10 +358,10 @@ CLOSED_FORM_DIGESTS = {
 
 @pytest.mark.parametrize("group", list(CLOSED_FORM_INPUTS))
 def test_closed_form_is_bit_exact(group):
-    # SHA-256 of the float64 bytes of total_esc_closed, the nine
-    # near_esc_closed values and the three far_esc_closed values per input;
-    # frozen from the implementation that evaluated every user and sub-band
-    # separately, so any change to the arithmetic or its order shows here.
+    # SHA-256 of the float64 bytes of total_esc_closed, the nine near terms
+    # (cell-major) and the three far terms per input; frozen from the
+    # implementation that evaluated every user and sub-band separately, so
+    # any change to the arithmetic or its order shows here.
     values = [closed_form_values(stats, params)
               for stats, params in CLOSED_FORM_INPUTS[group]]
     digest = hashlib.sha256(np.array(values, dtype=np.float64).tobytes())

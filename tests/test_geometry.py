@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from comp_noma import build_layout, distance_matrix, geometry
-from comp_noma.geometry import user_index
 from oracles import distance_plain, layout_plain, link
 
 SQRT_1_75 = 1.3228756555322953  # sqrt(1.75), BS2 -> UE1 at near radius 0.5
@@ -61,20 +60,6 @@ def test_radius_out_of_range_names_offending_user():
         build_layout((0.5,) * 3, (0.95, 0.95, float("inf")))
 
 
-def test_unknown_indices_rejected():
-    with pytest.raises(ValueError, match="user id"):
-        user_index("D")
-    with pytest.raises(ValueError, match="user id"):
-        user_index(4)
-
-
-def test_user_index_accepts_both_spellings():
-    assert user_index(1) == 0
-    assert user_index("2") == 1
-    assert user_index("a") == 3
-    assert user_index("C") == 5
-
-
 def test_base_stations_pairwise_distinct_and_equilateral():
     bs = BS_SITES
     sides = [np.linalg.norm(bs[i] - bs[j]) for i, j in ((0, 1), (1, 2), (0, 2))]
@@ -119,6 +104,14 @@ def test_radii_of_other_types_are_rejected_by_user(radius, label):
         build_layout((0.5, radius, 0.5), (0.95,) * 3)
     with pytest.raises(ValueError, match="far user C: radius"):
         build_layout((0.5,) * 3, (0.95, 0.95, radius))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1, None, np.float64(0.9)])
+def test_radii_that_are_not_a_sequence_are_rejected_by_name(bad):
+    with pytest.raises(ValueError, match="near_radii must be a sequence"):
+        build_layout(bad, (0.95,) * 3)
+    with pytest.raises(ValueError, match="far_radii must be a sequence"):
+        build_layout((0.5,) * 3, bad)
 
 
 def test_python_and_numpy_real_radii_are_accepted_bitwise():

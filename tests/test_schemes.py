@@ -50,6 +50,10 @@ class TestSystemParams:
             SystemParams(band_fractions=(0.5, 0.5, 0.1))
         with pytest.raises(ValueError, match="band_fractions"):
             SystemParams(band_fractions=(0.5, 0.5, 0.0))
+        for bad in (5, 0.5, None, np.float64(1.0)):
+            with pytest.raises(ValueError,
+                               match="band_fractions must be a sequence"):
+                SystemParams(band_fractions=bad)
         SystemParams(band_fractions=(0.5, 0.25, 0.25))
 
     def test_other_knobs_validated(self):
