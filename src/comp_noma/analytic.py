@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import LinkStatistics
+from .geometry import _all_real, _is_real
 from .schemes import SystemParams
 
 _LN2 = math.log(2.0)
@@ -82,6 +83,8 @@ def _e1_scaled_cf(z: float, tolerance: float = 1e-16) -> float:
 
 def exp_integral_ei(x: float) -> float:
     """Exponential integral Ei(x) on the negative axis, |error| <= 1e-12."""
+    if not _is_real(x):
+        raise ValueError(f"x must be a real number, got {x!r}")
     x = float(x)
     if not x < 0:
         raise ValueError(f"Ei is only evaluated for x < 0, got {x}")
@@ -160,6 +163,10 @@ def hypoexp_log2_mean(rates, shift: float) -> float:
     Nearly-equal rates are separated by a deterministic, centered relative
     spread before the distinct-rate identity is applied.
     """
+    if not _all_real(rates):
+        raise ValueError(f"rates must be real numbers, got {rates!r}")
+    if not _is_real(shift):
+        raise ValueError(f"shift must be a real number, got {shift!r}")
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     if rates.ndim != 1 or len(rates) == 0:
         raise ValueError("rates must be a non-empty 1-d sequence")

@@ -12,7 +12,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .geometry import N_BS, N_USERS, USERS, _is_real, distance_matrix
+from .geometry import N_BS, N_USERS, USERS, _all_real, _is_real, \
+    distance_matrix
 
 
 class InfeasibleCsiError(ValueError):
@@ -91,7 +92,7 @@ def derive_link_statistics(positions: np.ndarray, pathloss_exponent=4.0,
         except ValueError:
             raise ValueError(f"sigma_eps must be a scalar or have shape "
                              f"({N_BS}, {N_USERS}), got a ragged sequence") from None
-        if array.dtype.kind not in "iuf":
+        if not _all_real(sigma_eps):
             raise ValueError(f"sigma_eps must be a real number or an array of "
                              f"reals, got {sigma_eps!r}")
         sigma_eps, shape = array, array.shape

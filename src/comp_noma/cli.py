@@ -7,8 +7,9 @@ errors, 1 on runtime errors.
 import argparse
 import sys
 
-from .harness import ConfigError, SweepKind, emit_plot, parse_config, \
-    run_sweep, write_results
+from .harness import CONFIG_KEYS, ConfigError, SweepKind, emit_plot, \
+    parse_config, run_sweep, write_results
+from .schemes import SchemeId
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -18,15 +19,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "the OMA/NOMA/VP-NOMA baselines.")
     parser.add_argument("--config", metavar="PATH",
                         help="key=value configuration file")
+    # --sweep to --seed each set the config key of their name, which is
+    # where argparse stores them
     parser.add_argument("--sweep", choices=[kind.value for kind in SweepKind],
                         help="swept quantity (default: rho)")
-    parser.add_argument("--from", dest="from_value", metavar="F",
-                        help="sweep range start")
-    parser.add_argument("--to", dest="to_value", metavar="T",
-                        help="sweep range end")
+    parser.add_argument("--from", metavar="F", help="sweep range start")
+    parser.add_argument("--to", metavar="T", help="sweep range end")
     parser.add_argument("--steps", metavar="N", help="number of sweep points")
     parser.add_argument("--schemes", metavar="LIST",
-                        help="comma-separated subset of oma,noma,vpnoma,comp-vpnoma")
+                        help="comma-separated subset of "
+                             + ",".join(scheme.token for scheme in SchemeId))
     parser.add_argument("--trials", metavar="N", help="Monte-Carlo trials per point")
     parser.add_argument("--seed", metavar="S", help="64-bit random seed")
     parser.add_argument("--out", metavar="PATH", default="results.csv",
@@ -54,12 +56,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config file {args.config}: {exc}")
         else:
             text = ""
-        flags = {"sweep": args.sweep, "from": args.from_value,
-                 "to": args.to_value, "steps": args.steps,
-                 "schemes": args.schemes, "trials": args.trials,
-                 "seed": args.seed}
-        cfg = parse_config(text, {k: v for k, v in flags.items()
-                                  if v is not None})
+        cfg = parse_config(text, {key: value for key, value in vars(args).items()
+                                  if key in CONFIG_KEYS and value is not None})
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,15 @@ def _is_real(value) -> bool:
                                     and not isinstance(value, bool))
 
 
+def _all_real(values) -> bool:
+    """Whether every element of values is a real number that is not a bool:
+    an array by its dtype, anything else element by element, so that a
+    bool or a string among floats is seen before numpy converts it."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iuf"
+    return all(map(_is_real, np.array(values, dtype=object).flat))
+
+
 def _as_tuple(values, name: str) -> tuple:
     """values as a tuple; a ValueError naming them if they are not a
     sequence."""
@@ -89,6 +98,9 @@ def build_layout(near_radii, far_radii) -> np.ndarray:
 def distance_matrix(positions: np.ndarray) -> np.ndarray:
     """All 18 link distances from the base-station sites to the (6, 2) user
     positions, as a (3, 6) array, rows = BS, cols = users 1..3,A..C."""
+    if np.shape(positions) != (N_USERS, 2):
+        raise ValueError(f"positions must have shape ({N_USERS}, 2), got "
+                         f"{np.shape(positions)}")
     diff = _BS_SITES[:, None, :] - positions
     # the Euclidean norm over the last axis, as np.linalg.norm computes it:
     # its sum of the two squares is one addition

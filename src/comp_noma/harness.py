@@ -46,9 +46,10 @@ class SweepKind(enum.Enum):
                          f"{', '.join(k.value for k in cls)}")
 
 
-CONFIG_KEYS = ("alpha", "rho_db", "upsilon", "sigma_eps", "pathloss_exponent",
-               "near_radius", "far_radius", "trials", "seed", "sweep", "from",
-               "to", "steps", "schemes")
+# sweep comes first, so that from and to replace its default range
+CONFIG_KEYS = ("sweep", "alpha", "rho_db", "upsilon", "sigma_eps",
+               "pathloss_exponent", "near_radius", "far_radius", "trials",
+               "seed", "from", "to", "steps", "schemes")
 
 
 def db_to_linear(value_db: float) -> float:
@@ -90,21 +91,25 @@ class ResultRow:
     seed: int
 
 
-def _parse_float(raw, key, where):
+def _parse(key: str, text: str) -> dict:
+    """The SweepConfig fields that config key sets to text; a ValueError
+    giving the reason when text is not a value of key."""
+    if key == "sweep":
+        kind = SweepKind.from_token(text)
+        return {"sweep_kind": kind, "from_value": kind.default_range[0],
+                "to_value": kind.default_range[1]}
+    if key == "schemes":
+        chosen = {SchemeId.from_token(token) for token in text.split(",")}
+        return {"schemes": tuple(s for s in SchemeId if s in chosen)}
+    integer = key in ("trials", "seed", "steps")
     try:
-        value = float(raw)
+        value = int(text) if integer else float(text)
     except ValueError:
-        raise ConfigError(f"{where}: key '{key}': cannot parse {raw!r} as a number")
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: key '{key}': value must be finite")
-    return value
-
-
-def _parse_int(raw, key, where):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: key '{key}': cannot parse {raw!r} as an integer")
+        raise ValueError(f"cannot parse {text!r} as "
+                         f"{'an integer' if integer else 'a number'}") from None
+    if not (integer or math.isfinite(value)):
+        raise ValueError("value must be finite")
+    return {{"from": "from_value", "to": "to_value"}.get(key, key): value}
 
 
 def _raw_pairs(text: str) -> dict:
@@ -128,77 +133,57 @@ def _raw_pairs(text: str) -> dict:
 
 
 def _config_from_raw(raw: dict) -> SweepConfig:
+    def key_error(key, message):
+        where = raw[key][1] if key in raw else "default"
+        return ConfigError(f"{where}: key '{key}': {message}")
+
     fields = {}
-    if "sweep" in raw:
-        value, where = raw["sweep"]
-        try:
-            kind = SweepKind.from_token(value)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: key 'sweep': {exc}")
-        fields["sweep_kind"] = kind
-        fields["from_value"], fields["to_value"] = kind.default_range
-    if "schemes" in raw:
-        value, where = raw["schemes"]
-        try:
-            schemes = tuple(SchemeId.from_token(t) for t in value.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: key 'schemes': {exc}")
-        order = list(SchemeId)
-        fields["schemes"] = tuple(sorted(set(schemes), key=order.index))
-
-    # the other keys are numbers; each sets the field of its name, except
-    # from and to, which set the range's ends
     for key in CONFIG_KEYS:
-        if key in raw and key not in ("sweep", "schemes"):
-            value, where = raw[key]
-            parse = _parse_int if key in ("trials", "seed", "steps") else _parse_float
-            attr = {"from": "from_value", "to": "to_value"}.get(key, key)
-            fields[attr] = parse(value, key, where)
-
+        if key in raw:
+            try:
+                fields.update(_parse(key, raw[key][0]))
+            except ValueError as exc:
+                raise key_error(key, exc) from None
     cfg = SweepConfig(**fields)
-    _validate(cfg, raw)
+    error = _validate(cfg)
+    if error is not None:
+        raise key_error(*error)
     return cfg
 
 
-def _validate(cfg: SweepConfig, raw: dict) -> None:
-    def fail(key, message):
-        where = raw[key][1] if key in raw else "default"
-        raise ConfigError(f"{where}: key '{key}': {message}")
-
-    if not 0.0 < cfg.alpha < 0.25:
-        fail("alpha", f"must lie in (0, 0.25), got {cfg.alpha}")
+def _validate(cfg: SweepConfig):
+    """(key, message) for the first rule that cfg breaks, or None."""
     if cfg.upsilon < 0:
-        fail("upsilon", f"must be nonnegative, got {cfg.upsilon}")
+        return "upsilon", f"must be nonnegative, got {cfg.upsilon}"
     if cfg.sigma_eps < 0:
-        fail("sigma_eps", f"must be nonnegative, got {cfg.sigma_eps}")
+        return "sigma_eps", f"must be nonnegative, got {cfg.sigma_eps}"
     if cfg.pathloss_exponent <= 0:
-        fail("pathloss_exponent", f"must be positive, got {cfg.pathloss_exponent}")
-    for key, value in (("near_radius", cfg.near_radius),
-                       ("far_radius", cfg.far_radius)):
-        if not 0.0 < value <= 1.0:
-            fail(key, f"must lie in (0, 1], got {value}")
+        return "pathloss_exponent", (f"must be positive, got "
+                                     f"{cfg.pathloss_exponent}")
+    if not 0.0 < cfg.far_radius <= 1.0:
+        return "far_radius", f"must lie in (0, 1], got {cfg.far_radius}"
     if cfg.trials < 1:
-        fail("trials", f"must be >= 1, got {cfg.trials}")
+        return "trials", f"must be >= 1, got {cfg.trials}"
     try:
         check_seed(cfg.seed)
     except ValueError as exc:
-        fail("seed", str(exc))
+        return "seed", str(exc)
     if cfg.steps < 2:
-        fail("steps", f"must be >= 2, got {cfg.steps}")
+        return "steps", f"must be >= 2, got {cfg.steps}"
     if not cfg.from_value < cfg.to_value:
-        fail("from", f"sweep range must satisfy from < to, got "
-                     f"[{cfg.from_value}, {cfg.to_value}]")
-    if not cfg.schemes:
-        fail("schemes", "at least one scheme is required")
+        return "from", (f"sweep range must satisfy from < to, got "
+                        f"[{cfg.from_value}, {cfg.to_value}]")
     # Every point rule asks a swept value to lie in an interval or is
-    # monotone in it, so a sweep whose two ends pass passes at every point.
-    # A rule whose keys hold the swept field names the end that breaks it.
+    # monotone in it, so a sweep whose two ends pass passes at every point;
+    # the swept field's fixed value is never read. A rule whose keys hold
+    # the swept field names the end that breaks it.
     swept = cfg.sweep_kind.field
     for end, value in (("to", cfg.to_value), ("from", cfg.from_value)):
         error = _point_error({**vars(cfg), swept: value})
         if error is not None:
             keys, message = error
-            fail(end if swept in keys else keys[0], message)
+            return (end if swept in keys else keys[0]), message
+    return None
 
 
 def _point_error(p: dict):

@@ -154,6 +154,33 @@ class TestHypoexpLogMean:
             hypoexp_log2_mean([], 1.5)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: hypoexp_log2_mean("12", 1.0), "rates"),
+    (lambda: hypoexp_log2_mean([True, 2.0], 1.0), "rates"),
+    (lambda: hypoexp_log2_mean(np.array([1.0, 2.0]) > 0, 1.0), "rates"),
+    (lambda: hypoexp_log2_mean([1.0, None], 1.0), "rates"),
+    (lambda: hypoexp_log2_mean([1.0, 2.0], "2"), "shift"),
+    (lambda: hypoexp_log2_mean([1.0, 2.0], True), "shift"),
+    (lambda: exp_integral_ei("-2"), "x"),
+    (lambda: exp_integral_ei(False), "x"),
+], ids=["rates-string", "rates-bool-in-list", "rates-bool-array",
+        "rates-none", "shift-string", "shift-bool", "x-string", "x-bool"])
+def test_strings_and_bools_are_rejected_by_name(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be (a )?real"):
+        call()
+
+
+def test_python_ints_and_numpy_reals_are_accepted():
+    value = hypoexp_log2_mean([1.0, 3.0], 2.0)
+    for rates, shift in (([1, 3], 2), ([np.float32(1.0), np.int64(3)],
+                                       np.float64(2.0)),
+                         (np.array([1, 3]), 2.0), ((1.0, 3.0), np.int32(2))):
+        assert hypoexp_log2_mean(rates, shift) == value
+    assert hypoexp_log2_mean(2, 1) == hypoexp_log2_mean([2.0], 1.0)
+    assert exp_integral_ei(-2) == exp_integral_ei(np.float32(-2.0)) \
+        == exp_integral_ei(-2.0)
+
+
 def per_user_standard_errors(stats, params, scheme, trials, seed):
     draws = kernels.sample_gains(seed, 0, trials)
     rates = kernels.scheme_rates(draws, scheme.code, params, stats)

@@ -216,3 +216,29 @@ def test_gain_moments_and_independence():
     corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
     off_diagonal = corr[~np.eye(18, dtype=bool)]
     assert np.max(np.abs(off_diagonal)) < 0.01
+
+
+def test_positions_of_another_shape_are_rejected_by_name():
+    with pytest.raises(ValueError, match=r"positions must have shape \(6, 2\), "
+                                         r"got \(5, 2\)"):
+        derive_link_statistics(np.zeros((5, 2)) + 0.3)
+
+
+@pytest.mark.parametrize("bad", [False, True, "0.001", None])
+def test_a_non_real_among_per_link_floats_is_rejected_by_name(default_layout,
+                                                               bad):
+    # np.array would turn a lone bool among floats into 0.0 or 1.0
+    values = [[0.001] * 6 for _ in range(3)]
+    values[2][5] = bad
+    with pytest.raises(ValueError, match="sigma_eps must be a real number"):
+        derive_link_statistics(default_layout, 4.0, values)
+
+
+def test_per_link_lists_of_python_and_numpy_reals_are_accepted(default_layout):
+    plain = derive_link_statistics(default_layout, 4.0, np.full((3, 6), 0.001))
+    for values in ([[0.001] * 6, [np.float64(0.001)] * 6, [0.001] * 6],
+                   [np.full(6, 0.001)] * 3):
+        stats = derive_link_statistics(default_layout, 4.0, values)
+        assert stats.sigma_hat.tobytes() == plain.sigma_hat.tobytes()
+    zeros = derive_link_statistics(default_layout, 4.0, [[0] * 6] * 3)
+    assert zeros.sigma_eps.tobytes() == np.zeros((3, 6)).tobytes()

@@ -146,3 +146,20 @@ def test_nonpositive_workers_exit_2(tmp_path, capsys):
                      str(tmp_path / "x.csv")]) == 2
         assert "key 'workers'" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["from", "to", "steps", "schemes", "trials",
+                                 "seed"])
+def test_each_config_key_flag_reaches_its_key(tmp_path, capsys, key):
+    out = tmp_path / "x.csv"
+    assert main([f"--{key}", "bogus", "--out", str(out)]) == 2
+    assert f"command line: key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_schemes_help_lists_every_scheme_token(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "comma-separated subset of " + ",".join(
+        scheme.token for scheme in comp_noma.SchemeId) in help_text

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,16 @@ def test_python_and_numpy_real_radii_are_accepted_bitwise():
     for near in ((np.float64(0.5), np.float32(0.25), np.int64(1)),
                  np.array([0.5, 0.25, 1.0]), (0.5, 0.25, 1)):
         assert _same_bits(build_layout(near, (0.95,) * 3), plain)
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (6, 3), (2, 6), (12,)], ids=str)
+def test_positions_of_another_shape_are_rejected_by_name(shape):
+    # (5, 2) and (6, 3) used to fail inside numpy's broadcasting
+    with pytest.raises(ValueError, match=rf"positions must have shape "
+                                         rf"\(6, 2\), got {re.escape(str(shape))}"):
+        distance_matrix(np.full(shape, 0.3))
+
+
+def test_positions_as_a_list_of_six_pairs_are_accepted_bitwise(default_layout):
+    assert _same_bits(distance_matrix(default_layout.tolist()),
+                      distance_matrix(default_layout))

@@ -151,6 +151,32 @@ class TestParseConfig:
             parse_config("", {"alpha": "0.9"})
 
 
+@pytest.mark.parametrize("key", harness.CONFIG_KEYS)
+def test_every_unparsable_value_names_its_key(key):
+    with pytest.raises(ConfigError, match=rf"^line 2: key '{key}': "):
+        parse_config(f"# pad\n{key}=bogus")
+    with pytest.raises(ConfigError, match=rf"^command line: key '{key}': "):
+        parse_config("", {key: "bogus"})
+
+
+@pytest.mark.parametrize("kind, fixed", [(SweepKind.ALPHA, "alpha=0.3"),
+                                         (SweepKind.NEAR_RADIUS,
+                                          "near_radius=1.5")],
+                         ids=["alpha", "near-radius"])
+def test_the_fixed_value_of_a_swept_key_is_not_read(kind, fixed):
+    document = (f"sweep={kind.value}\ntrials=300\nsteps=2\n"
+                f"schemes=comp-vpnoma,oma\n")
+    cfg = parse_config(document + fixed)
+    assert (cfg.from_value, cfg.to_value) == kind.default_range
+    # the sweep runs as it does without the fixed value
+    assert run_sweep(cfg) == run_sweep(parse_config(document))
+    # without the sweep, the same value breaks its rule
+    with pytest.raises(ConfigError, match=rf"^line 2: key '{kind.field}'"):
+        parse_config(f"trials=300\n{fixed}")
+    with pytest.raises(ConfigError, match=rf"^line 3: key '{kind.field}'"):
+        parse_config(f"trials=300\nsweep=rho\n{fixed}")
+
+
 # One sweep end, drawn on both sides of the rules' bounds on the default
 # geometry: the SNR's underflow near -3236 dB, the closed form's overflow
 # near -3065 dB and the SINR-term overflow near 3050 dB; radii about 0,
