@@ -21,8 +21,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="key=value configuration file")
     # --sweep to --seed each set the config key of their name, which is
     # where argparse stores them
-    parser.add_argument("--sweep", choices=[kind.value for kind in SweepKind],
-                        help="swept quantity (default: rho)")
+    parser.add_argument("--sweep", metavar="KIND",
+                        help="swept quantity, one of "
+                             + ", ".join(kind.value for kind in SweepKind)
+                             + " (default: rho)")
     parser.add_argument("--from", metavar="F", help="sweep range start")
     parser.add_argument("--to", metavar="T", help="sweep range end")
     parser.add_argument("--steps", metavar="N", help="number of sweep points")

@@ -98,9 +98,13 @@ def build_layout(near_radii, far_radii) -> np.ndarray:
 def distance_matrix(positions: np.ndarray) -> np.ndarray:
     """All 18 link distances from the base-station sites to the (6, 2) user
     positions, as a (3, 6) array, rows = BS, cols = users 1..3,A..C."""
-    if np.shape(positions) != (N_USERS, 2):
+    try:
+        shape = np.shape(positions)
+    except ValueError:
+        shape = "a ragged sequence"
+    if shape != (N_USERS, 2):
         raise ValueError(f"positions must have shape ({N_USERS}, 2), got "
-                         f"{np.shape(positions)}")
+                         f"{shape}")
     diff = _BS_SITES[:, None, :] - positions
     # the Euclidean norm over the last axis, as np.linalg.norm computes it:
     # its sum of the two squares is one addition

@@ -100,11 +100,27 @@ def _draws(seed, start_trial, n):
 
 # The last block shorter than CHUNK_TRIALS: an estimate's tail chunk, which
 # the estimates of a sweep at one seed and trial count share, and all of a
-# one-chunk estimate. Full chunks are not kept: no two calls in a row share
-# one, and keeping a 1.2 MB block alive made glibc trim and re-fault the heap
-# on every chunk of the default sweep. The draws are read-only, so any thread
-# may share them.
+# one-chunk estimate. A full chunk never displaces it. The draws are
+# read-only, so any thread may share them.
 _short_draws = lru_cache(maxsize=1)(_draws)
+
+# The last full block drawn, as ((seed, start_trial, n), draws), or None.
+# It is replaced whole, so a thread reads a key and its draws together. An
+# estimate ends on its first or its last full chunk, and estimate_esc orders
+# the next one's chunks to reach that one first, so a sweep draws each chunk
+# at a boundary between two estimates once. A miss empties the slot before
+# drawing, so the held block is freed before the next is allocated: a
+# variant that kept blocks alive while it drew new ones made glibc trim and
+# re-fault the heap on every chunk.
+_full_block = None
+
+
+def held_full_block(seed, start_trial, n):
+    """The draws sample_gains holds for this full block, or None."""
+    held = _full_block
+    if held is not None and held[0] == (seed, start_trial, n):
+        return held[1]
+    return None
 
 
 def sample_gains(seed, start_trial, n):
@@ -114,12 +130,18 @@ def sample_gains(seed, start_trial, n):
     turns it into the gain draw × (−σ̂). The result is a view of link-major
     memory: each link's draws over the chunk are contiguous, which is the
     layout scheme_rates reads. Values do not depend on the layout. A
-    repeated call for a block shorter than CHUNK_TRIALS may return the same
-    array.
+    repeated call for the last block shorter than CHUNK_TRIALS, or for the
+    last full block, may return the same array.
     """
+    global _full_block
     if n < CHUNK_TRIALS:
         return _short_draws(seed, start_trial, n)
-    return _draws(seed, start_trial, n)
+    draws = held_full_block(seed, start_trial, n)
+    if draws is None:
+        _full_block = None
+        draws = _draws(seed, start_trial, n)
+        _full_block = (seed, start_trial, n), draws
+    return draws
 
 
 def scheme_rates(draws, scheme_code, params, stats):

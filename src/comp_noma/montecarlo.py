@@ -74,11 +74,19 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
         chunk_user_sums[index] = np.add.reduce(by_user, axis=1)
 
     # The calling thread and min(workers, n_chunks) - 1 helpers take chunk
-    # indices from one iterator; next() on a range iterator is one C call
-    # under the GIL, so each index goes to exactly one thread. A failing
-    # chunk empties the iterator, also in one C call, so that no index is
-    # handed out after it.
-    indices = iter(range(n_chunks))
+    # indices from one iterator; next() on a range iterator, forward or
+    # reversed, is one C call under the GIL, so each index goes to exactly
+    # one thread. A failing chunk empties the iterator, also in one C call,
+    # so that no index is handed out after it. The chunks run backward when
+    # the draw kernel holds this estimate's last full chunk, the one a
+    # forward estimate ends on, and forward otherwise, so each estimate of a
+    # sweep reaches first the full chunk the one before it ended on. No
+    # block with a negative start is ever held.
+    last_full = (trials // chunk - 1) * chunk
+    if kernels.held_full_block(seed, last_full, chunk) is None:
+        indices = iter(range(n_chunks))
+    else:
+        indices = reversed(range(n_chunks))
     errors = []
 
     def work() -> None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from comp_noma import (SystemParams, build_layout, db_to_linear,
-                       derive_link_statistics)
+                       derive_link_statistics, kernels)
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +23,13 @@ def params_20db():
 @pytest.fixture(scope="session")
 def params_10db():
     return SystemParams(alpha=0.1, rho=db_to_linear(10.0), upsilon=0.01)
+
+
+@pytest.fixture(autouse=True)
+def no_held_full_block():
+    """An estimate's chunk order follows the full block the draw kernel
+    holds, so every test starts with none held, whichever tests ran before."""
+    kernels._full_block = None
 
 
 @pytest.fixture

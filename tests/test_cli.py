@@ -101,10 +101,20 @@ def test_snr_and_upsilon_that_overflow_the_closed_form_exit_2(tmp_path,
     assert main(["--config", str(config), "--schemes", "oma"] + run) == 0
 
 
-def test_unknown_flag_value_exits_2():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--sweep", "bandwidth"])
-    assert excinfo.value.code == 2
+def test_unknown_flag_value_exits_2(capsys):
+    assert main(["--sweep", "bandwidth"]) == 2
+    assert "command line: key 'sweep'" in capsys.readouterr().err
+
+
+def test_sweep_flag_and_key_read_a_token_alike(tmp_path):
+    """--sweep RHO and sweep=RHO both reach the one token parser."""
+    config = tmp_path / "sweep.cfg"
+    config.write_text("sweep=RHO\n")
+    run = ["--trials", "50", "--steps", "2", "--schemes", "OMA"]
+    flag, key = tmp_path / "flag.csv", tmp_path / "key.csv"
+    assert main(["--sweep", "RHO", "--out", str(flag)] + run) == 0
+    assert main(["--config", str(config), "--out", str(key)] + run) == 0
+    assert flag.read_bytes() == key.read_bytes()
 
 
 def test_runtime_error_exits_1(tmp_path, capsys):

@@ -123,12 +123,17 @@ def test_python_and_numpy_real_radii_are_accepted_bitwise():
         assert _same_bits(build_layout(near, (0.95,) * 3), plain)
 
 
-@pytest.mark.parametrize("shape", [(5, 2), (6, 3), (2, 6), (12,)], ids=str)
-def test_positions_of_another_shape_are_rejected_by_name(shape):
-    # (5, 2) and (6, 3) used to fail inside numpy's broadcasting
+@pytest.mark.parametrize("positions, got", [
+    *(pytest.param(np.full(shape, 0.3), str(shape), id=str(shape))
+      for shape in [(5, 2), (6, 3), (2, 6), (12,)]),
+    pytest.param([[0.1, 0.2]] * 5 + [[0.1]], "a ragged sequence", id="ragged"),
+])
+def test_positions_of_another_shape_are_rejected_by_name(positions, got):
+    # (5, 2) and (6, 3) used to fail inside numpy's broadcasting, and a
+    # ragged list inside numpy's conversion
     with pytest.raises(ValueError, match=rf"positions must have shape "
-                                         rf"\(6, 2\), got {re.escape(str(shape))}"):
-        distance_matrix(np.full(shape, 0.3))
+                                         rf"\(6, 2\), got {re.escape(got)}"):
+        distance_matrix(positions)
 
 
 def test_positions_as_a_list_of_six_pairs_are_accepted_bitwise(default_layout):

@@ -33,25 +33,36 @@ def test_draws_are_read_only():
             draws *= 2.0
 
 
-def test_only_a_short_block_is_kept_and_full_chunks_never_displace_it():
+def test_the_last_full_block_is_kept_and_never_displaces_the_short_one():
     kernels._short_draws.cache_clear()
+    kernels._full_block = None
     chunk = kernels.CHUNK_TRIALS
     tail = kernels.sample_gains(3, 2 * chunk, 2000)
     assert kernels.sample_gains(3, 2 * chunk, 2000) is tail
-    for start, n in ((0, chunk), (chunk, chunk), (0, 3 * chunk)):
-        full = kernels.sample_gains(3, start, n)
-        assert kernels.sample_gains(3, start, n) is not full
+    first = kernels.sample_gains(3, 0, chunk)
+    assert kernels.sample_gains(3, 0, chunk) is first
+    assert kernels.held_full_block(3, 0, chunk) is first
+    # any other full block is drawn afresh, and is then the one kept
+    for key in ((3, chunk, chunk), (4, 0, chunk), (3, 1, chunk),
+                (3, 0, chunk + 1), (3, 0, 3 * chunk)):
+        other = kernels.sample_gains(*key)
+        assert kernels.held_full_block(3, 0, chunk) is None
+        assert kernels.sample_gains(*key) is other
         assert kernels.sample_gains(3, 2 * chunk, 2000) is tail
+    redrawn = kernels.sample_gains(3, 0, chunk)
+    assert redrawn is not first
+    assert np.array_equal(redrawn, first)
     for key in ((4, 2 * chunk, 2000), (3, 2 * chunk + 1, 2000),
                 (3, 2 * chunk, 1999)):
         other = kernels.sample_gains(*key)
         assert other is not tail
         assert kernels.sample_gains(*key) is other
+        assert kernels.sample_gains(3, 0, chunk) is redrawn
     again = kernels.sample_gains(3, 2 * chunk, 2000)
     assert again is not tail
     assert np.array_equal(again, tail)
-    # twelve short calls reached the memo, none of the six full chunks
-    assert kernels._short_draws.cache_info()[:2] == (7, 5)
+    # fourteen short calls reached the memo, none of the sixteen full ones
+    assert kernels._short_draws.cache_info()[:2] == (9, 5)
 
 
 def test_unit_interval_draws_are_strictly_inside():

@@ -87,15 +87,22 @@ def test_two_workers_reproduce_one_exactly(default_stats, params_20db,
     assert kernels._short_draws.cache_info().hits == 4
 
 
-@pytest.mark.parametrize("trials", [2000, kernels.CHUNK_TRIALS + 2000])
+@pytest.mark.parametrize("trials", [
+    2000, kernels.CHUNK_TRIALS + 2000, 3 * kernels.CHUNK_TRIALS + 2000,
+    3 * kernels.CHUNK_TRIALS])
 def test_estimates_do_not_depend_on_the_tail_memo(params_20db, trials):
-    """Each estimate equals itself with the memo cold, warm from its own
-    tail, and warm from a sweep neighbour's tail drawn for another sigma_hat."""
+    """Each estimate equals itself with both draw memos cold, warm from its
+    own blocks, and warm from a sweep neighbour's blocks drawn for another
+    sigma_hat. A cold estimate runs its chunks forward, and a warm one
+    backward when the one before it ended on its last full chunk. With two
+    or more full chunks the warm run alternates the order, and each point
+    sits at an even and at an odd place in it, so it runs in both orders."""
     sweep = radius_sweep_stats()
     for scheme in SchemeId:
         cold = []
         for stats in sweep:
             kernels._short_draws.cache_clear()
+            kernels._full_block = None
             cold.append(estimate_esc(stats, params_20db, scheme,
                                      trials=trials, seed=8))
         warm = [estimate_esc(stats, params_20db, scheme, trials=trials,
