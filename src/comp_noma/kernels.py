@@ -7,7 +7,6 @@ thread count.
 """
 
 import ctypes
-from functools import lru_cache
 
 import numpy as np
 
@@ -98,26 +97,22 @@ def _draws(seed, start_trial, n):
     return out.reshape(N_BS, N_USERS, n).transpose(2, 0, 1)
 
 
-# The last block shorter than CHUNK_TRIALS: an estimate's tail chunk, which
-# the estimates of a sweep at one seed and trial count share, and all of a
-# one-chunk estimate. A full chunk never displaces it. The draws are
-# read-only, so any thread may share them.
-_short_draws = lru_cache(maxsize=1)(_draws)
-
-# The last full block drawn, as ((seed, start_trial, n), draws), or None.
-# It is replaced whole, so a thread reads a key and its draws together. An
-# estimate ends on its first or its last full chunk, and estimate_esc orders
-# the next one's chunks to reach that one first, so a sweep draws each chunk
-# at a boundary between two estimates once. A miss empties the slot before
+# The last block drawn of each size class, keyed by n < CHUNK_TRIALS, as
+# ((seed, start_trial, n), draws), each entry replaced whole so that a
+# thread reads a key and its draws together; the draws are read-only, so
+# any thread may share them. The estimates of a sweep at one seed and trial
+# count share their tail chunk, the short block. An estimate ends on its
+# first or its last full chunk, and estimate_esc orders the next one's
+# chunks to reach that one first. A miss drops its class's entry before
 # drawing, so the held block is freed before the next is allocated: a
-# variant that kept blocks alive while it drew new ones made glibc trim and
-# re-fault the heap on every chunk.
-_full_block = None
+# variant that kept full blocks alive while it drew new ones made glibc
+# trim and re-fault the heap on every chunk.
+_held = {}
 
 
-def held_full_block(seed, start_trial, n):
-    """The draws sample_gains holds for this full block, or None."""
-    held = _full_block
+def held_block(seed, start_trial, n):
+    """The draws sample_gains holds for this block, or None."""
+    held = _held.get(n < CHUNK_TRIALS)
     if held is not None and held[0] == (seed, start_trial, n):
         return held[1]
     return None
@@ -133,14 +128,12 @@ def sample_gains(seed, start_trial, n):
     repeated call for the last block shorter than CHUNK_TRIALS, or for the
     last full block, may return the same array.
     """
-    global _full_block
-    if n < CHUNK_TRIALS:
-        return _short_draws(seed, start_trial, n)
-    draws = held_full_block(seed, start_trial, n)
+    draws = held_block(seed, start_trial, n)
     if draws is None:
-        _full_block = None
+        short = n < CHUNK_TRIALS
+        _held.pop(short, None)
         draws = _draws(seed, start_trial, n)
-        _full_block = (seed, start_trial, n), draws
+        _held[short] = (seed, start_trial, n), draws
     return draws
 
 
@@ -183,29 +176,33 @@ def _scheme_rates(draws, scheme_code, params, stats):
     # each gain is draw × (−σ̂), the same IEEE product as −log(u)·σ̂, since
     # negation is exact; σ̂ is negated once for all 18 links
     neg_sigma = -stats.sigma_hat.reshape(N_LINKS, 1)
+    # both as (BS, near/far, cell): user u is the near (u < 3) or the far
+    # user of cell u % 3
+    d_cells = d.reshape(N_BS, 2, N_BS, n)
+    w_cells = neg_sigma.reshape(N_BS, 2, N_BS, 1)
     near_links = slice(0, None, N_USERS + 1)     # links (j, j)
     far_links = slice(N_BS, None, N_USERS + 1)   # links (k, 3 + k)
-    # the interference weights: −σ̂, with every serving link's weight 0
-    cross_weights = neg_sigma.copy()
-    cross_weights[near_links] = cross_weights[far_links] = 0.0
     arho = alpha * rho
     brho = params.beta * rho
 
     # One SINR denominator per user, built in place so that the whole chunk
     # takes one pass of each step: row u is the sum of user u's two
-    # non-serving gains, as the formulas print it (the serving link adds an
-    # exact zero). No interference is formed as the total less the serving
-    # gain, which cancels when the serving gain dwarfs the other two. Until
-    # the signals are formed, out holds one BS's six weighted gains at a
-    # time, then the six serving gains.
+    # non-serving gains in BS order, as the formulas print it. No
+    # interference is formed as the total less the serving gain, which
+    # cancels when the serving gain dwarfs the other two. Each link's gain
+    # is formed once: den takes each cell's first interferer (BS0 for cells
+    # 1 and 2, BS1 for cell 0) and out its second (BS2 for cells 0 and 1,
+    # BS1 for cell 2); out then holds the six serving gains.
     out = _aligned_empty(N_USERS, n)
+    den = _aligned_empty(N_USERS, n)
+    out_cells = out.reshape(2, N_BS, n)
+    den_cells = den.reshape(2, N_BS, n)
+    np.multiply(d_cells[0, :, 1:], w_cells[0, :, 1:], out=den_cells[:, 1:])
+    np.multiply(d_cells[1, :, :1], w_cells[1, :, :1], out=den_cells[:, :1])
+    np.multiply(d_cells[2, :, :2], w_cells[2, :, :2], out=out_cells[:, :2])
+    np.multiply(d_cells[1, :, 2:], w_cells[1, :, 2:], out=out_cells[:, 2:])
+    den += out
     near, far = out[:N_BS], out[N_BS:]
-    den = np.multiply(d[:N_USERS], cross_weights[:N_USERS],
-                      out=_aligned_empty(N_USERS, n))
-    for lo in (N_USERS, 2 * N_USERS):
-        np.multiply(d[lo:lo + N_USERS], cross_weights[lo:lo + N_USERS],
-                    out=out)
-        den += out
     np.multiply(d[near_links], neg_sigma[near_links], out=near)
     np.multiply(d[far_links], neg_sigma[far_links], out=far)
     near_den, far_den = den[:N_BS], den[N_BS:]
@@ -218,7 +215,7 @@ def _scheme_rates(draws, scheme_code, params, stats):
         den *= rho
         far_den += arho * far
         far *= (1.0 - alpha) * rho
-        scale = (1.0,) * N_USERS
+        scale = None    # every user has the whole band
     else:
         near *= arho
         # a far user's total gain is its cross interference plus its
@@ -240,12 +237,12 @@ def _scheme_rates(draws, scheme_code, params, stats):
     if scheme_code != OMA_CODE:
         near_den += rho * params.upsilon
     den += 1.0
-    # rate = scale * log2(1 + signal/den) for all six users at once; a scale
-    # of 1.0 leaves a rate unchanged to the bit.
+    # rate = scale * log2(1 + signal/den) for all six users at once
     out /= den
     out += 1.0
     np.log2(out, out=out)
-    out *= np.array(scale).reshape(N_USERS, 1)
+    if scale is not None:
+        out *= np.array(scale).reshape(N_USERS, 1)
     return out.T
 
 

@@ -83,7 +83,7 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
     # sweep reaches first the full chunk the one before it ended on. No
     # block with a negative start is ever held.
     last_full = (trials // chunk - 1) * chunk
-    if kernels.held_full_block(seed, last_full, chunk) is None:
+    if kernels.held_block(seed, last_full, chunk) is None:
         indices = iter(range(n_chunks))
     else:
         indices = reversed(range(n_chunks))

@@ -26,10 +26,27 @@ def params_10db():
 
 
 @pytest.fixture(autouse=True)
-def no_held_full_block():
-    """An estimate's chunk order follows the full block the draw kernel
-    holds, so every test starts with none held, whichever tests ran before."""
-    kernels._full_block = None
+def no_held_blocks():
+    """A held draw block answers a draw call without drawing, and an
+    estimate's chunk order follows the full block the draw kernel holds, so
+    every test starts with none held, whichever tests ran before."""
+    kernels._held.clear()
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """(seed, start_trial, n) of each block drawn from here on, in order,
+    short and full alike: sample_gains reaches kernels._draws only when it
+    holds no block for the call."""
+    blocks = []
+    draws = kernels._draws
+
+    def counting(*block):
+        blocks.append(block)
+        return draws(*block)
+
+    monkeypatch.setattr(kernels, "_draws", counting)
+    return blocks
 
 
 @pytest.fixture

@@ -275,42 +275,42 @@ class TestRunSweep:
         rows = run_sweep(cfg)
         assert rows[-1].esc_mc > rows[0].esc_mc
 
-    def test_memo_hit_shares_match_the_readme(self, monkeypatch):
-        """Draw and far-term memo hits over three sweeps, each started cold,
-        and the full chunks each sweep draws."""
-        memos = (kernels._short_draws, analytic._far_values)
-        full_draws = []
-        draws = kernels._draws
+    def test_memo_hit_shares_match_the_readme(self, monkeypatch, drawn):
+        """Over three sweeps, each started cold: the draw calls, the short
+        and the full blocks drawn, and the far-term memo's hits and misses.
+        A draw call that draws no block is answered by a held one."""
+        calls = []
+        sample_gains = kernels.sample_gains
 
         def counting(*block):
-            full_draws.append(block)
-            return draws(*block)
+            calls.append(block)
+            return sample_gains(*block)
 
-        # the short-block memo wraps the draw function itself, so only full
-        # blocks reach the patched name
-        monkeypatch.setattr(kernels, "_draws", counting)
+        monkeypatch.setattr(kernels, "sample_gains", counting)
 
         def hits(config):
             cfg = parse_config(config)
-            for memo in memos:
-                memo.cache_clear()
-            kernels._full_block = None
-            full_draws.clear()
+            analytic._far_values.cache_clear()
+            kernels._held.clear()
+            calls.clear()
+            drawn.clear()
             run_sweep(cfg)
-            return [memo.cache_info()[:2] for memo in memos] + [len(full_draws)]
+            short = sum(n < kernels.CHUNK_TRIALS for _, _, n in drawn)
+            return [len(calls), short, len(drawn) - short,
+                    analytic._far_values.cache_info()[:2]]
 
         # 200 one-chunk CoMP estimates: only the near users move
         assert hits("sweep=near-radius\nsteps=200\ntrials=2000\n"
-                    "schemes=comp-vpnoma") == [(199, 1), (199, 1), 0]
+                    "schemes=comp-vpnoma") == [200, 1, 0, (199, 1)]
         # the default SNR sweep's 36 estimates, each a full chunk and the
         # default tail of 1,696 trials; rho moves at every point. Each
         # estimate after the first starts on the full chunk the one before
         # it ended on.
         trials = kernels.CHUNK_TRIALS + 100_000 % kernels.CHUNK_TRIALS
-        assert hits(f"trials={trials}") == [(35, 1), (0, 9), 1]
+        assert hits(f"trials={trials}") == [72, 1, 1, (0, 9)]
         # the default SNR sweep itself: 12 full chunks per estimate, 432
         # drawn when every estimate drew all of its own
-        assert hits("") == [(35, 1), (0, 9), 397]
+        assert hits("") == [468, 1, 397, (0, 9)]
 
     @pytest.mark.parametrize("kind", list(SweepKind))
     def test_swept_values_reach_the_estimator_as_python_floats(

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from comp_noma import (SystemParams, build_layout, db_to_linear,
@@ -33,36 +33,40 @@ def test_draws_are_read_only():
             draws *= 2.0
 
 
-def test_the_last_full_block_is_kept_and_never_displaces_the_short_one():
-    kernels._short_draws.cache_clear()
-    kernels._full_block = None
+def test_the_last_full_block_is_kept_and_never_displaces_the_short_one(
+        drawn):
     chunk = kernels.CHUNK_TRIALS
     tail = kernels.sample_gains(3, 2 * chunk, 2000)
     assert kernels.sample_gains(3, 2 * chunk, 2000) is tail
     first = kernels.sample_gains(3, 0, chunk)
     assert kernels.sample_gains(3, 0, chunk) is first
-    assert kernels.held_full_block(3, 0, chunk) is first
+    assert kernels.held_block(3, 0, chunk) is first
+    assert kernels.held_block(3, 2 * chunk, 2000) is tail
     # any other full block is drawn afresh, and is then the one kept
-    for key in ((3, chunk, chunk), (4, 0, chunk), (3, 1, chunk),
-                (3, 0, chunk + 1), (3, 0, 3 * chunk)):
+    full_keys = ((3, chunk, chunk), (4, 0, chunk), (3, 1, chunk),
+                 (3, 0, chunk + 1), (3, 0, 3 * chunk))
+    for key in full_keys:
         other = kernels.sample_gains(*key)
-        assert kernels.held_full_block(3, 0, chunk) is None
+        assert kernels.held_block(3, 0, chunk) is None
         assert kernels.sample_gains(*key) is other
         assert kernels.sample_gains(3, 2 * chunk, 2000) is tail
     redrawn = kernels.sample_gains(3, 0, chunk)
     assert redrawn is not first
     assert np.array_equal(redrawn, first)
-    for key in ((4, 2 * chunk, 2000), (3, 2 * chunk + 1, 2000),
-                (3, 2 * chunk, 1999)):
+    short_keys = ((4, 2 * chunk, 2000), (3, 2 * chunk + 1, 2000),
+                  (3, 2 * chunk, 1999))
+    for key in short_keys:
         other = kernels.sample_gains(*key)
         assert other is not tail
+        assert kernels.held_block(3, 2 * chunk, 2000) is None
         assert kernels.sample_gains(*key) is other
         assert kernels.sample_gains(3, 0, chunk) is redrawn
     again = kernels.sample_gains(3, 2 * chunk, 2000)
     assert again is not tail
     assert np.array_equal(again, tail)
-    # fourteen short calls reached the memo, none of the sixteen full ones
-    assert kernels._short_draws.cache_info()[:2] == (9, 5)
+    # of 30 calls, only the misses drew: 5 short blocks and 7 full ones
+    assert drawn == [(3, 2 * chunk, 2000), (3, 0, chunk), *full_keys,
+                     (3, 0, chunk), *short_keys, (3, 2 * chunk, 2000)]
 
 
 def test_unit_interval_draws_are_strictly_inside():
@@ -252,7 +256,6 @@ def test_kernel_outputs_start_on_64_byte_boundaries(n):
     for pad in (1, 2, 3, 5, 8):
         # move the heap between calls by a few 16-byte steps
         held.append(np.empty(pad * 2))
-        kernels._short_draws.cache_clear()
         draws = kernels.sample_gains(seed, pad * n, n)
         assert draws.__array_interface__["data"][0] % 64 == 0
         for code in (kernels.OMA_CODE, kernels.COMP_VPNOMA_CODE):
@@ -272,6 +275,54 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
+def _draw_bound(n):
+    """Bytes a draw of n trials may allocate, as in the docstring below."""
+    return ((kernels.N_LINKS + 6 + 3) * 8 * n
+            + 2 * min(np.getbufsize(), 6 * n) * 8 + 4096)
+
+
+_block = st.tuples(st.integers(0, 1),
+                   st.sampled_from([0, 576, kernels.CHUNK_TRIALS]),
+                   st.sampled_from([1, 576, 2000, kernels.CHUNK_TRIALS - 1,
+                                    kernels.CHUNK_TRIALS]))
+
+
+# without the explain phase, whose line tracer allocates inside the traced
+# calls
+@settings(derandomize=True, deadline=None, database=None, max_examples=60,
+          phases=(Phase.generate, Phase.shrink))
+@given(requests=st.lists(_block, min_size=1, max_size=8))
+def test_held_blocks_equal_fresh_draws_and_a_miss_frees_its_class(requests):
+    """Across both size classes, every block sample_gains returns equals a
+    fresh draw, and a repeat of the last block of its class is that block.
+    A miss drops its class's held block before it draws, so the peak rises
+    by at most one fresh draw less the block it frees."""
+    kernels._held.clear()
+    tracemalloc.start()
+    try:
+        for seed, start, n in requests:
+            hit = kernels.held_block(seed, start, n)
+            held = kernels._held.get(n < kernels.CHUNK_TRIALS)
+            freed = 0 if hit is not None or held is None \
+                else 8 * kernels.N_LINKS * held[0][2]
+            del held
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            draws = kernels.sample_gains(seed, start, n)
+            rise = tracemalloc.get_traced_memory()[1] - base
+            if hit is not None:
+                assert draws is hit
+                assert rise < 4096, rise
+            else:
+                assert rise <= max(_draw_bound(n) - freed, 4096), \
+                    (n, freed, rise)
+            assert kernels.held_block(seed, start, n) is draws
+            assert np.array_equal(draws, kernels._draws(seed, start, n))
+            del draws, hit
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("n", [576, 1696, 2000, 8192])
 def test_kernels_allocate_one_block_of_scratch(n):
     """Peak memory of one kernel call, in float64 rows of n trials.
@@ -281,21 +332,18 @@ def test_kernels_allocate_one_block_of_scratch(n):
     temporary; the buffers numpy's iterator may take for a broadcast (6, 1)
     column, at most two of min(bufsize, 6n) elements; 4 KiB of small
     objects. A temporary that spans all 18 links of the chunk breaks it. A
-    repeated draw of a block shorter than a chunk allocates under 4 KiB, and
-    a rate-kernel call that short takes no iterator buffers at all.
+    repeated draw of the block the draw kernel holds allocates under 4 KiB,
+    and a rate-kernel call shorter than a chunk takes no iterator buffers.
     """
-    kernels._short_draws.cache_clear()
     stats, params, seed = _rate_case("uneven")
     row = 8 * n
     slack = 2 * min(np.getbufsize(), 6 * n) * 8 + 4096
 
     draws, peak = _traced_peak(lambda: kernels.sample_gains(seed, 7 * n, n))
-    assert peak < (kernels.N_LINKS + 6 + 3) * row + slack, peak / row
-    if n < kernels.CHUNK_TRIALS:
-        again, peak = _traced_peak(
-            lambda: kernels.sample_gains(seed, 7 * n, n))
-        assert again is draws
-        assert peak < 4096, peak
+    assert peak < _draw_bound(n), peak / row
+    again, peak = _traced_peak(lambda: kernels.sample_gains(seed, 7 * n, n))
+    assert again is draws
+    assert peak < 4096, peak
     rate_slack = 4096 if n < kernels.CHUNK_TRIALS else slack
     for code in (kernels.OMA_CODE, kernels.NOMA_CODE, kernels.VPNOMA_CODE,
                  kernels.COMP_VPNOMA_CODE):

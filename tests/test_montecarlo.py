@@ -52,7 +52,7 @@ def radius_sweep_stats(radii=(0.3, 0.5, 0.7)):
 
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.token)
 def test_two_workers_reproduce_one_exactly(default_stats, params_20db,
-                                           scheme):
+                                           scheme, drawn):
     """Kernels allocate their buffers per call, so threads share none.
 
     The sweep's estimates all end in the same tail chunk; with two workers
@@ -60,12 +60,12 @@ def test_two_workers_reproduce_one_exactly(default_stats, params_20db,
     """
     trials = 4 * kernels.CHUNK_TRIALS + 123   # five chunks, the last partial
     sweep = radius_sweep_stats()
-    kernels._short_draws.cache_clear()
     serial = estimate_esc(default_stats, params_20db, scheme,
                           trials=trials, seed=6, workers=1)
     serial_sweep = [estimate_esc(stats, params_20db, scheme, trials=trials,
                                  seed=6, workers=1) for stats in sweep]
-    kernels._short_draws.cache_clear()
+    kernels._held.clear()
+    drawn.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -81,17 +81,18 @@ def test_two_workers_reproduce_one_exactly(default_stats, params_20db,
     assert threaded.per_user_mean == serial.per_user_mean
     assert threaded_sweep == serial_sweep
     # one estimate drew the tail, the three others read it back
-    info = kernels._short_draws.cache_info()
-    assert (info.hits, info.misses) == (3, 1)
-    kernels.sample_gains(6, 4 * kernels.CHUNK_TRIALS, 123)
-    assert kernels._short_draws.cache_info().hits == 4
+    tail = (6, 4 * kernels.CHUNK_TRIALS, 123)
+    assert [block for block in drawn if block[2] < kernels.CHUNK_TRIALS] \
+        == [tail]
+    assert kernels.sample_gains(*tail) is kernels.held_block(*tail)
+    assert drawn.count(tail) == 1
 
 
 @pytest.mark.parametrize("trials", [
     2000, kernels.CHUNK_TRIALS + 2000, 3 * kernels.CHUNK_TRIALS + 2000,
     3 * kernels.CHUNK_TRIALS])
 def test_estimates_do_not_depend_on_the_tail_memo(params_20db, trials):
-    """Each estimate equals itself with both draw memos cold, warm from its
+    """Each estimate equals itself with no draw block held, warm from its
     own blocks, and warm from a sweep neighbour's blocks drawn for another
     sigma_hat. A cold estimate runs its chunks forward, and a warm one
     backward when the one before it ended on its last full chunk. With two
@@ -101,8 +102,7 @@ def test_estimates_do_not_depend_on_the_tail_memo(params_20db, trials):
     for scheme in SchemeId:
         cold = []
         for stats in sweep:
-            kernels._short_draws.cache_clear()
-            kernels._full_block = None
+            kernels._held.clear()
             cold.append(estimate_esc(stats, params_20db, scheme,
                                      trials=trials, seed=8))
         warm = [estimate_esc(stats, params_20db, scheme, trials=trials,
