@@ -27,10 +27,13 @@ def params_10db():
 
 @pytest.fixture(autouse=True)
 def no_held_blocks():
-    """A held draw block answers a draw call without drawing, and an
-    estimate's chunk order follows the full block the draw kernel holds, so
-    every test starts with none held, whichever tests ran before."""
+    """A held draw block answers a draw call without drawing, an estimate's
+    chunk order follows the full block the draw kernel holds, and held far
+    rates answer a rate-kernel call on the held short block, so every test
+    starts with no block and no far rates held, whichever tests ran
+    before."""
     kernels._held.clear()
+    kernels._far_rates.clear()
 
 
 @pytest.fixture
@@ -47,6 +50,30 @@ def drawn(monkeypatch):
 
     monkeypatch.setattr(kernels, "_draws", counting)
     return blocks
+
+
+@pytest.fixture
+def far_lookups(monkeypatch):
+    """One entry per rate-kernel call that consults the far-rate memo, in
+    order: True where the memo answered with the far users' rows, so that
+    the kernel formed only the near users'."""
+    lookups = []
+    far_key, scheme_rates = kernels._far_key, kernels._scheme_rates
+
+    def keyed(*args):
+        key = far_key(*args)
+        if key is not None:
+            lookups.append(False)
+        return key
+
+    def forming(draws, code, params, stats, far_rows=None):
+        if far_rows is not None:
+            lookups[-1] = True
+        return scheme_rates(draws, code, params, stats, far_rows)
+
+    monkeypatch.setattr(kernels, "_far_key", keyed)
+    monkeypatch.setattr(kernels, "_scheme_rates", forming)
+    return lookups
 
 
 @pytest.fixture

@@ -275,10 +275,13 @@ class TestRunSweep:
         rows = run_sweep(cfg)
         assert rows[-1].esc_mc > rows[0].esc_mc
 
-    def test_memo_hit_shares_match_the_readme(self, monkeypatch, drawn):
-        """Over three sweeps, each started cold: the draw calls, the short
-        and the full blocks drawn, and the far-term memo's hits and misses.
-        A draw call that draws no block is answered by a held one."""
+    def test_memo_hit_shares_match_the_readme(self, monkeypatch, drawn,
+                                              far_lookups):
+        """Over four sweeps, each started cold: the draw calls, the short
+        and the full blocks drawn, the far-term memo's hits and misses, and
+        the far-rate memo's hits and lookups. A draw call that draws no
+        block is answered by a held one; only rate-kernel calls on the held
+        short block look up far rates."""
         calls = []
         sample_gains = kernels.sample_gains
 
@@ -292,25 +295,32 @@ class TestRunSweep:
             cfg = parse_config(config)
             analytic._far_values.cache_clear()
             kernels._held.clear()
+            kernels._far_rates.clear()
             calls.clear()
             drawn.clear()
+            far_lookups.clear()
             run_sweep(cfg)
             short = sum(n < kernels.CHUNK_TRIALS for _, _, n in drawn)
             return [len(calls), short, len(drawn) - short,
-                    analytic._far_values.cache_info()[:2]]
+                    analytic._far_values.cache_info()[:2],
+                    (sum(far_lookups), len(far_lookups))]
 
         # 200 one-chunk CoMP estimates: only the near users move
         assert hits("sweep=near-radius\nsteps=200\ntrials=2000\n"
-                    "schemes=comp-vpnoma") == [200, 1, 0, (199, 1)]
+                    "schemes=comp-vpnoma") == [200, 1, 0, (199, 1), (199, 200)]
         # the default SNR sweep's 36 estimates, each a full chunk and the
         # default tail of 1,696 trials; rho moves at every point. Each
         # estimate after the first starts on the full chunk the one before
         # it ended on.
         trials = kernels.CHUNK_TRIALS + 100_000 % kernels.CHUNK_TRIALS
-        assert hits(f"trials={trials}") == [72, 1, 1, (0, 9)]
+        assert hits(f"trials={trials}") == [72, 1, 1, (0, 9), (0, 36)]
         # the default SNR sweep itself: 12 full chunks per estimate, 432
-        # drawn when every estimate drew all of its own
-        assert hits("") == [468, 1, 397, (0, 9)]
+        # drawn when every estimate drew all of its own; its 432 full-chunk
+        # rate-kernel calls never look up far rates
+        assert hits("") == [468, 1, 397, (0, 9), (0, 36)]
+        # the default near-radius sweep: each scheme's tail call after its
+        # first takes the far rows
+        assert hits("sweep=near-radius") == [468, 1, 397, (8, 1), (32, 36)]
 
     @pytest.mark.parametrize("kind", list(SweepKind))
     def test_swept_values_reach_the_estimator_as_python_floats(

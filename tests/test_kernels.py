@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from comp_noma import (SystemParams, build_layout, db_to_linear,
-                       derive_link_statistics)
+from comp_noma import (LinkStatistics, SystemParams, build_layout,
+                       db_to_linear, derive_link_statistics)
 from comp_noma import kernels
 from oracles import kernel_gains, per_link, rates_reference
 
@@ -138,18 +139,24 @@ def _digest(array):
     return hashlib.sha256(array.tobytes(order="C")).hexdigest()
 
 
+def _uneven_stats(near=(0.3, 0.5, 0.7), far=(0.8, 0.95, 0.9), links=()):
+    """The "uneven" case's link statistics, with the given radii and with
+    the σ_ε of the (BS, user) links in links changed to 0.002."""
+    eps = {(1, "A"): 0.004, (3, "2"): 0.0}
+    eps.update(dict.fromkeys(links, 0.002))
+    return derive_link_statistics(build_layout(near, far), 3.5,
+                                  per_link(0.001, eps))
+
+
 def _rate_case(name):
     """(stats, params, gains seed) of a digest case's layout."""
     if name == "default":
         stats = derive_link_statistics(
             build_layout((0.5,) * 3, (0.95,) * 3), 4.0, 0.001)
         return stats, SystemParams(alpha=0.1, upsilon=0.01), 1
-    stats = derive_link_statistics(
-        build_layout((0.3, 0.5, 0.7), (0.8, 0.95, 0.9)), 3.5,
-        per_link(0.001, {(1, "A"): 0.004, (3, "2"): 0.0}))
     params = SystemParams(alpha=0.07, upsilon=0.03,
                           band_fractions=(0.2, 0.3, 0.5))
-    return stats, params, 2
+    return _uneven_stats(), params, 2
 
 
 @pytest.mark.parametrize("seed, start, n", sorted(GAINS_DIGESTS))
@@ -387,3 +394,179 @@ def test_rates_match_the_printed_formulas_on_generated_inputs(
             kernels.scheme_rates(draws, code, params, stats),
             rates_reference(gains, code, params, stats), rtol=5e-13, atol=0.0,
             err_msg=f"scheme code {code}")
+
+
+def _rates_bits(draws, code, params, stats):
+    """The bytes of a rate-kernel call's result and of the same call made
+    with the far-rate memo empty; the memo is left as the first call left
+    it."""
+    rates = kernels.scheme_rates(draws, code, params, stats).tobytes()
+    memo = dict(kernels._far_rates)
+    kernels._far_rates.clear()
+    fresh = kernels.scheme_rates(draws, code, params, stats).tobytes()
+    kernels._far_rates.clear()
+    kernels._far_rates.update(memo)
+    return rates, fresh
+
+
+_eps9 = st.lists(st.floats(0.0, 0.01), min_size=9, max_size=9)
+# what the far users' rates read, and what only the near users' read
+_far_inputs = st.tuples(st.tuples(_radius, _radius, _radius), _eps9,
+                        st.floats(2.0, 6.0), st.floats(1e-3, 0.249),
+                        st.floats(-10.0, 40.0),
+                        st.tuples(*[st.floats(0.05, 1.0)] * 3))
+_near_inputs = st.tuples(st.tuples(_radius, _radius, _radius), _eps9,
+                         st.floats(0.0, 0.1))
+# which far inputs a step keeps: all of them, all but one, or any subset
+_keeps = st.one_of(
+    st.just((True,) * 6),
+    st.sampled_from([tuple(j != i for j in range(6)) for i in range(6)]),
+    st.tuples(*[st.booleans()] * 6))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(seed=st.integers(0, 2**64 - 1),
+       n=st.sampled_from([1, 576, 1696, 2000, kernels.CHUNK_TRIALS - 1]),
+       first=_far_inputs,
+       steps=st.lists(st.tuples(_keeps, _near_inputs, _far_inputs),
+                      min_size=1, max_size=6))
+def test_held_far_rates_give_the_rates_of_an_empty_memo(seed, n, first,
+                                                        steps):
+    """Over a sequence of steps on the held short block, each keeping the
+    far users' inputs or changing some of them and calling every scheme,
+    each result is bit-identical to the same call made with the far-rate
+    memo empty, and a step that keeps every far input takes the held far
+    rows."""
+    kernels._held.clear()
+    kernels._far_rates.clear()
+    draws = kernels.sample_gains(seed, 0, n)
+    far = first
+    for step, (keeps, (near, near_eps, upsilon), changed) in enumerate(steps):
+        far = tuple(old if keep else new
+                    for old, keep, new in zip(far, keeps, changed))
+        radii, far_eps, exponent, alpha, rho_db, weights = far
+        eps = np.hstack([np.reshape(near_eps, (3, 3)),
+                         np.reshape(far_eps, (3, 3))])
+        stats = derive_link_statistics(build_layout(near, radii), exponent,
+                                       eps)
+        params = SystemParams(
+            alpha=alpha, rho=db_to_linear(rho_db), upsilon=upsilon,
+            band_fractions=[w / sum(weights) for w in weights])
+        for code in range(4):
+            held = kernels._far_rates.get(code)
+            rates, fresh = _rates_bits(draws, code, params, stats)
+            assert rates == fresh, (code, keeps)
+            if step and all(keeps):
+                assert kernels._far_rates[code] is held
+
+
+def _variant(name, code):
+    """(block seed, scheme code, stats, params) of a call that changes one
+    input of the "uneven" case's call of scheme code on block seed 2."""
+    stats, params, seed = _rate_case("uneven")
+    change = dataclasses.replace
+    if name == "near radius":
+        stats = _uneven_stats(near=(0.3, 0.55, 0.7))
+    elif name == "near-link sigma_eps":
+        stats = _uneven_stats(links=[(2, "1")])
+    elif name == "upsilon":
+        params = change(params, upsilon=0.05)
+    elif name == "far radius":
+        stats = _uneven_stats(far=(0.8, 0.96, 0.9))
+    elif name == "far-link sigma_eps":
+        stats = _uneven_stats(links=[(2, "B")])
+    elif name == "far-link sigma_eps, sigma_hat kept":
+        # only the far user's σ_ε sum moves
+        eps = stats.sigma_eps.copy()
+        eps[1, 4] = 0.002
+        stats = LinkStatistics(stats.sigma_hat, eps)
+    elif name == "alpha":
+        params = change(params, alpha=0.08)
+    elif name == "rho":
+        params = change(params, rho=11.0)
+    elif name == "band fraction":
+        params = change(params, band_fractions=(0.2, 0.35, 0.45))
+    elif name == "scheme":
+        code = (code + 1) % 4
+    else:
+        assert name == "block"
+        seed += 1
+    return seed, code, stats, params
+
+
+_FAR_KEY_CASES = {  # the input a second call changes -> whether it hits
+    "near radius": True, "near-link sigma_eps": True, "upsilon": True,
+    "far radius": False, "far-link sigma_eps": False,
+    "far-link sigma_eps, sigma_hat kept": False, "alpha": False,
+    "rho": False, "band fraction": False, "scheme": False, "block": False,
+}
+
+
+@pytest.mark.parametrize("code", range(4))
+@pytest.mark.parametrize("name", list(_FAR_KEY_CASES))
+def test_a_change_to_a_far_input_misses_the_held_far_rates(
+        far_lookups, name, code):
+    """After a call of the "uneven" case on the held short block, a second
+    call that changes one input takes the held far rows exactly when the
+    far users' rates do not read that input, and gives the rates of an
+    empty memo either way."""
+    stats, params, seed = _rate_case("uneven")
+    kernels.scheme_rates(kernels.sample_gains(seed, 0, 576), code, params,
+                         stats)
+    seed, code, stats, params = _variant(name, code)
+    rates, fresh = _rates_bits(kernels.sample_gains(seed, 0, 576), code,
+                               params, stats)
+    # the third lookup is the empty memo's
+    assert far_lookups == [False, _FAR_KEY_CASES[name], False]
+    assert rates == fresh
+
+
+def test_held_far_rates_are_three_rows_that_hold_no_draws(far_lookups):
+    """An entry keeps the far users' three rows of its call in memory of its
+    own, read-only, and no draws; full chunks and arrays other than the
+    held short block never consult the memo."""
+    stats, params, seed = _rate_case("uneven")
+    draws = kernels.sample_gains(seed, 0, 2000)
+    for code in range(4):
+        rates = kernels.scheme_rates(draws, code, params, stats)
+        key, rows = kernels._far_rates[code]
+        assert not any(isinstance(field, np.ndarray) for field in key)
+        assert rows.base is None and not rows.flags.writeable
+        assert np.array_equal(rows, rates.T[kernels.N_BS:])
+    held = dict(kernels._far_rates)
+    kernels.scheme_rates(np.ascontiguousarray(draws), 3, params, stats)
+    kernels.scheme_rates(kernels.sample_gains(seed, 0, kernels.CHUNK_TRIALS),
+                         3, params, stats)
+    assert far_lookups == [False] * 4
+    assert all(kernels._far_rates[code] is held[code] for code in range(4))
+
+
+def test_threads_that_share_the_far_rate_memo_get_the_rates_of_an_empty_memo():
+    """Four threads call every scheme on the held short block at three
+    inputs, one a far input, with a 1 µs switch interval; each result
+    equals the same call made with the far-rate memo empty."""
+    stats, params, seed = _rate_case("uneven")
+    draws = kernels.sample_gains(seed, 0, 576)
+    cases = [(code, case_params) for code in range(4)
+             for case_params in (params, dataclasses.replace(params, rho=11.0),
+                                 dataclasses.replace(params, upsilon=0.05))]
+    expected = []
+    for code, case_params in cases:
+        kernels._far_rates.clear()
+        expected.append(kernels.scheme_rates(draws, code, case_params,
+                                             stats).tobytes())
+    kernels._far_rates.clear()
+
+    def call(code, case_params):
+        return kernels.scheme_rates(draws, code, case_params, stats).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(call, *case) for _ in range(20)
+                       for case in cases]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected * 20
