@@ -103,24 +103,17 @@ def _draws(seed, start_trial, n):
 
 
 # The last block drawn of each size class, keyed by n < CHUNK_TRIALS, as
-# ((seed, start_trial, n), draws), each entry replaced whole so that a
+# ((seed, start_trial, n), draws, far), each entry replaced whole so that a
 # thread reads a key and its draws together; the draws are read-only, so
-# any thread may share them. The estimates of a sweep at one seed and trial
-# count share their tail chunk, the short block. An estimate ends on its
-# first or its last full chunk, and estimate_esc orders the next one's
-# chunks to reach that one first. A miss drops its class's entry before
+# any thread may share them. far maps a scheme code to (_far_key, rows)
+# of scheme_rates' last call of that scheme on the short block, and dies
+# with its block. The estimates of a sweep at one seed and trial count
+# share their tail, the short block; chunk_order starts each on the full
+# chunk the one before it ended on. A miss drops its class's entry before
 # drawing, so the held block is freed before the next is allocated: a
 # variant that kept full blocks alive while it drew new ones made glibc
 # trim and re-fault the heap on every chunk.
 _held = {}
-
-
-def held_block(seed, start_trial, n):
-    """The draws sample_gains holds for this block, or None."""
-    held = _held.get(n < CHUNK_TRIALS)
-    if held is not None and held[0] == (seed, start_trial, n):
-        return held[1]
-    return None
 
 
 def sample_gains(seed, start_trial, n):
@@ -133,13 +126,27 @@ def sample_gains(seed, start_trial, n):
     repeated call for the last block shorter than CHUNK_TRIALS, or for the
     last full block, may return the same array.
     """
-    draws = held_block(seed, start_trial, n)
-    if draws is None:
-        short = n < CHUNK_TRIALS
+    key = seed, start_trial, n
+    short = n < CHUNK_TRIALS
+    held = _held.get(short)
+    if held is None or held[0] != key:
+        del held    # with the pop, frees the held block before the draw
         _held.pop(short, None)
-        draws = _draws(seed, start_trial, n)
-        _held[short] = (seed, start_trial, n), draws
-    return draws
+        held = _held[short] = key, _draws(seed, start_trial, n), {}
+    return held[1]
+
+
+def chunk_order(seed, trials):
+    """An estimate's chunk indices in the order to run them: its tail
+    shorter than CHUNK_TRIALS, if any, then its full chunks from the end
+    whose block sample_gains holds, ending on the other end, where the next
+    estimate of a sweep at this seed and trial count starts."""
+    n_full, tail = divmod(int(trials), CHUNK_TRIALS)
+    # no block with a negative start is ever held
+    last_full = seed, (n_full - 1) * CHUNK_TRIALS, CHUNK_TRIALS
+    backward = _held.get(False, (None,))[0] == last_full
+    full = range(n_full)[::-1] if backward else range(n_full)
+    return ([n_full] if tail else []) + list(full)
 
 
 def scheme_rates(draws, scheme_code, params, stats):
@@ -151,8 +158,9 @@ def scheme_rates(draws, scheme_code, params, stats):
     view of user-major memory: each user's rates over the chunk are
     contiguous. Each SINR is evaluated in the left-to-right order of its
     formula, so every rate is reproducible to the last bit. A call on the
-    short block sample_gains holds takes the far users' rows from the last
-    such call of its scheme when everything they read is unchanged.
+    short block sample_gains holds takes the far users' rows that block
+    keeps from the last such call of its scheme when everything they read
+    is unchanged.
     """
     if scheme_code not in (OMA_CODE, NOMA_CODE, VPNOMA_CODE, COMP_VPNOMA_CODE):
         raise ValueError(f"unknown scheme code {scheme_code!r}")
@@ -162,10 +170,12 @@ def scheme_rates(draws, scheme_code, params, stats):
     # and the default SNR sweep about 2% slower end to end.
     if n >= CHUNK_TRIALS:
         return _scheme_rates(draws, scheme_code, params, stats)
-    key = _far_key(draws, params, stats)
-    held_key, far_rows = _far_rates.get(scheme_code, (None, None))
-    if key is None or held_key != key:
-        far_rows = None
+    far = key = far_rows = None
+    held = _held.get(True)
+    if held is not None and held[1] is draws:
+        far, key = held[2], _far_key(params, stats)
+        held_key, rows = far.get(scheme_code, (None, None))
+        far_rows = rows if held_key == key else None
     # numpy's iterator copies a broadcast row shorter than its ufunc buffer
     # into that buffer: a (6, 1) column times a 2,000-trial row costs about
     # three times as much as with a buffer no longer than the row. The
@@ -176,34 +186,22 @@ def scheme_rates(draws, scheme_code, params, stats):
         rates = _scheme_rates(draws, scheme_code, params, stats, far_rows)
     finally:
         np.setbufsize(caller)
-    if key is not None and far_rows is None:
+    if far is not None and far_rows is None:
         # copied after the kernel returns, its denominators freed, so that
         # a miss allocates no more at its peak than the kernel itself
         far_rows = rates.T[N_BS:].copy()
         far_rows.flags.writeable = False
-        _far_rates[scheme_code] = key, far_rows
+        far[scheme_code] = key, far_rows
     return rates
 
 
-# The far users' rate rows of the last call of each scheme on the held
-# short block, keyed by scheme code as (key, rows), each entry replaced
-# whole. A far user's SINR reads only its own three links, its σ_ε sum, α
-# (β follows from it), ρ and the band fractions, never υ or a near user, so
-# across a near-radius sweep, whose estimates share their tail block, the
-# far rows repeat. The key names the block by (seed, start, n), not by the
-# draws, so an entry keeps no draws alive; full chunks never consult it.
-_far_rates = {}
-
-
-def _far_key(draws, params, stats):
-    """What the far users' rows of a call on draws read, or None when draws
-    is not the short block that sample_gains holds."""
-    held = _held.get(True)
-    if held is None or held[1] is not draws:
-        return None
+def _far_key(params, stats):
+    """What the far users' rate rows read besides the draws: a far user's
+    SINR reads its own three links, its σ_ε sum, α (β follows from it), ρ
+    and the band fractions, never υ or a near user."""
     # σ̂ as (BS, near/far, cell): the far users' nine links
     far_sigma = stats.sigma_hat.reshape(N_BS, 2, N_BS)[:, 1]
-    return (held[0], params.alpha, params.rho, params.band_fractions,
+    return (params.alpha, params.rho, params.band_fractions,
             far_sigma.tobytes() + stats.eps_sums[N_BS:].tobytes())
 
 

@@ -73,20 +73,16 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
         chunk_moments[1, index] = np.add.reduce(totals)
         chunk_user_sums[index] = np.add.reduce(by_user, axis=1)
 
-    # The calling thread and min(workers, n_chunks) - 1 helpers take chunk
-    # indices from one iterator; next() on a range iterator, forward or
-    # reversed, is one C call under the GIL, so each index goes to exactly
-    # one thread. A failing chunk empties the iterator, also in one C call,
-    # so that no index is handed out after it. The chunks run backward when
-    # the draw kernel holds this estimate's last full chunk, the one a
-    # forward estimate ends on, and forward otherwise, so each estimate of a
-    # sweep reaches first the full chunk the one before it ended on. No
-    # block with a negative start is ever held.
-    last_full = (trials // chunk - 1) * chunk
-    if kernels.held_block(seed, last_full, chunk) is None:
-        indices = iter(range(n_chunks))
-    else:
-        indices = reversed(range(n_chunks))
+    # kernels.chunk_order ends on the full chunk, if any, that the next
+    # estimate of a sweep starts on; the calling thread runs it after the
+    # helpers have ended, so that the draw kernel holds it at any worker
+    # count. The calling thread and min(workers, len(order)) - 1 helpers
+    # take the others from one iterator; next() on a list iterator is one
+    # C call under the GIL, so each index goes to exactly one thread. A
+    # failing chunk empties the iterator, also in one C call, so that no
+    # index is handed out after it.
+    *order, last = kernels.chunk_order(seed, trials)
+    indices = iter(order)
     errors = []
 
     def work() -> None:
@@ -99,7 +95,7 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
 
     helpers = []
     try:
-        for _ in range(min(workers, n_chunks) - 1):
+        for _ in range(min(workers, len(order)) - 1):
             helper = threading.Thread(target=work)
             helper.start()
             helpers.append(helper)
@@ -109,6 +105,7 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
             helper.join()
     if errors:
         raise errors[0]
+    run_chunk(last)
 
     # each row reduces as the 1-d sum of its chunks would, pairwise in order
     total_sum, total_sumsq = np.add.reduce(chunk_moments, axis=1).tolist()

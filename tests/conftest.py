@@ -28,12 +28,11 @@ def params_10db():
 @pytest.fixture(autouse=True)
 def no_held_blocks():
     """A held draw block answers a draw call without drawing, an estimate's
-    chunk order follows the full block the draw kernel holds, and held far
-    rates answer a rate-kernel call on the held short block, so every test
+    chunk order follows the full block the draw kernel holds, and the held
+    short block's far rates answer a rate-kernel call on it, so every test
     starts with no block and no far rates held, whichever tests ran
     before."""
     kernels._held.clear()
-    kernels._far_rates.clear()
 
 
 @pytest.fixture
@@ -54,9 +53,9 @@ def drawn(monkeypatch):
 
 @pytest.fixture
 def far_lookups(monkeypatch):
-    """One entry per rate-kernel call that consults the far-rate memo, in
-    order: True where the memo answered with the far users' rows, so that
-    the kernel formed only the near users'."""
+    """One entry per rate-kernel call that consults the far rates of the
+    held short block, in order: True where they answered with the far
+    users' rows, so that the kernel formed only the near users'."""
     lookups = []
     far_key, scheme_rates = kernels._far_key, kernels._scheme_rates
 

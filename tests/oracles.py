@@ -12,9 +12,16 @@ The plain layout, distance and exp(z)E1(z) helpers keep the arithmetic those
 paths first had, which the package must match bit for bit.
 The config helpers state the per-point sweep rules directly, one point at a
 time, and find where parse_config's acceptance ends.
+The pin helper checks a SHA-256 pin and, when it fails, says how far the
+values moved from a sample recorded with the pin.
 """
 
+import base64
+import hashlib
+import json
 import math
+import os
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -350,3 +357,68 @@ def largest_accepted(template: str, lo: float, hi: float) -> float:
             hi = mid
     assert hi == math.nextafter(lo, math.inf)
     return lo
+
+
+# For each SHA-256 pin, keyed by its digest: 64 of the pinned values (the
+# first, the last and 62 at even strides, or all of them if fewer) as
+# base64 of their little-endian float64 bytes. A failing pin compares the
+# values it got with these. With RECORD_PIN_SAMPLES=1 in the environment, a
+# pin that holds writes its sample here; that is how a re-pinned digest
+# gets its own.
+PIN_SAMPLES = Path(__file__).with_name("pin_samples.json")
+
+
+def _sample_positions(size):
+    """Where a pin of size values is sampled."""
+    return np.unique(np.linspace(0, size - 1, min(size, 64)).round()
+                     ).astype(np.intp)
+
+
+def _ulps(a, b):
+    """Distance in ulps between two float64 values; 0.0 and -0.0 are 0
+    apart."""
+    ordered = [bits if bits >= 0 else -2**63 - bits
+               for bits in np.array([a, b]).view(np.int64).tolist()]
+    return abs(ordered[0] - ordered[1])
+
+
+def pin_report(values, digest):
+    """How values differ, at a pin's sampled positions, from the sample
+    recorded with digest."""
+    samples = json.loads(PIN_SAMPLES.read_text())
+    if digest not in samples:
+        return "no sample is recorded for this pin"
+    pinned = np.frombuffer(base64.b64decode(samples[digest]), "<f8")
+    flat = np.ravel(values)
+    positions = _sample_positions(flat.size)
+    if positions.size != pinned.size:
+        return (f"{flat.size} values, where the sample of {pinned.size} was "
+                "taken from another count")
+    got = flat[positions]
+    changed = got.view(np.int64) != pinned.view(np.int64)
+    if not changed.any():
+        return f"none of the {pinned.size} sampled values changed"
+    ulps = max(map(_ulps, got[changed].tolist(), pinned[changed].tolist()))
+    return (f"{changed.sum()} of the {pinned.size} sampled values changed, "
+            f"the largest by {ulps} ulps")
+
+
+def assert_pinned(values, digest, where=""):
+    """Assert that values are float64 and that the SHA-256 of their bytes
+    in C order is digest; the failure message says how the values moved
+    (pin_report)."""
+    values = np.ascontiguousarray(values)
+    assert values.dtype == np.float64, values.dtype
+    got = hashlib.sha256(values.tobytes()).hexdigest()
+    if got == digest and os.environ.get("RECORD_PIN_SAMPLES") == "1":
+        samples = json.loads(PIN_SAMPLES.read_text()) \
+            if PIN_SAMPLES.exists() else {}
+        sample = values.ravel()[_sample_positions(values.size)]
+        samples[digest] = base64.b64encode(sample.astype("<f8").tobytes()
+                                           ).decode()
+        PIN_SAMPLES.write_text(json.dumps(samples, indent=1, sort_keys=True)
+                               + "\n")
+    if got != digest:
+        report = (f"SHA-256 {got}, pinned {digest}: "
+                  f"{pin_report(values, digest)}")
+        raise AssertionError(f"{where}: {report}" if where else report)

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import math
 
 import numpy as np
@@ -11,9 +10,9 @@ from comp_noma import (DegenerateRatesError, LinkStatistics, SchemeId,
                        USERS, estimate_esc, exp_integral_ei,
                        hypoexp_log2_mean, total_esc_closed)
 from comp_noma import analytic, kernels
-from oracles import (closed_form_terms, e1_scaled_plain, e1_scaled_reference,
-                     erlang2_log2_mean_quad, hypoexp_log2_mean_quad, per_link,
-                     separated_rates)
+from oracles import (assert_pinned, closed_form_terms, e1_scaled_plain,
+                     e1_scaled_reference, erlang2_log2_mean_quad,
+                     hypoexp_log2_mean_quad, per_link, separated_rates)
 
 # frozen from a 30-digit mpmath evaluation
 EI_MINUS_1 = -0.21938393439552027
@@ -391,8 +390,7 @@ def test_closed_form_is_bit_exact(group):
     # any change to the arithmetic or its order shows here.
     values = [closed_form_values(stats, params)
               for stats, params in CLOSED_FORM_INPUTS[group]]
-    digest = hashlib.sha256(np.array(values, dtype=np.float64).tobytes())
-    assert digest.hexdigest() == CLOSED_FORM_DIGESTS[group]
+    assert_pinned(values, CLOSED_FORM_DIGESTS[group], group)
 
 
 def test_e1_scaled_matches_the_plain_loops_bitwise():

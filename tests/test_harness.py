@@ -279,9 +279,10 @@ class TestRunSweep:
                                               far_lookups):
         """Over four sweeps, each started cold: the draw calls, the short
         and the full blocks drawn, the far-term memo's hits and misses, and
-        the far-rate memo's hits and lookups. A draw call that draws no
+        the held far rates' hits and lookups. A draw call that draws no
         block is answered by a held one; only rate-kernel calls on the held
-        short block look up far rates."""
+        short block look up far rates. The default SNR sweep draws the same
+        blocks at one, two and three workers, run after run."""
         calls = []
         sample_gains = kernels.sample_gains
 
@@ -291,15 +292,14 @@ class TestRunSweep:
 
         monkeypatch.setattr(kernels, "sample_gains", counting)
 
-        def hits(config):
+        def hits(config, workers=1):
             cfg = parse_config(config)
             analytic._far_values.cache_clear()
             kernels._held.clear()
-            kernels._far_rates.clear()
             calls.clear()
             drawn.clear()
             far_lookups.clear()
-            run_sweep(cfg)
+            run_sweep(cfg, workers)
             short = sum(n < kernels.CHUNK_TRIALS for _, _, n in drawn)
             return [len(calls), short, len(drawn) - short,
                     analytic._far_values.cache_info()[:2],
@@ -316,8 +316,12 @@ class TestRunSweep:
         assert hits(f"trials={trials}") == [72, 1, 1, (0, 9), (0, 36)]
         # the default SNR sweep itself: 12 full chunks per estimate, 432
         # drawn when every estimate drew all of its own; its 432 full-chunk
-        # rate-kernel calls never look up far rates
-        assert hits("") == [468, 1, 397, (0, 9), (0, 36)]
+        # rate-kernel calls never look up far rates. The calling thread runs
+        # the full chunk each estimate ends on, so the draw kernel holds it
+        # whatever the helper threads did.
+        for workers in (1, 2, 3) * 3:
+            assert hits("", workers) == [468, 1, 397, (0, 9), (0, 36)], \
+                workers
         # the default near-radius sweep: each scheme's tail call after its
         # first takes the far rows
         assert hits("sweep=near-radius") == [468, 1, 397, (8, 1), (32, 36)]

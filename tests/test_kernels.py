@@ -1,7 +1,7 @@
 import dataclasses
-import hashlib
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from comp_noma import (LinkStatistics, SystemParams, build_layout,
                        db_to_linear, derive_link_statistics)
 from comp_noma import kernels
-from oracles import kernel_gains, per_link, rates_reference
+from oracles import (assert_pinned, kernel_gains, per_link,
+                     rates_reference)
 
 
 def test_chunked_and_whole_stream_agree():
@@ -34,6 +35,19 @@ def test_draws_are_read_only():
             draws *= 2.0
 
 
+def _held_draws(seed, start, n):
+    """The draws sample_gains holds for this block, or None."""
+    held = kernels._held.get(n < kernels.CHUNK_TRIALS)
+    if held is not None and held[0] == (seed, start, n):
+        return held[1]
+    return None
+
+
+def _far_rates():
+    """The far rates the held short block keeps, by scheme code."""
+    return kernels._held[True][2]
+
+
 def test_the_last_full_block_is_kept_and_never_displaces_the_short_one(
         drawn):
     chunk = kernels.CHUNK_TRIALS
@@ -41,14 +55,14 @@ def test_the_last_full_block_is_kept_and_never_displaces_the_short_one(
     assert kernels.sample_gains(3, 2 * chunk, 2000) is tail
     first = kernels.sample_gains(3, 0, chunk)
     assert kernels.sample_gains(3, 0, chunk) is first
-    assert kernels.held_block(3, 0, chunk) is first
-    assert kernels.held_block(3, 2 * chunk, 2000) is tail
+    assert _held_draws(3, 0, chunk) is first
+    assert _held_draws(3, 2 * chunk, 2000) is tail
     # any other full block is drawn afresh, and is then the one kept
     full_keys = ((3, chunk, chunk), (4, 0, chunk), (3, 1, chunk),
                  (3, 0, chunk + 1), (3, 0, 3 * chunk))
     for key in full_keys:
         other = kernels.sample_gains(*key)
-        assert kernels.held_block(3, 0, chunk) is None
+        assert _held_draws(3, 0, chunk) is None
         assert kernels.sample_gains(*key) is other
         assert kernels.sample_gains(3, 2 * chunk, 2000) is tail
     redrawn = kernels.sample_gains(3, 0, chunk)
@@ -59,7 +73,7 @@ def test_the_last_full_block_is_kept_and_never_displaces_the_short_one(
     for key in short_keys:
         other = kernels.sample_gains(*key)
         assert other is not tail
-        assert kernels.held_block(3, 2 * chunk, 2000) is None
+        assert _held_draws(3, 2 * chunk, 2000) is None
         assert kernels.sample_gains(*key) is other
         assert kernels.sample_gains(3, 0, chunk) is redrawn
     again = kernels.sample_gains(3, 2 * chunk, 2000)
@@ -134,11 +148,6 @@ RATES_DIGESTS = {  # (layout, scheme code) -> one digest per RATE_RHOS
 }
 
 
-def _digest(array):
-    assert array.dtype == np.float64
-    return hashlib.sha256(array.tobytes(order="C")).hexdigest()
-
-
 def _uneven_stats(near=(0.3, 0.5, 0.7), far=(0.8, 0.95, 0.9), links=()):
     """The "uneven" case's link statistics, with the given radii and with
     the σ_ε of the (BS, user) links in links changed to 0.002."""
@@ -163,7 +172,7 @@ def _rate_case(name):
 def test_gains_are_bit_exact(default_stats, seed, start, n):
     gains = kernel_gains(seed, start, n, default_stats.sigma_hat)
     assert gains.shape == (n, kernels.N_BS, kernels.N_USERS)
-    assert _digest(gains) == GAINS_DIGESTS[(seed, start, n)]
+    assert_pinned(gains, GAINS_DIGESTS[(seed, start, n)])
 
 
 @pytest.mark.parametrize("name, code", sorted(RATES_DIGESTS))
@@ -175,7 +184,7 @@ def test_rates_are_bit_exact_in_any_gains_layout(name, code):
         for layout in (draws, np.ascontiguousarray(draws)):
             rates = kernels.scheme_rates(layout, code, at_rho, stats)
             assert rates.shape == (kernels.CHUNK_TRIALS, kernels.N_USERS)
-            assert _digest(rates) == expected, (name, code, rho)
+            assert_pinned(rates, expected, (name, code, rho))
 
 
 # SHA-256 of the "uneven" case's rates at the three RATE_RHOS, one digest per
@@ -215,12 +224,10 @@ def test_short_chunk_rates_are_bit_exact(n):
     stats, params, seed = _rate_case("uneven")
     draws = kernels.sample_gains(seed, 0, n)
     for code, expected in enumerate(SHORT_RATES_DIGESTS[n]):
-        digest = hashlib.sha256()
-        for rho in RATE_RHOS:
-            rates = kernels.scheme_rates(
-                draws, code, dataclasses.replace(params, rho=rho), stats)
-            digest.update(rates.tobytes(order="C"))
-        assert digest.hexdigest() == expected, (n, code)
+        rates = [kernels.scheme_rates(
+            draws, code, dataclasses.replace(params, rho=rho), stats)
+            for rho in RATE_RHOS]
+        assert_pinned(np.concatenate(rates), expected, (n, code))
 
 
 def test_rate_kernel_restores_the_callers_buffer_size():
@@ -308,7 +315,7 @@ def test_held_blocks_equal_fresh_draws_and_a_miss_frees_its_class(requests):
     tracemalloc.start()
     try:
         for seed, start, n in requests:
-            hit = kernels.held_block(seed, start, n)
+            hit = _held_draws(seed, start, n)
             held = kernels._held.get(n < kernels.CHUNK_TRIALS)
             freed = 0 if hit is not None or held is None \
                 else 8 * kernels.N_LINKS * held[0][2]
@@ -323,7 +330,7 @@ def test_held_blocks_equal_fresh_draws_and_a_miss_frees_its_class(requests):
             else:
                 assert rise <= max(_draw_bound(n) - freed, 4096), \
                     (n, freed, rise)
-            assert kernels.held_block(seed, start, n) is draws
+            assert _held_draws(seed, start, n) is draws
             assert np.array_equal(draws, kernels._draws(seed, start, n))
             del draws, hit
     finally:
@@ -397,15 +404,16 @@ def test_rates_match_the_printed_formulas_on_generated_inputs(
 
 
 def _rates_bits(draws, code, params, stats):
-    """The bytes of a rate-kernel call's result and of the same call made
-    with the far-rate memo empty; the memo is left as the first call left
-    it."""
+    """The bytes of a rate-kernel call on the held short block and of the
+    same call made with its far rates empty; they are left as the first
+    call left them."""
     rates = kernels.scheme_rates(draws, code, params, stats).tobytes()
-    memo = dict(kernels._far_rates)
-    kernels._far_rates.clear()
+    far = _far_rates()
+    memo = dict(far)
+    far.clear()
     fresh = kernels.scheme_rates(draws, code, params, stats).tobytes()
-    kernels._far_rates.clear()
-    kernels._far_rates.update(memo)
+    far.clear()
+    far.update(memo)
     return rates, fresh
 
 
@@ -438,7 +446,6 @@ def test_held_far_rates_give_the_rates_of_an_empty_memo(seed, n, first,
     memo empty, and a step that keeps every far input takes the held far
     rows."""
     kernels._held.clear()
-    kernels._far_rates.clear()
     draws = kernels.sample_gains(seed, 0, n)
     far = first
     for step, (keeps, (near, near_eps, upsilon), changed) in enumerate(steps):
@@ -453,11 +460,11 @@ def test_held_far_rates_give_the_rates_of_an_empty_memo(seed, n, first,
             alpha=alpha, rho=db_to_linear(rho_db), upsilon=upsilon,
             band_fractions=[w / sum(weights) for w in weights])
         for code in range(4):
-            held = kernels._far_rates.get(code)
+            held = _far_rates().get(code)
             rates, fresh = _rates_bits(draws, code, params, stats)
             assert rates == fresh, (code, keeps)
             if step and all(keeps):
-                assert kernels._far_rates[code] is held
+                assert _far_rates()[code] is held
 
 
 def _variant(name, code):
@@ -522,29 +529,36 @@ def test_a_change_to_a_far_input_misses_the_held_far_rates(
 
 
 def test_held_far_rates_are_three_rows_that_hold_no_draws(far_lookups):
-    """An entry keeps the far users' three rows of its call in memory of its
-    own, read-only, and no draws; full chunks and arrays other than the
-    held short block never consult the memo."""
+    """The held short block keeps, per scheme, the far users' three rows of
+    its last call in memory of their own, read-only, under a key that holds
+    no array; full chunks and arrays other than the held short block never
+    consult them, and the next short block drawn frees them."""
     stats, params, seed = _rate_case("uneven")
     draws = kernels.sample_gains(seed, 0, 2000)
     for code in range(4):
         rates = kernels.scheme_rates(draws, code, params, stats)
-        key, rows = kernels._far_rates[code]
+        key, rows = _far_rates()[code]
         assert not any(isinstance(field, np.ndarray) for field in key)
         assert rows.base is None and not rows.flags.writeable
         assert np.array_equal(rows, rates.T[kernels.N_BS:])
-    held = dict(kernels._far_rates)
+    held = dict(_far_rates())
     kernels.scheme_rates(np.ascontiguousarray(draws), 3, params, stats)
     kernels.scheme_rates(kernels.sample_gains(seed, 0, kernels.CHUNK_TRIALS),
                          3, params, stats)
     assert far_lookups == [False] * 4
-    assert all(kernels._far_rates[code] is held[code] for code in range(4))
+    assert _far_rates() == held
+    assert all(_far_rates()[code] is held[code] for code in range(4))
+    freed = [weakref.ref(rows) for _, rows in held.values()]
+    del held, rows, rates, draws
+    kernels.sample_gains(seed + 1, 0, 2000)
+    assert _far_rates() == {}
+    assert [ref() for ref in freed] == [None] * 4
 
 
 def test_threads_that_share_the_far_rate_memo_get_the_rates_of_an_empty_memo():
     """Four threads call every scheme on the held short block at three
     inputs, one a far input, with a 1 µs switch interval; each result
-    equals the same call made with the far-rate memo empty."""
+    equals the same call made with the block's far rates empty."""
     stats, params, seed = _rate_case("uneven")
     draws = kernels.sample_gains(seed, 0, 576)
     cases = [(code, case_params) for code in range(4)
@@ -552,10 +566,10 @@ def test_threads_that_share_the_far_rate_memo_get_the_rates_of_an_empty_memo():
                                  dataclasses.replace(params, upsilon=0.05))]
     expected = []
     for code, case_params in cases:
-        kernels._far_rates.clear()
+        _far_rates().clear()
         expected.append(kernels.scheme_rates(draws, code, case_params,
                                              stats).tobytes())
-    kernels._far_rates.clear()
+    _far_rates().clear()
 
     def call(code, case_params):
         return kernels.scheme_rates(draws, code, case_params, stats).tobytes()

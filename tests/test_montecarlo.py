@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comp_noma import (SchemeId, SystemParams, build_layout, db_to_linear,
                        derive_link_statistics, estimate_esc, total_esc_closed)
@@ -84,7 +86,8 @@ def test_two_workers_reproduce_one_exactly(default_stats, params_20db,
     tail = (6, 4 * kernels.CHUNK_TRIALS, 123)
     assert [block for block in drawn if block[2] < kernels.CHUNK_TRIALS] \
         == [tail]
-    assert kernels.sample_gains(*tail) is kernels.held_block(*tail)
+    key, held, _ = kernels._held[True]
+    assert key == tail and kernels.sample_gains(*tail) is held
     assert drawn.count(tail) == 1
 
 
@@ -108,6 +111,57 @@ def test_estimates_do_not_depend_on_the_tail_memo(params_20db, trials):
         warm = [estimate_esc(stats, params_20db, scheme, trials=trials,
                              seed=8) for stats in sweep + sweep[::-1]]
         assert warm == cold + cold[::-1]
+
+
+_CHUNK = kernels.CHUNK_TRIALS
+# An estimate's stats and params (index 0), and three other points for the
+# calls made before it: a near radius moved, which keeps the far users'
+# inputs, then ρ moved, then a far radius moved.
+_POINTS = [
+    (derive_link_statistics(build_layout((near,) * 3, (far,) * 3), 4.0,
+                            0.001),
+     SystemParams(alpha=0.1, rho=db_to_linear(rho_db), upsilon=0.01))
+    for near, far, rho_db in ((0.5, 0.95, 20.0), (0.3, 0.95, 20.0),
+                              (0.5, 0.95, 10.0), (0.5, 0.8, 20.0))]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(trials=st.sampled_from([1, 576, 2000, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                               3 * _CHUNK, 2 * _CHUNK + 576]),
+       seed=st.integers(0, 2**64 - 2),
+       scheme=st.sampled_from(list(SchemeId)),
+       workers=st.integers(1, 3),
+       calls=st.lists(st.tuples(
+           st.sampled_from(["own", "next seed", "other size"]),
+           st.integers(0, 3), st.sampled_from([1, 576, 2000, _CHUNK]),
+           st.integers(1, len(_POINTS) - 1), st.booleans()),
+           min_size=1, max_size=6))
+def test_estimates_depend_on_neither_the_held_blocks_nor_the_workers(
+        trials, seed, scheme, workers, calls):
+    """After draw and rate-kernel calls on the estimate's own chunks, on
+    them at the next seed and on blocks of other sizes at its chunk starts,
+    at points that keep or change the far users' inputs and with its own
+    or another scheme, which leave the draw kernel holding any blocks and
+    far rates, an estimate at any worker count equals, field for field, a
+    one-worker estimate made with nothing held."""
+    stats, params = _POINTS[0]
+    n_chunks = -(-trials // _CHUNK)
+    kernels._held.clear()
+    for kind, index, size, point, other_scheme in calls:
+        start = index % n_chunks * _CHUNK
+        n = size if kind == "other size" else min(_CHUNK, trials - start)
+        draws = kernels.sample_gains(seed + (kind == "next seed"), start, n)
+        point_stats, point_params = _POINTS[point]
+        kernels.scheme_rates(draws, (scheme.code + other_scheme) % 4,
+                             point_params, point_stats)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        estimate = estimate_esc(stats, params, scheme, trials, seed, workers)
+    finally:
+        sys.setswitchinterval(interval)
+    kernels._held.clear()
+    assert estimate == estimate_esc(stats, params, scheme, trials, seed)
 
 
 class _CountingThread(threading.Thread):
@@ -140,14 +194,15 @@ def test_computing_threads_are_clamped_to_chunk_count(monkeypatch,
                                                       default_stats,
                                                       params_20db):
     """workers counts the calling thread, and no more threads compute than
-    there are chunks."""
+    there are chunks before the last, which the calling thread runs after
+    them."""
     monkeypatch.setattr(threading, "Thread", _CountingThread)
     calls = _recording_gains(monkeypatch)
     three_chunks = 2 * kernels.CHUNK_TRIALS + 1
     for trials, workers, helpers in ((three_chunks, 1, 0),
                                      (three_chunks, 2, 1),
-                                     (three_chunks, 3, 2),
-                                     (three_chunks, 10 ** 9, 2),
+                                     (three_chunks, 3, 1),
+                                     (three_chunks, 10 ** 9, 1),
                                      (kernels.CHUNK_TRIALS, 10 ** 9, 0)):
         monkeypatch.setattr(_CountingThread, "started", 0)
         calls.clear()
