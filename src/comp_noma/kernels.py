@@ -105,14 +105,12 @@ def _draws(seed, start_trial, n):
 # The last block drawn of each size class, keyed by n < CHUNK_TRIALS, as
 # ((seed, start_trial, n), draws, far), each entry replaced whole so that a
 # thread reads a key and its draws together; the draws are read-only, so
-# any thread may share them. far maps a scheme code to (_far_key, rows)
-# of scheme_rates' last call of that scheme on the short block, and dies
-# with its block. The estimates of a sweep at one seed and trial count
-# share their tail, the short block; chunk_order starts each on the full
-# chunk the one before it ended on. A miss drops its class's entry before
-# drawing, so the held block is freed before the next is allocated: a
-# variant that kept full blocks alive while it drew new ones made glibc
-# trim and re-fault the heap on every chunk.
+# any thread may share them. far maps a scheme code to (_far_key, rows) of
+# scheme_rates' last call of that scheme on the short block, the tail that
+# a sweep's estimates at one seed and trial count share, and dies with it.
+# A miss drops its class's entry before drawing, so the held block is freed
+# before the next is allocated: a variant that kept full blocks alive while
+# it drew new ones made glibc trim and re-fault the heap on every chunk.
 _held = {}
 
 
@@ -137,16 +135,16 @@ def sample_gains(seed, start_trial, n):
 
 
 def chunk_order(seed, trials):
-    """An estimate's chunk indices in the order to run them: its tail
-    shorter than CHUNK_TRIALS, if any, then its full chunks from the end
-    whose block sample_gains holds, ending on the other end, where the next
-    estimate of a sweep at this seed and trial count starts."""
+    """An estimate's chunk indices in run order: its full chunks from the
+    end whose block sample_gains holds, if it holds one, with its tail
+    shorter than CHUNK_TRIALS second, so that the estimate ends where the
+    next one of a sweep at this seed and trial count starts."""
     n_full, tail = divmod(int(trials), CHUNK_TRIALS)
     # no block with a negative start is ever held
     last_full = seed, (n_full - 1) * CHUNK_TRIALS, CHUNK_TRIALS
-    backward = _held.get(False, (None,))[0] == last_full
-    full = range(n_full)[::-1] if backward else range(n_full)
-    return ([n_full] if tail else []) + list(full)
+    step = -1 if _held.get(False, (None,))[0] == last_full else 1
+    full = list(range(n_full))[::step]
+    return full[:1] + ([n_full] if tail else []) + full[1:]
 
 
 def scheme_rates(draws, scheme_code, params, stats):

@@ -58,7 +58,9 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
     def run_chunk(index: int) -> None:
         start = index * chunk
         count = min(chunk, trials - start)
-        draws = kernels.sample_gains(seed, start, count)
+        draws = first_draws.pop(index, None)
+        if draws is None:
+            draws = kernels.sample_gains(seed, start, count)
         rates = kernels.scheme_rates(draws, scheme.code, params, stats)
         # by_user is the kernel's contiguous user-major (6, count) buffer.
         # Summing over its outer axis adds the users in order, one row at a
@@ -73,21 +75,22 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
         chunk_moments[1, index] = np.add.reduce(totals)
         chunk_user_sums[index] = np.add.reduce(by_user, axis=1)
 
-    # kernels.chunk_order ends on the full chunk, if any, that the next
-    # estimate of a sweep starts on; the calling thread runs it after the
-    # helpers have ended, so that the draw kernel holds it at any worker
-    # count. The calling thread and min(workers, len(order)) - 1 helpers
-    # take the others from one iterator; next() on a list iterator is one
-    # C call under the GIL, so each index goes to exactly one thread. A
-    # failing chunk empties the iterator, also in one C call, so that no
-    # index is handed out after it.
-    *order, last = kernels.chunk_order(seed, trials)
+    # The calling thread draws the first chunk before any helper starts
+    # and, with two chunks or more between them, runs the last after the
+    # helpers end, so the draw kernel holds the same blocks at any worker
+    # count (kernels.chunk_order). The threads share one list iterator;
+    # next() on it is one C call under the GIL, so each index goes to one
+    # thread, and a failing chunk empties it, also in one C call.
+    first, *order = kernels.chunk_order(seed, trials)
+    last = order.pop() if len(order) > 1 else None
+    first_draws = {first: kernels.sample_gains(
+        seed, first * chunk, min(chunk, trials - first * chunk))}
     indices = iter(order)
     errors = []
 
-    def work() -> None:
+    def work(own=indices) -> None:
         try:
-            for index in indices:
+            for index in own:
                 run_chunk(index)
         except BaseException as exc:
             errors.append(exc)
@@ -95,17 +98,19 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
 
     helpers = []
     try:
-        for _ in range(min(workers, len(order)) - 1):
+        for _ in range(min(workers - 1, len(order))):
             helper = threading.Thread(target=work)
             helper.start()
             helpers.append(helper)
+        work([first])
         work()
     finally:
         for helper in helpers:
             helper.join()
     if errors:
         raise errors[0]
-    run_chunk(last)
+    if last is not None:
+        run_chunk(last)
 
     # each row reduces as the 1-d sum of its chunks would, pairwise in order
     total_sum, total_sumsq = np.add.reduce(chunk_moments, axis=1).tolist()

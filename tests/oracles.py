@@ -20,7 +20,6 @@ import base64
 import hashlib
 import json
 import math
-import os
 from pathlib import Path
 
 import mpmath
@@ -362,9 +361,8 @@ def largest_accepted(template: str, lo: float, hi: float) -> float:
 # For each SHA-256 pin, keyed by its digest: 64 of the pinned values (the
 # first, the last and 62 at even strides, or all of them if fewer) as
 # base64 of their little-endian float64 bytes. A failing pin compares the
-# values it got with these. With RECORD_PIN_SAMPLES=1 in the environment, a
-# pin that holds writes its sample here; that is how a re-pinned digest
-# gets its own.
+# values it got with these, and its message carries the sample of the values
+# it got, to be pasted here beside the new digest when a pin is renewed.
 PIN_SAMPLES = Path(__file__).with_name("pin_samples.json")
 
 
@@ -380,6 +378,13 @@ def _ulps(a, b):
     ordered = [bits if bits >= 0 else -2**63 - bits
                for bits in np.array([a, b]).view(np.int64).tolist()]
     return abs(ordered[0] - ordered[1])
+
+
+def pin_sample(values):
+    """The base64 sample PIN_SAMPLES keeps of a pin's values."""
+    flat = np.ravel(values)
+    return base64.b64encode(flat[_sample_positions(flat.size)]
+                            .astype("<f8").tobytes()).decode()
 
 
 def pin_report(values, digest):
@@ -406,19 +411,12 @@ def pin_report(values, digest):
 def assert_pinned(values, digest, where=""):
     """Assert that values are float64 and that the SHA-256 of their bytes
     in C order is digest; the failure message says how the values moved
-    (pin_report)."""
+    (pin_report) and gives the sample of the values got (pin_sample)."""
     values = np.ascontiguousarray(values)
     assert values.dtype == np.float64, values.dtype
     got = hashlib.sha256(values.tobytes()).hexdigest()
-    if got == digest and os.environ.get("RECORD_PIN_SAMPLES") == "1":
-        samples = json.loads(PIN_SAMPLES.read_text()) \
-            if PIN_SAMPLES.exists() else {}
-        sample = values.ravel()[_sample_positions(values.size)]
-        samples[digest] = base64.b64encode(sample.astype("<f8").tobytes()
-                                           ).decode()
-        PIN_SAMPLES.write_text(json.dumps(samples, indent=1, sort_keys=True)
-                               + "\n")
     if got != digest:
         report = (f"SHA-256 {got}, pinned {digest}: "
-                  f"{pin_report(values, digest)}")
+                  f"{pin_report(values, digest)}; sample of the values got: "
+                  f"{pin_sample(values)}")
         raise AssertionError(f"{where}: {report}" if where else report)

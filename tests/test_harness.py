@@ -316,9 +316,10 @@ class TestRunSweep:
         assert hits(f"trials={trials}") == [72, 1, 1, (0, 9), (0, 36)]
         # the default SNR sweep itself: 12 full chunks per estimate, 432
         # drawn when every estimate drew all of its own; its 432 full-chunk
-        # rate-kernel calls never look up far rates. The calling thread runs
-        # the full chunk each estimate ends on, so the draw kernel holds it
-        # whatever the helper threads did.
+        # rate-kernel calls never look up far rates. The calling thread draws
+        # the full chunk each estimate starts on before its helpers start
+        # and runs the one it ends on after they end, so the draw kernel
+        # answers and holds the same blocks whatever the helpers do.
         for workers in (1, 2, 3) * 3:
             assert hits("", workers) == [468, 1, 397, (0, 9), (0, 36)], \
                 workers

@@ -1,8 +1,10 @@
 import dataclasses
+import json
 import sys
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 from comp_noma import (LinkStatistics, SystemParams, build_layout,
                        db_to_linear, derive_link_statistics)
 from comp_noma import kernels
-from oracles import (assert_pinned, kernel_gains, per_link,
-                     rates_reference)
+from oracles import (PIN_SAMPLES, assert_pinned, kernel_gains, per_link,
+                     pin_sample, rates_reference)
 
 
 def test_chunked_and_whole_stream_agree():
@@ -228,6 +230,24 @@ def test_short_chunk_rates_are_bit_exact(n):
             draws, code, dataclasses.replace(params, rho=rho), stats)
             for rho in RATE_RHOS]
         assert_pinned(np.concatenate(rates), expected, (n, code))
+
+
+def test_a_failing_pin_reports_its_change_and_its_sample(default_stats):
+    """A pin that fails says how many of its sampled values moved and by
+    how many ulps, and gives the sample to keep with a renewed digest.
+    Every sample kept belongs to a digest that a test pins."""
+    key = sorted(GAINS_DIGESTS)[0]
+    gains = kernel_gains(*key, default_stats.sigma_hat)
+    gains.flat[0] = np.nextafter(gains.flat[0], np.inf)
+    with pytest.raises(AssertionError) as failure:
+        assert_pinned(gains, GAINS_DIGESTS[key])
+    assert "1 of the 64 sampled values changed, the largest by 1 ulps" \
+        in str(failure.value)
+    assert str(failure.value).endswith(f": {pin_sample(gains)}")
+    pins = "".join(Path(__file__).with_name(name).read_text()
+                   for name in ("test_kernels.py", "test_analytic.py"))
+    assert [digest for digest in json.loads(PIN_SAMPLES.read_text())
+            if digest not in pins] == []
 
 
 def test_rate_kernel_restores_the_callers_buffer_size():

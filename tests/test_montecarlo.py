@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -195,11 +196,12 @@ def test_computing_threads_are_clamped_to_chunk_count(monkeypatch,
                                                       params_20db):
     """workers counts the calling thread, and no more threads compute than
     there are chunks before the last, which the calling thread runs after
-    them."""
+    them when two or more chunks come before it."""
     monkeypatch.setattr(threading, "Thread", _CountingThread)
     calls = _recording_gains(monkeypatch)
     three_chunks = 2 * kernels.CHUNK_TRIALS + 1
-    for trials, workers, helpers in ((three_chunks, 1, 0),
+    for trials, workers, helpers in ((2 * kernels.CHUNK_TRIALS, 2, 1),
+                                     (three_chunks, 1, 0),
                                      (three_chunks, 2, 1),
                                      (three_chunks, 3, 1),
                                      (three_chunks, 10 ** 9, 1),
@@ -230,6 +232,31 @@ def test_every_chunk_is_drawn_exactly_once(monkeypatch, default_stats,
     assert starts == list(range(0, trials, kernels.CHUNK_TRIALS))
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_held_up_thread_makes_no_block_drawn_twice(monkeypatch,
+                                                     default_stats,
+                                                     params_20db, drawn,
+                                                     workers):
+    """Each estimate of a sweep after the first starts on the full block
+    the one before it ended on, whichever thread is held up: a call for the
+    held full block sleeps before it is answered, which gives the other
+    threads time to draw theirs."""
+    sample_gains = kernels.sample_gains
+
+    def slow_hit(seed, start, n):
+        if kernels._held.get(False, (None,))[0] == (seed, start, n):
+            time.sleep(0.005)
+        return sample_gains(seed, start, n)
+
+    monkeypatch.setattr(kernels, "sample_gains", slow_hit)
+    for _ in range(3):
+        estimate_esc(default_stats, params_20db, SchemeId.OMA,
+                     trials=5 * kernels.CHUNK_TRIALS + 100, seed=5,
+                     workers=workers)
+    # five full blocks, then four for each estimate after the first
+    assert sum(n == kernels.CHUNK_TRIALS for _, _, n in drawn) == 13
+
+
 def test_a_failing_chunk_stops_the_serial_loop(monkeypatch, default_stats,
                                                params_20db):
     def fail_at_second_chunk(start):
@@ -246,9 +273,11 @@ def test_a_failing_chunk_stops_the_serial_loop(monkeypatch, default_stats,
 @pytest.mark.parametrize("failing", ["caller", "helper"])
 def test_a_chunk_error_propagates_after_every_helper_ends(
         monkeypatch, default_stats, params_20db, failing):
-    """Both threads take a chunk before either goes on; then the chosen
-    thread's chunk fails. When the helper's fails, the caller finishes its
-    chunk only after the helper has ended, so it takes no further one."""
+    """Both threads take a chunk from the shared iterator before either
+    goes on; then the chosen thread's chunk fails. When the helper's fails,
+    the caller finishes its chunk only after the helper has ended, so it
+    takes no further one. The first chunk, 0, the calling thread draws
+    before the helper starts."""
     caller = threading.get_ident()
     before = set(threading.enumerate())
     both_started = threading.Barrier(2, timeout=30)
@@ -256,7 +285,7 @@ def test_a_chunk_error_propagates_after_every_helper_ends(
 
     def fail_on_one_thread(start):
         thread = threading.get_ident()
-        if thread in first_call:
+        if start == 0 or thread in first_call:
             return
         first_call.add(thread)
         both_started.wait()
@@ -272,7 +301,7 @@ def test_a_chunk_error_propagates_after_every_helper_ends(
                      trials=8 * kernels.CHUNK_TRIALS, seed=1, workers=2)
     assert set(threading.enumerate()) == before
     if failing == "helper":
-        assert len(calls) == 2
+        assert len(calls) == 3
 
 
 def test_nonpositive_workers_rejected(default_stats, params_20db):
