@@ -20,6 +20,8 @@ from .schemes import SystemParams
 
 _LN2 = math.log(2.0)
 _EULER_GAMMA = 0.5772156649015328606
+# the share of the band each of the three sub-bands carries
+_THIRD = 1.0 / 3.0
 
 # Rates no further apart than _DEGENERACY_GAP (relative) are spread
 # symmetrically within their cluster with step _CLUSTER_SPREAD. The test is
@@ -179,8 +181,7 @@ def hypoexp_log2_mean(rates, shift: float) -> float:
 
 
 def _near_values(sigma: list, eps: list, params: SystemParams) -> list:
-    # rates of the three near users over the whole band, before their band
-    # fractions
+    # rates of the three near users over the whole band
     rho = params.rho
     residual = rho * params.upsilon
     scale = params.alpha * rho
@@ -196,7 +197,7 @@ def _near_values(sigma: list, eps: list, params: SystemParams) -> list:
 
 def _far_value(sigma: tuple, eps: float, alpha: float, beta: float,
                rho: float, e1: dict) -> float:
-    # rate of a far user over the whole band, before its band fraction
+    # rate of a far user over the whole band, before its third of it
     shift = rho * eps + 1.0
     signal = (alpha + beta) * rho
     interference = alpha * rho
@@ -218,7 +219,7 @@ def _far_values(sigma: tuple, eps: tuple, alpha: float, beta: float,
 
 def _user_rates(stats: LinkStatistics, params: SystemParams) -> tuple:
     """The near users' rates (1, 2, 3) and the far users' (A, B, C) over the
-    whole band, before their band fractions; the far ones from the memo."""
+    whole band, before a far user's third of it; the far ones from the memo."""
     # per-user sigma_hat columns, as tuples, and sigma_eps sums, as Python
     # floats
     sigma = list(zip(*stats.sigma_hat.tolist()))
@@ -232,17 +233,18 @@ def total_esc_closed(stats: LinkStatistics, params: SystemParams) -> float:
     """Exact ergodic sum capacity of JT-CoMP VP-NOMA over all six users.
 
     Adds twelve terms, sub-band by sub-band: the three near users' and then
-    that sub-band's far user's, each max(band fraction * rate, 0.0). Each
-    near user's rate and each exp(z)E1(z) argument is evaluated once per
-    call, and the far users' rates once while their inputs stay the same.
+    that sub-band's far user's, each max(rate * (1/3), 0.0), a third of
+    the user's whole-band rate. Each near user's rate and each
+    exp(z)E1(z) argument is evaluated once per call, and the far users'
+    rates once while their inputs stay the same.
     """
     near, far = _user_rates(stats, params)
     # each term is max(term, 0.0), which keeps a NaN or -0.0 term as it is
     total = 0.0
-    for band, far_value in zip(params.band_fractions, far):
+    for far_value in far:
         for value in near:
-            term = band * value
+            term = _THIRD * value
             total += 0.0 if term < 0.0 else term
-        term = band * far_value
+        term = _THIRD * far_value
         total += 0.0 if term < 0.0 else term
     return total

@@ -12,8 +12,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .geometry import N_BS, N_USERS, USERS, _all_real, _is_real, \
-    distance_matrix
+from .geometry import N_BS, N_USERS, USERS, _is_real, distance_matrix
 
 
 class InfeasibleCsiError(ValueError):
@@ -72,10 +71,8 @@ def _is_integer(value) -> bool:
 def derive_link_statistics(positions: np.ndarray, pathloss_exponent=4.0,
                            sigma_eps=0.001) -> LinkStatistics:
     """Compute sigma_hat = d^-v - sigma_eps for every link to the (6, 2) user
-    positions that build_layout returns.
-
-    sigma_eps is one error variance for every link, or a (3, 6) array of
-    per-link variances, rows = BS, columns = users 1..3, A..C.
+    positions that build_layout returns, with one error variance sigma_eps
+    on every link; per-link variances are built as a LinkStatistics.
     """
     if not _is_real(pathloss_exponent):
         raise ValueError(f"pathloss_exponent must be a real number, "
@@ -83,32 +80,13 @@ def derive_link_statistics(positions: np.ndarray, pathloss_exponent=4.0,
     v = float(pathloss_exponent)
     if not 0 < v < np.inf:
         raise ValueError(f"path-loss exponent must be positive and finite, got {v}")
-    if _is_real(sigma_eps):
-        shape = ()
-    else:
-        # a copy, so that the statistics cannot change under the caller
-        try:
-            array = np.array(sigma_eps)
-        except ValueError:
-            raise ValueError(f"sigma_eps must be a scalar or have shape "
-                             f"({N_BS}, {N_USERS}), got a ragged sequence") from None
-        if not _all_real(sigma_eps):
-            raise ValueError(f"sigma_eps must be a real number or an array of "
-                             f"reals, got {sigma_eps!r}")
-        sigma_eps, shape = array, array.shape
-    if shape == ():
-        if not 0 <= sigma_eps < np.inf:
-            raise ValueError(
-                f"sigma_eps must be nonnegative and finite, got {sigma_eps}")
-        # what np.full does, without its conversions
-        eps = np.empty((N_BS, N_USERS))
-        eps.fill(float(sigma_eps))
-    elif shape == (N_BS, N_USERS):
-        # LinkStatistics checks each link
-        eps = sigma_eps.astype(np.float64, copy=False)
-    else:
-        raise ValueError(f"sigma_eps must be a scalar or have shape "
-                         f"({N_BS}, {N_USERS}), got {shape}")
+    if not (_is_real(sigma_eps) and 0 <= sigma_eps < np.inf):
+        raise ValueError(f"sigma_eps must be a real number in [0, inf) "
+                         f"(per-link values go through LinkStatistics), "
+                         f"got {sigma_eps!r}")
+    # what np.full does, without its conversions
+    eps = np.empty((N_BS, N_USERS))
+    eps.fill(float(sigma_eps))
 
     d = distance_matrix(positions)
     # LinkStatistics rejects an infinite mean power (d too short for

@@ -195,16 +195,16 @@ def scheme_rates(draws, scheme_code, params, stats):
 
 def _far_key(params, stats):
     """What the far users' rate rows read besides the draws: a far user's
-    SINR reads its own three links, its σ_ε sum, α (β follows from it), ρ
-    and the band fractions, never υ or a near user."""
+    SINR reads its own three links, its σ_ε sum, α (β follows from it) and
+    ρ, never υ or a near user."""
     # σ̂ as (BS, near/far, cell): the far users' nine links
     far_sigma = stats.sigma_hat.reshape(N_BS, 2, N_BS)[:, 1]
-    return (params.alpha, params.rho, params.band_fractions,
+    return (params.alpha, params.rho,
             far_sigma.tobytes() + stats.eps_sums[N_BS:].tobytes())
 
 
 def _scheme_rates(draws, scheme_code, params, stats, far_rows=None):
-    alpha, rho, band = params.alpha, params.rho, params.band_fractions
+    alpha, rho = params.alpha, params.rho
     n = draws.shape[0]
     # Row i*N_USERS + u is link (BS i, user u); copied only when the draws
     # are not link-major already.
@@ -254,14 +254,12 @@ def _scheme_rates(draws, scheme_code, params, stats, far_rows=None):
     if scheme_code == OMA_CODE:
         formed_den *= rho
         formed *= rho
-        scale = (0.5,) * N_USERS
     elif scheme_code == NOMA_CODE:
         near *= arho
         formed_den *= rho
         if far_rows is None:
             far_den += arho * far
             far *= (1.0 - alpha) * rho
-        scale = None    # every user has the whole band
     else:
         near *= arho
         # a far user's total gain is its cross interference plus its
@@ -279,18 +277,20 @@ def _scheme_rates(draws, scheme_code, params, stats, far_rows=None):
                 far_den += total
                 far *= brho
             near_den *= arho
-        near_scale = band[0] + band[1] + band[2]
-        scale = (near_scale,) * N_BS + tuple(band)
     formed_den += (rho * stats.eps_sums)[:users, None]
     if scheme_code != OMA_CODE:
         near_den += rho * params.upsilon
     formed_den += 1.0
-    # rate = scale * log2(1 + signal/den) for every user formed at once
+    # rate = share of the band * log2(1 + signal/den) for every user formed
+    # at once: OMA gives each user half the band, VP-NOMA and CoMP each far
+    # user a third, and every other user has the whole band
     formed /= formed_den
     formed += 1.0
     np.log2(formed, out=formed)
-    if scale is not None:
-        formed *= np.array(scale[:users]).reshape(users, 1)
+    if scheme_code == OMA_CODE:
+        formed *= 0.5
+    elif scheme_code != NOMA_CODE and far_rows is None:
+        far *= 1.0 / 3.0
     if far_rows is not None:
         np.copyto(far, far_rows)
     return out.T

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .geometry import _as_tuple, _is_real
+from .geometry import _is_real
 
 
 class SchemeId(enum.Enum):
@@ -51,12 +51,12 @@ class SystemParams:
     alpha is the near-user power fraction; the far-user fraction is always
     beta = (1 - alpha)/3, which keeps beta > alpha for alpha < 1/4 and the
     total power normalized to 1. rho is the transmit SNR in linear units.
+    The band split is each scheme's own, not a knob.
     """
 
     alpha: float = 0.1
     rho: float = 10.0
     upsilon: float = 0.01
-    band_fractions: tuple = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
     def __post_init__(self):
         for name in ("alpha", "rho", "upsilon"):
@@ -77,15 +77,6 @@ class SystemParams:
         if not 0 <= self.upsilon < math.inf:
             raise ValueError(
                 f"upsilon must be nonnegative and finite, got {self.upsilon}")
-        fractions = _as_tuple(self.band_fractions, "band_fractions")
-        if len(fractions) != 3 or not all(_is_real(b) and 0 < b < math.inf
-                                          for b in fractions):
-            raise ValueError(f"band_fractions must be three positive finite "
-                             f"reals, got {self.band_fractions}")
-        fractions = tuple(float(b) for b in fractions)
-        if abs(sum(fractions) - 1.0) > 1e-12:
-            raise ValueError(f"band_fractions must sum to 1, got {sum(fractions)}")
-        object.__setattr__(self, "band_fractions", fractions)
 
     @property
     def beta(self) -> float:

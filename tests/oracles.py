@@ -6,6 +6,8 @@ special-function evaluation (mpmath); neither path touches the package's own
 exponential-integral code. The vectorized kernels are cross-checked against
 per-trial Python loops over the same counter stream and SINR formulas.
 The one-trial helpers give the tests a per-realization view of the kernels.
+link_statistics gives them link statistics with a per-link sigma_eps, which
+derive_link_statistics, taking one sigma_eps, does not build.
 The per-user closed-form terms come from the package's one closed form, split
 into the terms that total_esc_closed adds.
 The plain layout, distance and exp(z)E1(z) helpers keep the arithmetic those
@@ -28,8 +30,8 @@ from scipy import integrate
 
 from comp_noma import (FAR_USERS, NEAR_USERS, USERS, ConfigError,
                        InfeasibleCsiError, LinkStatistics, SchemeId, analytic,
-                       build_layout, derive_link_statistics, kernels,
-                       parse_config)
+                       build_layout, derive_link_statistics, distance_matrix,
+                       kernels, parse_config)
 from comp_noma.kernels import (COMP_VPNOMA_CODE, N_BS, N_LINKS, N_USERS,
                                NOMA_CODE, VPNOMA_CODE)
 
@@ -85,15 +87,15 @@ def erlang2_log2_mean_quad(rate: float, shift: float) -> float:
 
 def closed_form_terms(stats, params):
     """Each user's closed-form terms, formed as total_esc_closed forms them:
-    max(band fraction * rate, 0.0) on each of a near user's three sub-bands
-    and on a far user's one. Keys are the user ids "1".."3", "A".."C"; a
-    user's ergodic rate is the sum of its terms."""
+    max(rate * (1/3), 0.0) on each of a near user's three sub-bands and on
+    a far user's one, each sub-band a third of the band. Keys are the user
+    ids "1".."3", "A".."C"; a user's ergodic rate is the sum of its terms."""
     near, far = analytic._user_rates(stats, params)
-    bands = params.band_fractions
-    terms = {user: tuple(max(band * rate, 0.0) for band in bands)
+    third = 1.0 / 3.0
+    terms = {user: (max(third * rate, 0.0),) * 3
              for user, rate in zip(NEAR_USERS, near)}
-    terms.update((user, (max(band * rate, 0.0),))
-                 for user, band, rate in zip(FAR_USERS, bands, far))
+    terms.update((user, (max(third * rate, 0.0),))
+                 for user, rate in zip(FAR_USERS, far))
     return terms
 
 
@@ -213,6 +215,18 @@ def link(bs_index, user):
     return bs_index - 1, user_index(user)
 
 
+def link_statistics(positions, pathloss_exponent, sigma_eps):
+    """LinkStatistics of the (6, 2) user positions with a (3, 6) per-link
+    sigma_eps, rows = BS, columns = users 1..3, A..C: sigma_hat = d^-v -
+    sigma_eps by the operations derive_link_statistics applies to one
+    sigma_eps, on a float64 copy of the caller's values."""
+    eps = np.array(sigma_eps, dtype=np.float64)
+    with np.errstate(over="ignore", divide="ignore"):
+        power = distance_matrix(positions) ** (-float(pathloss_exponent))
+    power -= eps
+    return LinkStatistics(power, eps)
+
+
 def per_link(value, links):
     """A (3, 6) per-link array of value, except at the links that links maps
     from (bs_index, user) to their own value."""
@@ -255,14 +269,16 @@ def gains_reference(seed, start_trial, n, sigma_hat):
 
 def rates_reference(gains, scheme_code, params, stats):
     """Per-user rates (n, 6) evaluated one trial and one user at a time;
-    stats supplies only the per-user sigma_eps sums."""
+    stats supplies only the per-user sigma_eps sums. OMA gives each user
+    half the band, VP-NOMA and CoMP each far user a third, and every other
+    user has the whole band."""
     alpha, rho, upsilon = params.alpha, params.rho, params.upsilon
-    beta, band, eps_sums = params.beta, params.band_fractions, stats.eps_sums
+    beta, eps_sums = params.beta, stats.eps_sums
     n = gains.shape[0]
     out = np.empty((n, N_USERS))
     arho = alpha * rho
     brho = beta * rho
-    band_sum = band[0] + band[1] + band[2]
+    third = 1.0 / 3.0
     residual = rho * upsilon
     for t in range(n):
         for j in range(N_BS):
@@ -274,7 +290,7 @@ def rates_reference(gains, scheme_code, params, stats):
             noise = rho * eps_sums[j]
             if scheme_code in (COMP_VPNOMA_CODE, VPNOMA_CODE):
                 sinr = arho * serving / (arho * cross + noise + residual + 1.0)
-                out[t, j] = band_sum * np.log2(1.0 + sinr)
+                out[t, j] = np.log2(1.0 + sinr)
             elif scheme_code == NOMA_CODE:
                 sinr = arho * serving / (rho * cross + noise + residual + 1.0)
                 out[t, j] = np.log2(1.0 + sinr)
@@ -292,10 +308,10 @@ def rates_reference(gains, scheme_code, params, stats):
             noise = rho * eps_sums[u]
             if scheme_code == COMP_VPNOMA_CODE:
                 sinr = brho * total / (arho * total + noise + 1.0)
-                out[t, u] = band[k] * np.log2(1.0 + sinr)
+                out[t, u] = third * np.log2(1.0 + sinr)
             elif scheme_code == VPNOMA_CODE:
                 den = arho * total + brho * cross + noise + 1.0
-                out[t, u] = band[k] * np.log2(1.0 + brho * serving / den)
+                out[t, u] = third * np.log2(1.0 + brho * serving / den)
             elif scheme_code == NOMA_CODE:
                 den = arho * serving + rho * cross + noise + 1.0
                 out[t, u] = np.log2(1.0 + (1.0 - alpha) * rho * serving / den)

@@ -12,7 +12,8 @@ from comp_noma import (DegenerateRatesError, LinkStatistics, SchemeId,
 from comp_noma import analytic, kernels
 from oracles import (assert_pinned, closed_form_terms, e1_scaled_plain,
                      e1_scaled_reference, erlang2_log2_mean_quad,
-                     hypoexp_log2_mean_quad, per_link, separated_rates)
+                     hypoexp_log2_mean_quad, link_statistics, per_link,
+                     separated_rates)
 
 # frozen from a 30-digit mpmath evaluation
 EI_MINUS_1 = -0.21938393439552027
@@ -306,17 +307,16 @@ class TestClosedFormStructure:
 
 
 def closed_form_inputs():
-    """(stats, params) inputs by group: the three sweep grids, uneven band
-    fractions, random layouts with uneven per-link error variances, and
-    rates that sit within 1e-4 of each other so that the spread fires in the
-    near and far functions and again inside the log-mean."""
-    def stats_at(near=(0.5,) * 3, far=(0.95,) * 3, sigma_eps=0.001):
-        return derive_link_statistics(build_layout(near, far), 4.0, sigma_eps)
+    """(stats, params) inputs by group: the three sweep grids, random
+    layouts with uneven per-link error variances, and rates that sit within
+    1e-4 of each other so that the spread fires in the near and far
+    functions and again inside the log-mean."""
+    def stats_at(near=(0.5,) * 3, far=(0.95,) * 3):
+        return derive_link_statistics(build_layout(near, far), 4.0, 0.001)
 
-    def params_at(alpha=0.1, rho_db=20.0, upsilon=0.01,
-                  band_fractions=(1.0 / 3.0,) * 3):
+    def params_at(alpha=0.1, rho_db=20.0, upsilon=0.01):
         return SystemParams(alpha=float(alpha), rho=10.0 ** (rho_db / 10.0),
-                            upsilon=upsilon, band_fractions=band_fractions)
+                            upsilon=upsilon)
 
     default = stats_at()
     groups = {
@@ -325,9 +325,6 @@ def closed_form_inputs():
         "rho": [(default, params_at(rho_db=x)) for x in np.linspace(0, 40, 41)],
         "alpha": [(default, params_at(alpha=a))
                   for a in np.linspace(0.05, 0.24, 20)],
-        "bands": [(default, params_at(band_fractions=b))
-                  for b in ((0.2, 0.3, 0.5), (0.5, 0.25, 0.25),
-                            (0.1, 0.1, 0.8))],
     }
     rng = np.random.default_rng(5150)
     layouts = []
@@ -336,12 +333,15 @@ def closed_form_inputs():
         # variance of every other link
         links = {(int(rng.integers(1, 4)), user): float(rng.uniform(0.0, 0.01))
                  for user in rng.choice(list("123ABC"), size=3, replace=False)}
-        stats = stats_at(tuple(rng.uniform(0.1, 0.9, 3)),
-                         tuple(rng.uniform(0.6, 1.0, 3)),
-                         per_link(rng.uniform(1e-4, 3e-3), links))
+        layout = build_layout(tuple(rng.uniform(0.1, 0.9, 3)),
+                              tuple(rng.uniform(0.6, 1.0, 3)))
+        stats = link_statistics(layout, 4.0,
+                                per_link(rng.uniform(1e-4, 3e-3), links))
         params = params_at(rng.uniform(0.02, 0.24), rng.uniform(0.0, 40.0),
-                           rng.uniform(0.0, 0.05),
-                           tuple(rng.dirichlet((2.0, 2.0, 2.0))))
+                           rng.uniform(0.0, 0.05))
+        # a draw that no input reads: the digests below were recorded with
+        # it in the stream, which the next input and "coincident" draw from
+        rng.dirichlet((2.0, 2.0, 2.0))
         layouts.append((stats, params))
     groups["random"] = layouts
     # Each link column holds two equal variances and a third just past where
@@ -376,8 +376,7 @@ CLOSED_FORM_DIGESTS = {
     "radius": "aef90951090635bb21c2c874829984f117902eb0b652dbc68a0fc794792ecee3",
     "rho": "c8017aff32f7fd3ca6e9defa79e5ceb8d28f5728a070641e387c9439395449aa",
     "alpha": "13a336232987e162e0f81339ca0e11c45d1917362e6d0b8a3577c5b494a615d8",
-    "bands": "b2308d35896f3f1f1a1fdaebbd84da44bdfbc73d99de75e8ebe6093efe6488d1",
-    "random": "13561723b0c62b4137e368742e5d83dc280428cbc857de912b4f16510355cf40",
+    "random": "e575a91355ba46e06ca1add4eb26f5c312edba221fdbbdfca0ae9035cafad717",
     "coincident": "fe3e49248f48afba80228ab77063b620c5b263a2918c23b3b3029c730c733021",
 }
 
@@ -387,7 +386,8 @@ def test_closed_form_is_bit_exact(group):
     # SHA-256 of the float64 bytes of total_esc_closed, the nine near terms
     # (cell-major) and the three far terms per input; frozen from the
     # implementation that evaluated every user and sub-band separately, so
-    # any change to the arithmetic or its order shows here.
+    # any change to the arithmetic or its order shows here ("random" again
+    # when its inputs lost their uneven band splits).
     values = [closed_form_values(stats, params)
               for stats, params in CLOSED_FORM_INPUTS[group]]
     assert_pinned(values, CLOSED_FORM_DIGESTS[group], group)
@@ -478,7 +478,6 @@ def test_far_values_are_kept_while_their_inputs_stay(monkeypatch,
         (with_link("sigma_hat", 0, 0, 1.5), params_20db),
         (with_link("sigma_eps", 1, 2, 2.0), params_20db),
         (default_stats, replace(params_20db, upsilon=0.02)),
-        (default_stats, replace(params_20db, band_fractions=(0.2, 0.3, 0.5))),
     ]
     for inputs, hit in ((far_inputs, False), (near_inputs, True)):
         for stats, params in inputs:

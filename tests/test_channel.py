@@ -5,7 +5,7 @@ from comp_noma import (InfeasibleCsiError, LinkStatistics, build_layout,
                        derive_link_statistics)
 from comp_noma import channel
 from comp_noma.channel import check_seed
-from oracles import kernel_gains, link, per_link
+from oracles import kernel_gains, link, link_statistics, per_link
 
 
 def uniform_stats(sigma_hat=1.0, sigma_eps=0.0):
@@ -33,13 +33,12 @@ def test_infeasible_csi_error_names_link(default_layout):
     with pytest.raises(InfeasibleCsiError, match=r"BS1, UE2"):
         derive_link_statistics(default_layout, 4.0, 0.4)
     with pytest.raises(InfeasibleCsiError, match=r"BS2, UE1"):
-        derive_link_statistics(default_layout, 4.0,
-                               per_link(0.001, {(2, 1): 0.9}))
+        link_statistics(default_layout, 4.0, per_link(0.001, {(2, 1): 0.9}))
 
 
 def test_override_applies_per_link(default_layout):
     eps = per_link(0.001, {(3, "B"): 0.05})
-    stats = derive_link_statistics(default_layout, 4.0, eps)
+    stats = link_statistics(default_layout, 4.0, eps)
     assert stats.sigma_eps[link(3, "B")] == 0.05
     assert stats.sigma_eps[link(3, "A")] == 0.001
     assert stats.sigma_hat[link(3, "B")] == pytest.approx(
@@ -52,20 +51,25 @@ def test_override_applies_per_link(default_layout):
 @pytest.mark.parametrize("value", [0.0, 0.001, 0.0123])
 def test_per_link_array_of_one_value_matches_the_scalar_bitwise(
         default_layout, value):
+    # the per-link statistics the tests build take derive_link_statistics'
+    # arithmetic
     scalar = derive_link_statistics(default_layout, 4.0, value)
-    array = derive_link_statistics(default_layout, 4.0, np.full((3, 6), value))
+    array = link_statistics(default_layout, 4.0, np.full((3, 6), value))
     for name in ("sigma_hat", "sigma_eps", "eps_sums"):
         a, b = getattr(scalar, name), getattr(array, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("shape", [(6,), (3, 1), (2,), (1, 6), (6, 3),
-                                   (3, 6, 1)], ids=str)
+                                   (3, 6, 1), (3, 6), ()], ids=str)
 def test_sigma_eps_of_any_other_shape_is_rejected_by_name(default_layout,
                                                           shape):
-    # (6,), (3, 1) and (1, 6) would broadcast against the (3, 6) distances
-    with pytest.raises(ValueError, match=r"sigma_eps must be a scalar or "
-                                         r"have shape \(3, 6\)"):
+    # an array of any shape, even (3, 6) or (), is not the one real number
+    # taken; (6,), (3, 1) and (1, 6) would broadcast against the (3, 6)
+    # distances
+    with pytest.raises(ValueError, match=r"sigma_eps must be a real number "
+                                         r"in \[0, inf\) \(per-link values "
+                                         r"go through LinkStatistics\)"):
         derive_link_statistics(default_layout, 4.0, np.full(shape, 0.001))
 
 
@@ -75,8 +79,7 @@ def test_negative_inputs_rejected(default_layout):
     with pytest.raises(ValueError, match="sigma_eps"):
         derive_link_statistics(default_layout, 4.0, -0.1)
     with pytest.raises(ValueError, match=r"link \(BS1, UE1\): sigma_eps"):
-        derive_link_statistics(default_layout, 4.0,
-                               per_link(0.001, {(1, 1): -1e-6}))
+        link_statistics(default_layout, 4.0, per_link(0.001, {(1, 1): -1e-6}))
 
 
 def test_non_finite_inputs_rejected_by_name(default_layout):
@@ -86,19 +89,20 @@ def test_non_finite_inputs_rejected_by_name(default_layout):
         with pytest.raises(ValueError, match="sigma_eps must"):
             derive_link_statistics(default_layout, 4.0, bad)
         with pytest.raises(ValueError, match=r"link \(BS2, UEB\): sigma_eps"):
-            derive_link_statistics(default_layout, 4.0,
-                                   per_link(0.001, {(2, "B"): bad}))
+            link_statistics(default_layout, 4.0,
+                            per_link(0.001, {(2, "B"): bad}))
 
 
 @pytest.mark.parametrize("name, value", [
     ("sigma_eps", [[0.001] * 6, [0.001] * 6, [0.001] * 5]),
+    ("sigma_eps", [[0.001] * 6] * 3),
     ("sigma_eps", "0.001"),
     ("sigma_eps", True),
     ("sigma_eps", np.full((3, 6), True)),
     ("pathloss_exponent", "4"),
     ("pathloss_exponent", True),
-], ids=["sigma_eps-ragged", "sigma_eps-string", "sigma_eps-bool",
-        "sigma_eps-bool-array", "pathloss_exponent-string",
+], ids=["sigma_eps-ragged", "sigma_eps-nested-list", "sigma_eps-string",
+        "sigma_eps-bool", "sigma_eps-bool-array", "pathloss_exponent-string",
         "pathloss_exponent-bool"])
 def test_arguments_of_other_types_are_rejected_by_name(default_layout, monkeypatch,
                                                        name, value):
@@ -148,7 +152,7 @@ def test_link_statistics_built_directly_are_validated_by_link():
 
 
 def test_eps_sums_are_each_users_read_only_column_sums(default_layout):
-    stats = derive_link_statistics(
+    stats = link_statistics(
         default_layout, 4.0, per_link(0.001, {(1, "A"): 0.004, (3, 2): 0.0}))
     assert stats.eps_sums.tolist() == [
         (a + b) + c for a, b, c in zip(*stats.sigma_eps.tolist())]
@@ -227,18 +231,9 @@ def test_positions_of_another_shape_are_rejected_by_name():
 @pytest.mark.parametrize("bad", [False, True, "0.001", None])
 def test_a_non_real_among_per_link_floats_is_rejected_by_name(default_layout,
                                                                bad):
-    # np.array would turn a lone bool among floats into 0.0 or 1.0
+    # rejected as a list, before np.array could turn a lone bool among
+    # floats into 0.0 or 1.0
     values = [[0.001] * 6 for _ in range(3)]
     values[2][5] = bad
     with pytest.raises(ValueError, match="sigma_eps must be a real number"):
         derive_link_statistics(default_layout, 4.0, values)
-
-
-def test_per_link_lists_of_python_and_numpy_reals_are_accepted(default_layout):
-    plain = derive_link_statistics(default_layout, 4.0, np.full((3, 6), 0.001))
-    for values in ([[0.001] * 6, [np.float64(0.001)] * 6, [0.001] * 6],
-                   [np.full(6, 0.001)] * 3):
-        stats = derive_link_statistics(default_layout, 4.0, values)
-        assert stats.sigma_hat.tobytes() == plain.sigma_hat.tobytes()
-    zeros = derive_link_statistics(default_layout, 4.0, [[0] * 6] * 3)
-    assert zeros.sigma_eps.tobytes() == np.zeros((3, 6)).tobytes()

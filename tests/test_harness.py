@@ -320,9 +320,14 @@ class TestRunSweep:
         # the full chunk each estimate starts on before its helpers start
         # and runs the one it ends on after they end, so the draw kernel
         # answers and holds the same blocks whatever the helpers do.
-        for workers in (1, 2, 3) * 3:
+        for workers in (1, 2, 3):
             assert hits("", workers) == [468, 1, 397, (0, 9), (0, 36)], \
                 workers
+        # run after run, on three points of the same 13-chunk estimates:
+        # 12 estimates, 144 full chunks less the 11 each later one starts on
+        for workers in (1, 2, 3) * 3:
+            assert hits("from=0\nto=20\nsteps=3", workers) \
+                == [156, 1, 133, (0, 3), (0, 12)], workers
         # the default near-radius sweep: each scheme's tail call after its
         # first takes the far rows
         assert hits("sweep=near-radius") == [468, 1, 397, (8, 1), (32, 36)]

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from comp_noma import (LinkStatistics, SystemParams, build_layout,
                        db_to_linear, derive_link_statistics)
 from comp_noma import kernels
-from oracles import (PIN_SAMPLES, assert_pinned, kernel_gains, per_link,
-                     pin_sample, rates_reference)
+from oracles import (PIN_SAMPLES, assert_pinned, kernel_gains,
+                     link_statistics, per_link, pin_sample, rates_reference)
 
 
 def test_chunked_and_whole_stream_agree():
@@ -96,7 +96,9 @@ def test_unit_interval_draws_are_strictly_inside():
 # SHA-256 of the C-order bytes of kernel outputs. The gains were recorded
 # from the kernels before their fused in-place rewrite; the rates again when
 # the rate kernel began to form interference as the sum of the non-serving
-# gains. A drawn gain or a rate that moves by one ulp changes its digest.
+# gains, and the "uneven" VP-NOMA and CoMP rates when the band split stopped
+# being an input. A drawn gain or a rate that moves by one ulp changes its
+# digest.
 GAINS_DIGESTS = {
     (1, 0, 8192):
         "51e9e3050f10ce5a87fe9e3c050516ce123223c378122dbca18c940a6576e4a1",
@@ -138,14 +140,14 @@ RATES_DIGESTS = {  # (layout, scheme code) -> one digest per RATE_RHOS
         "201c6c8662e04d3ecc0c4c377c96460b3a1fdc1dae8bda2749531187e0e61e22",
     ),
     ("uneven", 2): (
-        "c59a374c4391d258e2fdf2f0d3e6bfc298997c20f2ec6cec06d91eda6db8cbdf",
-        "bd2bf6a24265ec2748209c8198863c0402d42b468d4ae132aa6216c81e10a5b1",
-        "aa77a446ba39e35cc8bea20ab9d9237078dc5bbfce160f572595f3d928951293",
+        "4086ec3cf8a2e434d564a9df3906d4f93cb6bb47b54ed3d2c549b61e9fd834d1",
+        "823a7f4af254f5ee4db49e0a7c692251494ae28f5124db9156c4de819910f0bb",
+        "32f635f7056f05a321702774b1db139bd55213173c89ecf98ea953d1124b412f",
     ),
     ("uneven", 3): (
-        "9949512e0aaae8de9029f70a1063bfaff7460c57024041e5a363ee2ef52339f8",
-        "8ad54465863d63319c5b2c98760a74cba794d03ba5e7614f01bbec248cc27ffb",
-        "1cf69ff89561e9c032e2b27e5fa3e187a22b0ea58f86257e05fe60b1ae463969",
+        "bc540211058b60c3d4bce42eaa4e498e4e19ef5560e3ed6420531f6b13cb4e05",
+        "28d4e26511cea28d544b7c86362c2508873eb39219ea12b5e993d9b710406de2",
+        "9d89af66e246f0339966f7781b0a89b5837a1a5829975d17f746b093b253ea9a",
     ),
 }
 
@@ -155,8 +157,7 @@ def _uneven_stats(near=(0.3, 0.5, 0.7), far=(0.8, 0.95, 0.9), links=()):
     the σ_ε of the (BS, user) links in links changed to 0.002."""
     eps = {(1, "A"): 0.004, (3, "2"): 0.0}
     eps.update(dict.fromkeys(links, 0.002))
-    return derive_link_statistics(build_layout(near, far), 3.5,
-                                  per_link(0.001, eps))
+    return link_statistics(build_layout(near, far), 3.5, per_link(0.001, eps))
 
 
 def _rate_case(name):
@@ -165,9 +166,7 @@ def _rate_case(name):
         stats = derive_link_statistics(
             build_layout((0.5,) * 3, (0.95,) * 3), 4.0, 0.001)
         return stats, SystemParams(alpha=0.1, upsilon=0.01), 1
-    params = SystemParams(alpha=0.07, upsilon=0.03,
-                          band_fractions=(0.2, 0.3, 0.5))
-    return _uneven_stats(), params, 2
+    return _uneven_stats(), SystemParams(alpha=0.07, upsilon=0.03), 2
 
 
 @pytest.mark.parametrize("seed, start, n", sorted(GAINS_DIGESTS))
@@ -191,32 +190,33 @@ def test_rates_are_bit_exact_in_any_gains_layout(name, code):
 
 # SHA-256 of the "uneven" case's rates at the three RATE_RHOS, one digest per
 # scheme code, for calls shorter than a chunk; first recorded from the kernel
-# before it bounded numpy's ufunc buffer on such calls, and again when it
-# began to form interference as the sum of the non-serving gains.
+# before it bounded numpy's ufunc buffer on such calls, again when it began
+# to form interference as the sum of the non-serving gains, and the VP-NOMA
+# and CoMP ones when the band split stopped being an input.
 SHORT_RATES_DIGESTS = {
     1: (
         "086fd948d3fed9ec58a19691597435b1cacc471cc92efb8dba318daec6148345",
         "6c9bca0042c8993931e3a2e987fed39309e96dfac217f0ae02ebe2d51f2efce1",
-        "b015a9cf62bbf6002a5c7dd43c359ddc06c3d2164f591a8ac0dfcf6efcf318d0",
-        "135e6b22dc8391ac93879a829725a953909c4430b457e456ac0f9ca7b1b4e5af",
+        "b37d7466dd6d14377f3a5c4dac6d03b21526b00ad0f450ef5a458b54edef3f02",
+        "0b19009eda3609c33a6b37557ffa281c1b11b7456a5395491bfece1900320b7c",
     ),
     576: (
         "ade1678b582495033f84ee171bd3cf04dc4540ac1bb47718691ea201c84d4c89",
         "d849c219fe2db4096d8ab73d06025e609189eeafb79057f28e1eba34384c51f3",
-        "4ce70f9be551d0e48768e91056a9c063e697eba37e2e0ca48bb4c0df99134a96",
-        "3fdbf9d7a55026ce3c51fbe313697c2018223163cf11c0ae6be2554a656d6bed",
+        "fe8111d26a240a2d04962f881f2eba34f78f4726ac3119bc480efa3557d34cdf",
+        "351d1713ea78e968f3442fa4f43793f69055108ebd96a0f007b40bb5f7575d3c",
     ),
     1696: (
         "01e93df04634125074797f71b539c4b1368158205c194262d7e78bf6cb4925a2",
         "b62ed0410103b2cb7e66be68c795321d947d741dd38455129397bca62792f9fa",
-        "d4cc50a467298d2690d020c9a0020477e75fe038fd149761763d22fc09cbcc3f",
-        "2534eff3d2642af66023dc1911d6dc3173918618fc022c30b35ebc5d27514479",
+        "21b996ebac53f1f040e8d78b96cc303ed7dc31a6c8350f986141503700d16acf",
+        "0db9a4f3101c63d84bf2b70e2a0fcea00b3a77af474a2e53caec9faa40cdfcbd",
     ),
     2000: (
         "0e8923e29786ed0d8b4e97fd610c76db55bae6c41401540eb5423f90f0fe2127",
         "596ad3f9ad79ea83e9cb31604f8d64117346827080ed5efce19eb76bcf4966ab",
-        "a66547ba2c089d18dde88ae144f648669a3efd1aa28c46a25b175cf44b914e1f",
-        "8a01d3224da1782d040387d92cd1b8de5e7317d6a7c352299ef246d881f4a107",
+        "d9c16e1ecc7489da0a8efb54a59cdb7b6b4ea3171be47e4ac9e14386d31a30c1",
+        "21bb293361a63fff3e76431290fba56d09e12f5884da49d6a73d3a7bc3a648c6",
     ),
 }
 
@@ -398,21 +398,17 @@ _radius = st.floats(1e-5, 1.0)
        alpha=st.floats(1e-3, 0.249),
        rho_db=st.floats(-10.0, 40.0),
        upsilon=st.floats(0.0, 0.1),
-       band_weights=st.tuples(*[st.floats(0.05, 1.0)] * 3),
        seed=st.integers(0, 2**64 - 1))
 def test_rates_match_the_printed_formulas_on_generated_inputs(
-        near, far, sigma_eps, exponent, alpha, rho_db, upsilon, band_weights,
-        seed):
+        near, far, sigma_eps, exponent, alpha, rho_db, upsilon, seed):
     """Every scheme's rates equal rates_reference per draw, down to users a
     hundred thousandth of the cell radius from their base station, where a
     serving gain dwarfs the interference by many orders of magnitude."""
     # every link's mean power d^-v is at least 3^-3 > 0.01, the largest σ_ε
-    stats = derive_link_statistics(build_layout(near, far), exponent,
-                                   np.reshape(sigma_eps, (3, 6)))
-    total = sum(band_weights)
+    stats = link_statistics(build_layout(near, far), exponent,
+                            np.reshape(sigma_eps, (3, 6)))
     params = SystemParams(alpha=alpha, rho=db_to_linear(rho_db),
-                          upsilon=upsilon,
-                          band_fractions=[w / total for w in band_weights])
+                          upsilon=upsilon)
     n = 64
     draws = kernels.sample_gains(seed, 0, n)
     gains = kernel_gains(seed, 0, n, stats.sigma_hat)
@@ -441,15 +437,14 @@ _eps9 = st.lists(st.floats(0.0, 0.01), min_size=9, max_size=9)
 # what the far users' rates read, and what only the near users' read
 _far_inputs = st.tuples(st.tuples(_radius, _radius, _radius), _eps9,
                         st.floats(2.0, 6.0), st.floats(1e-3, 0.249),
-                        st.floats(-10.0, 40.0),
-                        st.tuples(*[st.floats(0.05, 1.0)] * 3))
+                        st.floats(-10.0, 40.0))
 _near_inputs = st.tuples(st.tuples(_radius, _radius, _radius), _eps9,
                          st.floats(0.0, 0.1))
 # which far inputs a step keeps: all of them, all but one, or any subset
 _keeps = st.one_of(
-    st.just((True,) * 6),
-    st.sampled_from([tuple(j != i for j in range(6)) for i in range(6)]),
-    st.tuples(*[st.booleans()] * 6))
+    st.just((True,) * 5),
+    st.sampled_from([tuple(j != i for j in range(5)) for i in range(5)]),
+    st.tuples(*[st.booleans()] * 5))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -471,14 +466,12 @@ def test_held_far_rates_give_the_rates_of_an_empty_memo(seed, n, first,
     for step, (keeps, (near, near_eps, upsilon), changed) in enumerate(steps):
         far = tuple(old if keep else new
                     for old, keep, new in zip(far, keeps, changed))
-        radii, far_eps, exponent, alpha, rho_db, weights = far
+        radii, far_eps, exponent, alpha, rho_db = far
         eps = np.hstack([np.reshape(near_eps, (3, 3)),
                          np.reshape(far_eps, (3, 3))])
-        stats = derive_link_statistics(build_layout(near, radii), exponent,
-                                       eps)
-        params = SystemParams(
-            alpha=alpha, rho=db_to_linear(rho_db), upsilon=upsilon,
-            band_fractions=[w / sum(weights) for w in weights])
+        stats = link_statistics(build_layout(near, radii), exponent, eps)
+        params = SystemParams(alpha=alpha, rho=db_to_linear(rho_db),
+                              upsilon=upsilon)
         for code in range(4):
             held = _far_rates().get(code)
             rates, fresh = _rates_bits(draws, code, params, stats)
@@ -511,8 +504,6 @@ def _variant(name, code):
         params = change(params, alpha=0.08)
     elif name == "rho":
         params = change(params, rho=11.0)
-    elif name == "band fraction":
-        params = change(params, band_fractions=(0.2, 0.35, 0.45))
     elif name == "scheme":
         code = (code + 1) % 4
     else:
@@ -525,7 +516,7 @@ _FAR_KEY_CASES = {  # the input a second call changes -> whether it hits
     "near radius": True, "near-link sigma_eps": True, "upsilon": True,
     "far radius": False, "far-link sigma_eps": False,
     "far-link sigma_eps, sigma_hat kept": False, "alpha": False,
-    "rho": False, "band fraction": False, "scheme": False, "block": False,
+    "rho": False, "scheme": False, "block": False,
 }
 
 

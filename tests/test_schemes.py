@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from comp_noma import (LinkStatistics, SchemeId, SystemParams, build_layout,
-                       derive_link_statistics, estimate_esc)
+                       estimate_esc)
 from comp_noma import kernels
-from oracles import (gain_rates, gains_reference, kernel_gains, per_link,
-                     rates_reference)
+from oracles import (gain_rates, gains_reference, kernel_gains,
+                     link_statistics, per_link, rates_reference)
 
 FAR_COMP_EXAMPLE = 0.56681323938036405  # (1/3) * log2(1 + 9/4)
 
@@ -46,15 +46,10 @@ class TestSystemParams:
             SystemParams(alpha=0.0)
 
     def test_band_fractions_validated(self):
-        with pytest.raises(ValueError, match="band_fractions"):
-            SystemParams(band_fractions=(0.5, 0.5, 0.1))
-        with pytest.raises(ValueError, match="band_fractions"):
-            SystemParams(band_fractions=(0.5, 0.5, 0.0))
-        for bad in (5, 0.5, None, np.float64(1.0)):
-            with pytest.raises(ValueError,
-                               match="band_fractions must be a sequence"):
-                SystemParams(band_fractions=bad)
-        SystemParams(band_fractions=(0.5, 0.25, 0.25))
+        # the band split is each scheme's own: no value is taken
+        for fractions in ((1.0 / 3.0,) * 3, (0.5, 0.25, 0.25), None):
+            with pytest.raises(TypeError, match="band_fractions"):
+                SystemParams(band_fractions=fractions)
 
     def test_other_knobs_validated(self):
         with pytest.raises(ValueError, match="rho"):
@@ -68,8 +63,6 @@ class TestSystemParams:
                 SystemParams(rho=bad)
             with pytest.raises(ValueError, match="upsilon"):
                 SystemParams(upsilon=bad)
-            with pytest.raises(ValueError, match="band_fractions"):
-                SystemParams(band_fractions=(bad, 0.5, 0.5))
         with pytest.raises(ValueError, match="alpha"):
             SystemParams(alpha=float("nan"))
 
@@ -80,18 +73,13 @@ class TestSystemParams:
             with pytest.raises(ValueError,
                                match=f"{name} must be a real number"):
                 SystemParams(**{name: bad})
-        with pytest.raises(ValueError, match="band_fractions"):
-            SystemParams(band_fractions=(bad, 0.5, 0.5))
 
     def test_python_and_numpy_reals_are_accepted(self):
-        plain = SystemParams(alpha=0.1, rho=10.0, upsilon=0.0,
-                             band_fractions=(0.5, 0.25, 0.25))
-        numpy_reals = SystemParams(
-            alpha=np.float64(0.1), rho=np.int64(10), upsilon=0,
-            band_fractions=np.array([0.5, 0.25, 0.25]))
+        plain = SystemParams(alpha=0.1, rho=10.0, upsilon=0.0)
+        numpy_reals = SystemParams(alpha=np.float64(0.1), rho=np.int64(10),
+                                   upsilon=0)
         assert numpy_reals == plain
-        for value in (numpy_reals.alpha, numpy_reals.rho, numpy_reals.upsilon,
-                      *numpy_reals.band_fractions):
+        for value in (numpy_reals.alpha, numpy_reals.rho, numpy_reals.upsilon):
             assert type(value) is float
 
     def test_numpy_float32_knobs_keep_float64_arithmetic(self):
@@ -264,20 +252,6 @@ class TestTotalInstantaneous:
         assert rates[0] == pytest.approx(expected[0], rel=1e-12)
         assert rates[3] == pytest.approx(expected[3], rel=1e-12)
 
-    def test_uneven_band_fractions_respected(self, rng, default_stats):
-        p = SystemParams(alpha=0.1, rho=100.0, upsilon=0.01,
-                         band_fractions=(0.5, 0.3, 0.2))
-        gain = random_gain(rng)
-        rate_a = reference_rates(gain, default_stats, p,
-                                 SchemeId.COMP_VPNOMA)[3]
-        assert comp_rates(gain, default_stats, p)[3] == pytest.approx(
-            rate_a, rel=1e-12)
-        # symmetric gains: far users share one SINR, rates scale with the band
-        rate_a, rate_b, rate_c = comp_rates(np.ones((3, 6)), default_stats,
-                                            p)[3:]
-        assert rate_a / 0.5 == pytest.approx(rate_b / 0.3, rel=1e-12)
-        assert rate_a / 0.5 == pytest.approx(rate_c / 0.2, rel=1e-12)
-
 
 class TestKernelOracles:
     @pytest.mark.parametrize("seed, start, n",
@@ -290,11 +264,10 @@ class TestKernelOracles:
 
     @pytest.mark.parametrize("code", range(4))
     def test_rates_match_reference_on_all_schemes(self, code):
-        stats = derive_link_statistics(
+        stats = link_statistics(
             build_layout((0.3, 0.5, 0.7), (0.8, 0.95, 0.9)), 3.5,
             per_link(0.001, {(1, "A"): 0.004, (3, "2"): 0.0}))
-        params = SystemParams(alpha=0.07, upsilon=0.03,
-                              band_fractions=(0.2, 0.3, 0.5))
+        params = SystemParams(alpha=0.07, upsilon=0.03)
         draws = kernels.sample_gains(77, 0, 300)
         gains = kernel_gains(77, 0, 300, stats.sigma_hat)
         for rho in (1.0, 100.0, 1e4):
