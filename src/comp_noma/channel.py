@@ -12,7 +12,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .geometry import N_BS, N_USERS, USERS, _is_real, distance_matrix
+from .geometry import (N_BS, N_USERS, USERS, _as_float, _is_real,
+                       distance_matrix)
 
 
 class InfeasibleCsiError(ValueError):
@@ -77,10 +78,10 @@ def derive_link_statistics(positions: np.ndarray, pathloss_exponent=4.0,
     if not _is_real(pathloss_exponent):
         raise ValueError(f"pathloss_exponent must be a real number, "
                          f"got {pathloss_exponent!r}")
-    v = float(pathloss_exponent)
+    v = _as_float(pathloss_exponent)
     if not 0 < v < np.inf:
         raise ValueError(f"path-loss exponent must be positive and finite, got {v}")
-    if not (_is_real(sigma_eps) and 0 <= sigma_eps < np.inf):
+    if not (_is_real(sigma_eps) and 0 <= _as_float(sigma_eps) < np.inf):
         raise ValueError(f"sigma_eps must be a real number in [0, inf) "
                          f"(per-link values go through LinkStatistics), "
                          f"got {sigma_eps!r}")

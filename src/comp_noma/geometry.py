@@ -7,6 +7,7 @@ serving base station toward the centroid, which clusters the far users at the
 common cell edge. Lengths are in units of the cell radius, R = 1.
 """
 
+import math
 from numbers import Real
 
 import numpy as np
@@ -23,6 +24,15 @@ def _is_real(value) -> bool:
     """A Python or numpy real number that is not a bool."""
     return type(value) is float or (isinstance(value, Real)
                                     and not isinstance(value, bool))
+
+
+def _as_float(value) -> float:
+    """A real number as a Python float; an int too large for one is
+    infinite, with its sign, so that a range check names it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _all_real(values) -> bool:

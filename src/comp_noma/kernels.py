@@ -1,12 +1,17 @@
 """Hot numeric kernels: counter-based fading draws and batched scheme rates.
 
-Everything the Monte-Carlo estimator does per trial lives here, as one
-vectorized numpy path. Draws come from a counter-based stream, so a draw
-depends only on (seed, trial, link) and never on call order, chunking, or
-thread count.
+Everything the Monte-Carlo estimator does per trial lives here, as
+vectorized numpy, except the draw kernel's uniforms: a C loop, _uniforms.c,
+makes them where it builds and passes its check against the numpy stage,
+which makes them everywhere else, to the same bits. Draws come from a
+counter-based stream, so a draw depends only on (seed, trial, link) and
+never on call order, chunking, thread count or the stage that ran.
 """
 
 import ctypes
+import os
+import tempfile
+import zlib
 
 import numpy as np
 
@@ -37,9 +42,9 @@ _NEAR_LINKS = slice(0, None, N_USERS + 1)
 _FAR_LINKS = slice(N_BS, None, N_USERS + 1)
 
 
-# Links per block of the draw kernel; N_LINKS is a multiple of it. Every
-# numpy call releases and retakes the GIL, so with two worker threads a
-# chunk costs per call as well as per draw, and six-link blocks run the
+# Links per block of the numpy uniform stage; N_LINKS is a multiple of it.
+# Every numpy call releases and retakes the GIL, so with two worker threads
+# a chunk costs per call as well as per draw, and six-link blocks run the
 # SplitMix64 finalizer in three passes per chunk. A fixed link count, not a
 # fixed number of draws, keeps the uint64 scratch block of a 2,000-trial
 # chunk at 96 KB, below glibc's 128 KiB mmap threshold.
@@ -62,10 +67,13 @@ def _aligned_empty(rows, n, dtype=np.float64):
     return raw[start:start + rows * n].reshape(rows, n)
 
 
-def _draws(seed, start_trial, n):
-    # Counter of (trial t, link l) is t*N_LINKS + l; the SplitMix64 input
-    # seed + (counter+1)*GOLDEN splits, mod 2**64, into a per-trial and a
-    # per-link term.
+def _numpy_uniforms(seed, start_trial, n):
+    """The uniforms u = ((z >> 11) + 0.5) * 2**-53 of trials [start_trial,
+    start_trial + n), as a fresh aligned link-major (18, n) block; z is the
+    SplitMix64 output for counter trial*N_LINKS + link. The reference for
+    the C stage, and the stage that runs where that cannot be built."""
+    # The SplitMix64 input seed + (counter+1)*GOLDEN splits, mod 2**64, into
+    # a per-trial and a per-link term.
     trial_term = np.arange(start_trial, start_trial + n, dtype=np.uint64)
     trial_term *= _LINKS_GOLDEN
     link_term = np.arange(1, N_LINKS + 1, dtype=np.uint64) * _GOLDEN
@@ -79,7 +87,7 @@ def _draws(seed, start_trial, n):
     for lo in range(0, N_LINKS, _DRAW_LINKS):
         hi = lo + _DRAW_LINKS
         db = out[lo:hi]
-        # The block's draws are written last, so their memory holds the
+        # The block's uniforms are written last, so their memory holds the
         # finalizer's shifted copies until then.
         sb = db.view(np.uint64)
         np.add(link_term[lo:hi, None], trial_term, out=zb)
@@ -97,7 +105,86 @@ def _draws(seed, start_trial, n):
         np.copyto(db, zb.view(np.int64), casting="unsafe")
         db += 0.5
         db *= _TO_UNIT
-        np.log(db, out=db)
+    return out
+
+
+# The C stage, _uniforms.c, is built once per source and command into the
+# package's own __pycache__, never a shared temporary directory, and named
+# by a CRC-32 of both, so an edit to either builds a new library. No -march
+# or -ffast-math: a cached library may be loaded on another CPU of the same
+# architecture, and -ffp-contract=off keeps every IEEE operation as written.
+_SOURCE = os.path.join(os.path.dirname(__file__), "_uniforms.c")
+_CACHE_DIR = os.path.join(os.path.dirname(__file__), "__pycache__")
+_BUILD = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# A small block whose trial counters wrap mod 2**64, with a tail of odd length
+_SELF_CHECK = (2**64 - 1, 2**64 // N_LINKS - 3, 37)
+
+
+def _compiled_library():
+    """Path of the built C stage, building it first on a cache miss; None
+    when it cannot be built, as on a host with no compiler or a read-only
+    package directory."""
+    with open(_SOURCE, "rb") as f:
+        tag = zlib.crc32(" ".join(_BUILD).encode(), zlib.crc32(f.read()))
+    library = os.path.join(_CACHE_DIR, f"_uniforms-{tag:08x}.so")
+    if os.path.exists(library):
+        return library
+    # only on a miss: a warm import loads no subprocess module
+    import subprocess
+    tmp = None
+    try:
+        os.makedirs(_CACHE_DIR, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix="_uniforms-",
+                                    dir=_CACHE_DIR)
+        os.close(fd)
+        subprocess.run([*_BUILD, "-o", tmp, _SOURCE], check=True,
+                       capture_output=True, timeout=120)
+        # mkstemp's 0600 would leave the library unreadable to other users
+        os.chmod(tmp, 0o755)
+        # another process may build the same library at once; each moves a
+        # whole file into place
+        os.replace(tmp, library)
+    except (OSError, subprocess.SubprocessError):
+        if tmp is not None and os.path.exists(tmp):
+            os.remove(tmp)
+        return None
+    return library
+
+
+def _load_uniforms():
+    """The uniform stage _draws runs: the C stage when it builds, loads and
+    gives the numpy stage's bits on _SELF_CHECK, else the numpy stage."""
+    try:
+        library = _compiled_library()
+        if library is None:
+            return _numpy_uniforms
+        fill = ctypes.CDLL(library).comp_noma_uniforms
+    except (OSError, AttributeError):
+        return _numpy_uniforms
+    fill.argtypes = (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64,
+                     ctypes.c_size_t)
+    fill.restype = None
+
+    def c_uniforms(seed, start_trial, n):
+        out = _aligned_empty(N_LINKS, n)
+        # ctypes releases the GIL for the call
+        fill(out.ctypes.data, seed, start_trial, n)
+        return out
+
+    # compared as bytes: np.array_equal would page in code that nothing
+    # else runs, about 0.3 MB of resident memory
+    expected = _numpy_uniforms(*_SELF_CHECK).tobytes()
+    if c_uniforms(*_SELF_CHECK).tobytes() != expected:
+        return _numpy_uniforms
+    return c_uniforms
+
+
+_uniforms = _load_uniforms()
+
+
+def _draws(seed, start_trial, n):
+    out = _uniforms(seed, start_trial, n)
+    np.log(out, out=out)
     out.flags.writeable = False
     return out.reshape(N_BS, N_USERS, n).transpose(2, 0, 1)
 
@@ -297,5 +384,6 @@ def _scheme_rates(draws, scheme_code, params, stats, far_rows=None):
 
 
 def active_backend() -> str:
-    """Name of the numeric path the kernels run on; there is one."""
-    return "numpy"
+    """Which stages the draw kernel runs: "numpy+c-uniforms" when the C
+    stage makes its uniforms, "numpy" when the numpy stage does."""
+    return "numpy" if _uniforms is _numpy_uniforms else "numpy+c-uniforms"

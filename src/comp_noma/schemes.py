@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .geometry import _is_real
+from .geometry import _as_float, _is_real
 
 
 class SchemeId(enum.Enum):
@@ -64,12 +64,8 @@ class SystemParams:
             if not _is_real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             # a Python float, so that beta and the rates are never computed
-            # in a narrower numpy type; an int too large for one is infinite
-            try:
-                value = float(value)
-            except OverflowError:
-                value = math.inf
-            object.__setattr__(self, name, value)
+            # in a narrower numpy type
+            object.__setattr__(self, name, _as_float(value))
         if not 0.0 < self.alpha < 0.25:
             raise ValueError(f"alpha must lie in (0, 0.25), got {self.alpha}")
         if not 0 < self.rho < math.inf:

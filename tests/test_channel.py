@@ -93,6 +93,18 @@ def test_non_finite_inputs_rejected_by_name(default_layout):
                             per_link(0.001, {(2, "B"): bad}))
 
 
+@pytest.mark.parametrize("name, match", [
+    ("pathloss_exponent", "path-loss exponent must be positive and finite, "
+                          "got inf"),
+    ("sigma_eps", r"sigma_eps must be a real number in \[0, inf\)"),
+], ids=["pathloss_exponent", "sigma_eps"])
+def test_an_int_too_large_for_a_float_is_rejected_by_name(default_layout,
+                                                          name, match):
+    args = {"pathloss_exponent": 4.0, "sigma_eps": 0.001, name: 10 ** 400}
+    with pytest.raises(ValueError, match=match):
+        derive_link_statistics(default_layout, **args)
+
+
 @pytest.mark.parametrize("name, value", [
     ("sigma_eps", [[0.001] * 6, [0.001] * 6, [0.001] * 5]),
     ("sigma_eps", [[0.001] * 6] * 3),

@@ -1,5 +1,9 @@
+import ctypes
 import dataclasses
 import json
+import os
+import shutil
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -12,8 +16,8 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from comp_noma import (LinkStatistics, SystemParams, build_layout,
-                       db_to_linear, derive_link_statistics)
+from comp_noma import (LinkStatistics, SchemeId, SystemParams, build_layout,
+                       db_to_linear, derive_link_statistics, estimate_esc)
 from comp_noma import kernels
 from oracles import (PIN_SAMPLES, assert_pinned, kernel_gains,
                      link_statistics, per_link, pin_sample, rates_reference)
@@ -595,3 +599,108 @@ def test_threads_that_share_the_far_rate_memo_get_the_rates_of_an_empty_memo():
     finally:
         sys.setswitchinterval(interval)
     assert results == expected * 20
+
+
+# With a compiler on the path the C stage must build, load and pass its
+# self-check; without one the numpy stage is the only path.
+_needs_c_stage = pytest.mark.skipif(shutil.which("cc") is None,
+                                    reason="no C compiler on this host")
+# trials whose counter trial * 18 wraps mod 2**64 start at _WRAP
+_WRAP = 2**64 // kernels.N_LINKS + 1
+
+
+@_needs_c_stage
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+       start=st.sampled_from([0, _WRAP - 1, _WRAP])
+       | st.integers(0, 2**40).map(lambda k: k * kernels.CHUNK_TRIALS)
+       | st.integers(_WRAP - kernels.CHUNK_TRIALS, 2**64 - 2**14),
+       n=st.sampled_from([1, 576, 1696, 2000, 8191, 8192]))
+def test_c_uniforms_are_the_numpy_stages_bit_for_bit(seed, start, n):
+    assert kernels.active_backend() == "numpy+c-uniforms"
+    c = kernels._uniforms(seed, start, n)
+    reference = kernels._numpy_uniforms(seed, start, n)
+    assert c.shape == reference.shape == (kernels.N_LINKS, n)
+    assert c.ctypes.data % 64 == 0
+    assert np.array_equal(c.view(np.uint64), reference.view(np.uint64))
+
+
+def _fail_to_load(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise OSError("cannot load")
+    monkeypatch.setattr(ctypes, "CDLL", refuse)
+
+
+def _fail_to_build(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise subprocess.CalledProcessError(1, args[0])
+    monkeypatch.setattr(kernels, "_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(subprocess, "run", refuse)
+
+
+def _fail_to_write(monkeypatch, tmp_path):
+    # a cache directory that cannot be made, as in a read-only package
+    (tmp_path / "file").write_bytes(b"")
+    monkeypatch.setattr(kernels, "_CACHE_DIR", str(tmp_path / "file" / "c"))
+
+
+def _fail_the_self_check(monkeypatch, tmp_path):
+    def zeros(address, seed, start, n):
+        ctypes.memset(address, 0, 8 * kernels.N_LINKS * n)
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace(
+        comp_noma_uniforms=zeros))
+
+
+@pytest.mark.parametrize("failure", [_fail_to_load, _fail_to_build,
+                                     _fail_to_write, _fail_the_self_check],
+                         ids=lambda f: f.__name__.lstrip("_"))
+def test_a_c_stage_that_fails_leaves_the_numpy_stage_and_the_same_estimates(
+        monkeypatch, tmp_path, default_stats, params_20db, failure):
+    trials = 2 * kernels.CHUNK_TRIALS + 576
+    expected = [estimate_esc(default_stats, params_20db, scheme, trials,
+                             seed=11, workers=2) for scheme in SchemeId]
+    with monkeypatch.context() as patched:
+        failure(patched, tmp_path)
+        stage = kernels._load_uniforms()
+    assert stage is kernels._numpy_uniforms
+    assert list(tmp_path.glob("*.tmp")) == []
+    monkeypatch.setattr(kernels, "_uniforms", stage)
+    assert kernels.active_backend() == "numpy"
+    kernels._held.clear()
+    for scheme, before in zip(SchemeId, expected):
+        after = estimate_esc(default_stats, params_20db, scheme, trials,
+                             seed=11, workers=2)
+        for field in dataclasses.fields(before):
+            assert getattr(after, field.name) == getattr(before, field.name), \
+                (scheme, field.name)
+
+
+@_needs_c_stage
+def test_a_cache_miss_builds_one_library_under_its_own_name(monkeypatch,
+                                                            tmp_path):
+    monkeypatch.setattr(kernels, "_CACHE_DIR", str(tmp_path / "cache"))
+    stage = kernels._load_uniforms()
+    assert stage is not kernels._numpy_uniforms
+    # built under a temporary name and moved into place whole
+    built = [path.name for path in (tmp_path / "cache").iterdir()]
+    assert len(built) == 1 and built[0].startswith("_uniforms-"), built
+    assert built[0].endswith(".so"), built
+    # a hit loads that library and compiles nothing
+    monkeypatch.setattr(subprocess, "run", None)
+    assert kernels._load_uniforms() is not kernels._numpy_uniforms
+
+
+def test_a_warm_import_loads_no_compiler_or_hashing_module():
+    src = Path(kernels.__file__).resolve().parents[1]
+    probe = ("import sys, comp_noma\n"
+             "from comp_noma import kernels\n"
+             "print(kernels.active_backend())\n"
+             "print(sorted({'subprocess', 'hashlib', 'sysconfig'}"
+             " & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120,
+                            check=True)
+    backend, loaded = result.stdout.splitlines()
+    assert backend == kernels.active_backend()
+    assert loaded == "[]"
