@@ -148,6 +148,17 @@ def _compiled_library():
         if tmp is not None and os.path.exists(tmp):
             os.remove(tmp)
         return None
+    # The libraries of earlier sources or commands go, but not a build in
+    # progress, a .tmp file. Another process may remove the same library
+    # first, and one that cannot be removed stays beside the new one.
+    for name in os.listdir(_CACHE_DIR):
+        stale = os.path.join(_CACHE_DIR, name)
+        if name.startswith("_uniforms-") and name.endswith(".so") \
+                and stale != library:
+            try:
+                os.remove(stale)
+            except OSError:
+                pass
     return library
 
 
@@ -223,15 +234,15 @@ def sample_gains(seed, start_trial, n):
 
 def chunk_order(seed, trials):
     """An estimate's chunk indices in run order: its full chunks from the
-    end whose block sample_gains holds, if it holds one, with its tail
-    shorter than CHUNK_TRIALS second, so that the estimate ends where the
-    next one of a sweep at this seed and trial count starts."""
+    end whose block sample_gains holds, if it holds one, then its tail
+    shorter than CHUNK_TRIALS, so that on one thread the estimate's last
+    full chunk is where the next one of a sweep at this seed and trial
+    count starts."""
     n_full, tail = divmod(int(trials), CHUNK_TRIALS)
     # no block with a negative start is ever held
     last_full = seed, (n_full - 1) * CHUNK_TRIALS, CHUNK_TRIALS
     step = -1 if _held.get(False, (None,))[0] == last_full else 1
-    full = list(range(n_full))[::step]
-    return full[:1] + ([n_full] if tail else []) + full[1:]
+    return list(range(n_full))[::step] + ([n_full] if tail else [])
 
 
 def scheme_rates(draws, scheme_code, params, stats):

@@ -58,9 +58,7 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
     def run_chunk(index: int) -> None:
         start = index * chunk
         count = min(chunk, trials - start)
-        draws = first_draws.pop(index, None)
-        if draws is None:
-            draws = kernels.sample_gains(seed, start, count)
+        draws = kernels.sample_gains(seed, start, count)
         rates = kernels.scheme_rates(draws, scheme.code, params, stats)
         # by_user is the kernel's contiguous user-major (6, count) buffer.
         # Summing over its outer axis adds the users in order, one row at a
@@ -75,22 +73,15 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
         chunk_moments[1, index] = np.add.reduce(totals)
         chunk_user_sums[index] = np.add.reduce(by_user, axis=1)
 
-    # The calling thread draws the first chunk before any helper starts
-    # and, with two chunks or more between them, runs the last after the
-    # helpers end, so the draw kernel holds the same blocks at any worker
-    # count (kernels.chunk_order). The threads share one list iterator;
-    # next() on it is one C call under the GIL, so each index goes to one
-    # thread, and a failing chunk empties it, also in one C call.
-    first, *order = kernels.chunk_order(seed, trials)
-    last = order.pop() if len(order) > 1 else None
-    first_draws = {first: kernels.sample_gains(
-        seed, first * chunk, min(chunk, trials - first * chunk))}
-    indices = iter(order)
+    # The calling thread and its helpers share one list iterator; next() on
+    # it is one C call under the GIL, so each index goes to one thread, and
+    # a failing chunk empties it, also in one C call.
+    indices = iter(kernels.chunk_order(seed, trials))
     errors = []
 
-    def work(own=indices) -> None:
+    def work() -> None:
         try:
-            for index in own:
+            for index in indices:
                 run_chunk(index)
         except BaseException as exc:
             errors.append(exc)
@@ -98,19 +89,16 @@ def estimate_esc(stats: LinkStatistics, params: SystemParams,
 
     helpers = []
     try:
-        for _ in range(min(workers - 1, len(order))):
+        for _ in range(min(workers, n_chunks) - 1):
             helper = threading.Thread(target=work)
             helper.start()
             helpers.append(helper)
-        work([first])
         work()
     finally:
         for helper in helpers:
             helper.join()
     if errors:
         raise errors[0]
-    if last is not None:
-        run_chunk(last)
 
     # each row reduces as the 1-d sum of its chunks would, pairwise in order
     total_sum, total_sumsq = np.add.reduce(chunk_moments, axis=1).tolist()

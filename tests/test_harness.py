@@ -277,12 +277,11 @@ class TestRunSweep:
 
     def test_memo_hit_shares_match_the_readme(self, monkeypatch, drawn,
                                               far_lookups):
-        """Over four sweeps, each started cold: the draw calls, the short
+        """Over five sweeps, each started cold: the draw calls, the short
         and the full blocks drawn, the far-term memo's hits and misses, and
         the held far rates' hits and lookups. A draw call that draws no
         block is answered by a held one; only rate-kernel calls on the held
-        short block look up far rates. The default SNR sweep draws the same
-        blocks at one, two and three workers, run after run."""
+        short block look up far rates."""
         calls = []
         sample_gains = kernels.sample_gains
 
@@ -292,14 +291,14 @@ class TestRunSweep:
 
         monkeypatch.setattr(kernels, "sample_gains", counting)
 
-        def hits(config, workers=1):
+        def hits(config):
             cfg = parse_config(config)
             analytic._far_values.cache_clear()
             kernels._held.clear()
             calls.clear()
             drawn.clear()
             far_lookups.clear()
-            run_sweep(cfg, workers)
+            run_sweep(cfg)
             short = sum(n < kernels.CHUNK_TRIALS for _, _, n in drawn)
             return [len(calls), short, len(drawn) - short,
                     analytic._far_values.cache_info()[:2],
@@ -316,18 +315,12 @@ class TestRunSweep:
         assert hits(f"trials={trials}") == [72, 1, 1, (0, 9), (0, 36)]
         # the default SNR sweep itself: 12 full chunks per estimate, 432
         # drawn when every estimate drew all of its own; its 432 full-chunk
-        # rate-kernel calls never look up far rates. The calling thread draws
-        # the full chunk each estimate starts on before its helpers start
-        # and runs the one it ends on after they end, so the draw kernel
-        # answers and holds the same blocks whatever the helpers do.
-        for workers in (1, 2, 3):
-            assert hits("", workers) == [468, 1, 397, (0, 9), (0, 36)], \
-                workers
-        # run after run, on three points of the same 13-chunk estimates:
-        # 12 estimates, 144 full chunks less the 11 each later one starts on
-        for workers in (1, 2, 3) * 3:
-            assert hits("from=0\nto=20\nsteps=3", workers) \
-                == [156, 1, 133, (0, 3), (0, 12)], workers
+        # rate-kernel calls never look up far rates
+        assert hits("") == [468, 1, 397, (0, 9), (0, 36)]
+        # three points of the same 13-chunk estimates: 12 estimates, 144
+        # full chunks less the 11 each later one starts on
+        assert hits("from=0\nto=20\nsteps=3") \
+            == [156, 1, 133, (0, 3), (0, 12)]
         # the default near-radius sweep: each scheme's tail call after its
         # first takes the far rows
         assert hits("sweep=near-radius") == [468, 1, 397, (8, 1), (32, 36)]

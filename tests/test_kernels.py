@@ -678,13 +678,21 @@ def test_a_c_stage_that_fails_leaves_the_numpy_stage_and_the_same_estimates(
 @_needs_c_stage
 def test_a_cache_miss_builds_one_library_under_its_own_name(monkeypatch,
                                                             tmp_path):
-    monkeypatch.setattr(kernels, "_CACHE_DIR", str(tmp_path / "cache"))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    # a library of another source or command, and another build in progress
+    (cache / "_uniforms-00000000.so").write_bytes(b"stale")
+    (cache / "_uniforms-building.tmp").write_bytes(b"")
+    monkeypatch.setattr(kernels, "_CACHE_DIR", str(cache))
     stage = kernels._load_uniforms()
     assert stage is not kernels._numpy_uniforms
-    # built under a temporary name and moved into place whole
-    built = [path.name for path in (tmp_path / "cache").iterdir()]
+    # built under a temporary name and moved into place whole; the stale
+    # library is gone and the other build's file is left alone
+    names = {path.name for path in cache.iterdir()}
+    assert "_uniforms-building.tmp" in names, names
+    built = sorted(names - {"_uniforms-building.tmp"})
     assert len(built) == 1 and built[0].startswith("_uniforms-"), built
-    assert built[0].endswith(".so"), built
+    assert built[0].endswith(".so") and built[0] != "_uniforms-00000000.so"
     # a hit loads that library and compiles nothing
     monkeypatch.setattr(subprocess, "run", None)
     assert kernels._load_uniforms() is not kernels._numpy_uniforms
