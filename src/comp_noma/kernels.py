@@ -1,9 +1,10 @@
 """Hot numeric kernels: counter-based fading draws and batched scheme rates.
 
 Everything the Monte-Carlo estimator does per trial lives here, as
-vectorized numpy, except the draw kernel's uniforms: a C loop, _uniforms.c,
-makes them where it builds and passes its check against the numpy stage,
-which makes them everywhere else, to the same bits. Draws come from a
+vectorized numpy, except two compiled stages in _kernels.c: the draw
+kernel's uniforms and the rate kernel's 1 + SINR. Where the library
+builds and gives the numpy stages' bits on a small block, both run; the
+numpy stages run everywhere else, to the same bits. Draws come from a
 counter-based stream, so a draw depends only on (seed, trial, link) and
 never on call order, chunking, thread count or the stage that ran.
 """
@@ -12,6 +13,7 @@ import ctypes
 import os
 import tempfile
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -108,91 +110,6 @@ def _numpy_uniforms(seed, start_trial, n):
     return out
 
 
-# The C stage, _uniforms.c, is built once per source and command into the
-# package's own __pycache__, never a shared temporary directory, and named
-# by a CRC-32 of both, so an edit to either builds a new library. No -march
-# or -ffast-math: a cached library may be loaded on another CPU of the same
-# architecture, and -ffp-contract=off keeps every IEEE operation as written.
-_SOURCE = os.path.join(os.path.dirname(__file__), "_uniforms.c")
-_CACHE_DIR = os.path.join(os.path.dirname(__file__), "__pycache__")
-_BUILD = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
-# A small block whose trial counters wrap mod 2**64, with a tail of odd length
-_SELF_CHECK = (2**64 - 1, 2**64 // N_LINKS - 3, 37)
-
-
-def _compiled_library():
-    """Path of the built C stage, building it first on a cache miss; None
-    when it cannot be built, as on a host with no compiler or a read-only
-    package directory."""
-    with open(_SOURCE, "rb") as f:
-        tag = zlib.crc32(" ".join(_BUILD).encode(), zlib.crc32(f.read()))
-    library = os.path.join(_CACHE_DIR, f"_uniforms-{tag:08x}.so")
-    if os.path.exists(library):
-        return library
-    # only on a miss: a warm import loads no subprocess module
-    import subprocess
-    tmp = None
-    try:
-        os.makedirs(_CACHE_DIR, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix="_uniforms-",
-                                    dir=_CACHE_DIR)
-        os.close(fd)
-        subprocess.run([*_BUILD, "-o", tmp, _SOURCE], check=True,
-                       capture_output=True, timeout=120)
-        # mkstemp's 0600 would leave the library unreadable to other users
-        os.chmod(tmp, 0o755)
-        # another process may build the same library at once; each moves a
-        # whole file into place
-        os.replace(tmp, library)
-    except (OSError, subprocess.SubprocessError):
-        if tmp is not None and os.path.exists(tmp):
-            os.remove(tmp)
-        return None
-    # The libraries of earlier sources or commands go, but not a build in
-    # progress, a .tmp file. Another process may remove the same library
-    # first, and one that cannot be removed stays beside the new one.
-    for name in os.listdir(_CACHE_DIR):
-        stale = os.path.join(_CACHE_DIR, name)
-        if name.startswith("_uniforms-") and name.endswith(".so") \
-                and stale != library:
-            try:
-                os.remove(stale)
-            except OSError:
-                pass
-    return library
-
-
-def _load_uniforms():
-    """The uniform stage _draws runs: the C stage when it builds, loads and
-    gives the numpy stage's bits on _SELF_CHECK, else the numpy stage."""
-    try:
-        library = _compiled_library()
-        if library is None:
-            return _numpy_uniforms
-        fill = ctypes.CDLL(library).comp_noma_uniforms
-    except (OSError, AttributeError):
-        return _numpy_uniforms
-    fill.argtypes = (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64,
-                     ctypes.c_size_t)
-    fill.restype = None
-
-    def c_uniforms(seed, start_trial, n):
-        out = _aligned_empty(N_LINKS, n)
-        # ctypes releases the GIL for the call
-        fill(out.ctypes.data, seed, start_trial, n)
-        return out
-
-    # compared as bytes: np.array_equal would page in code that nothing
-    # else runs, about 0.3 MB of resident memory
-    expected = _numpy_uniforms(*_SELF_CHECK).tobytes()
-    if c_uniforms(*_SELF_CHECK).tobytes() != expected:
-        return _numpy_uniforms
-    return c_uniforms
-
-
-_uniforms = _load_uniforms()
-
-
 def _draws(seed, start_trial, n):
     out = _uniforms(seed, start_trial, n)
     np.log(out, out=out)
@@ -253,35 +170,21 @@ def scheme_rates(draws, scheme_code, params, stats):
     draw into a gain while the SINR denominators are built. The result is a
     view of user-major memory: each user's rates over the chunk are
     contiguous. Each SINR is evaluated in the left-to-right order of its
-    formula, so every rate is reproducible to the last bit. A call on the
-    short block sample_gains holds takes the far users' rows that block
-    keeps from the last such call of its scheme when everything they read
-    is unchanged.
+    formula, so every rate is reproducible to the last bit: in one C pass
+    where the compiled stages run, in numpy passes where they do not. A
+    call on the short block sample_gains holds takes the far users' rows
+    that block keeps from the last such call of its scheme when everything
+    they read is unchanged.
     """
     if scheme_code not in (OMA_CODE, NOMA_CODE, VPNOMA_CODE, COMP_VPNOMA_CODE):
         raise ValueError(f"unknown scheme code {scheme_code!r}")
-    n = draws.shape[0]
-    # A full chunk keeps the caller's buffer: setting and restoring it makes
-    # a full-chunk call about 20 us (2-3%) slower on a 2-vCPU Xeon guest,
-    # and the default SNR sweep about 2% slower end to end.
-    if n >= CHUNK_TRIALS:
-        return _scheme_rates(draws, scheme_code, params, stats)
     far = key = far_rows = None
     held = _held.get(True)
     if held is not None and held[1] is draws:
         far, key = held[2], _far_key(params, stats)
         held_key, rows = far.get(scheme_code, (None, None))
         far_rows = rows if held_key == key else None
-    # numpy's iterator copies a broadcast row shorter than its ufunc buffer
-    # into that buffer: a (6, 1) column times a 2,000-trial row costs about
-    # three times as much as with a buffer no longer than the row. The
-    # setting is per thread and context; elementwise results do not depend
-    # on it, and there are no reductions here.
-    caller = np.setbufsize(max(16, n - n % 16))
-    try:
-        rates = _scheme_rates(draws, scheme_code, params, stats, far_rows)
-    finally:
-        np.setbufsize(caller)
+    rates = _rates(draws, scheme_code, params, stats, far_rows)
     if far is not None and far_rows is None:
         # copied after the kernel returns, its denominators freed, so that
         # a miss allocates no more at its peak than the kernel itself
@@ -379,22 +282,169 @@ def _scheme_rates(draws, scheme_code, params, stats, far_rows=None):
     if scheme_code != OMA_CODE:
         near_den += rho * params.upsilon
     formed_den += 1.0
-    # rate = share of the band * log2(1 + signal/den) for every user formed
-    # at once: OMA gives each user half the band, VP-NOMA and CoMP each far
-    # user a third, and every other user has the whole band
     formed /= formed_den
     formed += 1.0
+    return _log_rates(out, scheme_code, far_rows)
+
+
+def _log_rates(out, scheme_code, far_rows):
+    """The (n, 6) rates from the (6, n) block out, whose formed rows hold
+    1 + SINR: the three near rows when far_rows are given, which fill the
+    far rows, else all six."""
+    # rate = share of the band * log2(1 + SINR): OMA gives each user half
+    # the band, VP-NOMA and CoMP each far user a third, and every other
+    # user has the whole band
+    formed = out if far_rows is None else out[:N_BS]
     np.log2(formed, out=formed)
     if scheme_code == OMA_CODE:
         formed *= 0.5
     elif scheme_code != NOMA_CODE and far_rows is None:
-        far *= 1.0 / 3.0
+        out[N_BS:] *= 1.0 / 3.0
     if far_rows is not None:
-        np.copyto(far, far_rows)
+        np.copyto(out[N_BS:], far_rows)
     return out.T
 
 
+# The compiled stages, _kernels.c, are built once per source and command
+# into the package's own __pycache__, never a shared temporary directory,
+# and named by a CRC-32 of both, so an edit to either builds a new library.
+# No -march or -ffast-math: a cached library may be loaded on another CPU
+# of the same architecture, and -ffp-contract=off keeps every IEEE
+# operation as written.
+_SOURCE = os.path.join(os.path.dirname(__file__), "_kernels.c")
+_CACHE_DIR = os.path.join(os.path.dirname(__file__), "__pycache__")
+_BUILD = ("cc", "-O3", "-fPIC", "-shared", "-ffp-contract=off")
+# A small block whose trial counters wrap mod 2**64, with a tail of odd
+# length, and uneven link statistics and parameters for its rates; one
+# namespace stands in for both the SystemParams and the LinkStatistics.
+_SELF_CHECK = (2**64 - 1, 2**64 // N_LINKS - 3, 37)
+_CHECK_POINT = SimpleNamespace(
+    alpha=0.07, beta=(1.0 - 0.07) / 3.0, rho=77.0, upsilon=0.03,
+    sigma_hat=np.linspace(0.05, 3.0, N_LINKS).reshape(N_BS, N_USERS),
+    eps_sums=np.linspace(1e-3, 6e-3, N_USERS))
+_NUMPY_STAGES = _numpy_uniforms, _scheme_rates
+
+
+def _library_path():
+    with open(_SOURCE, "rb") as f:
+        tag = zlib.crc32(" ".join(_BUILD).encode(), zlib.crc32(f.read()))
+    return os.path.join(_CACHE_DIR, f"_kernels-{tag:08x}.so")
+
+
+def _load_stages():
+    """(uniforms, rates), the stages _draws and scheme_rates run: the C
+    stages when the library builds, loads and gives the numpy stages' bits,
+    else the numpy stages, as on a host with no compiler or a read-only
+    package directory. A cached library that fails to load or to pass that
+    check is removed and built once more."""
+    library = _library_path()
+    if os.path.exists(library):
+        stages = _checked_stages(library)
+        if stages is not None:
+            return stages
+        try:
+            os.remove(library)
+        except OSError:
+            pass
+    # only on a miss: a warm import loads no subprocess module
+    import subprocess
+    tmp = None
+    try:
+        os.makedirs(_CACHE_DIR, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix="_kernels-",
+                                    dir=_CACHE_DIR)
+        os.close(fd)
+        subprocess.run([*_BUILD, "-o", tmp, _SOURCE], check=True,
+                       capture_output=True, timeout=120)
+        # loaded under its temporary name: the dynamic loader would hand
+        # back a library it has already loaded from the final path
+        stages = _checked_stages(tmp)
+        if stages is None:
+            return _NUMPY_STAGES
+        # mkstemp's 0600 would leave the library unreadable to other users
+        os.chmod(tmp, 0o755)
+        # another process may build the same library at once; each moves a
+        # whole file into place
+        os.replace(tmp, library)
+    except (OSError, subprocess.SubprocessError):
+        return _NUMPY_STAGES
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.remove(tmp)
+    # Every other library goes, but not a build in progress, a .tmp file.
+    # Another process may remove the same library first, and one that
+    # cannot be removed stays beside the new one.
+    for name in os.listdir(_CACHE_DIR):
+        stale = os.path.join(_CACHE_DIR, name)
+        if name.endswith(".so") and stale != library:
+            try:
+                os.remove(stale)
+            except OSError:
+                pass
+    return stages
+
+
+def _checked_stages(path):
+    """The library's (uniforms, rates) when it loads and each gives its
+    numpy stage's bytes on _SELF_CHECK, rates for every scheme with and
+    without held far rows; None otherwise."""
+    try:
+        library = ctypes.CDLL(path)
+        fill, sinr = library.comp_noma_uniforms, library.comp_noma_sinr
+    except (OSError, AttributeError):
+        return None
+    fill.argtypes = (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64,
+                     ctypes.c_size_t)
+    fill.restype = None
+    sinr.argtypes = ((ctypes.c_void_p,) * 4 + (ctypes.c_int, ctypes.c_size_t)
+                     + (ctypes.c_double,) * 5 + (ctypes.c_size_t,))
+    sinr.restype = None
+
+    def c_uniforms(seed, start_trial, n):
+        out = _aligned_empty(N_LINKS, n)
+        # ctypes releases the GIL for the call
+        fill(out.ctypes.data, seed, start_trial, n)
+        return out
+
+    def c_rates(draws, scheme_code, params, stats, far_rows=None):
+        alpha, rho = params.alpha, params.rho
+        n = draws.shape[0]
+        # as in _scheme_rates; the reshapes and the float64 copies keep the
+        # C loop inside the arrays whatever the caller passed
+        d = np.ascontiguousarray(np.transpose(draws, (1, 2, 0)),
+                                 dtype=np.float64).reshape(N_LINKS, n)
+        neg_sigma = -np.asarray(stats.sigma_hat, np.float64).reshape(N_LINKS)
+        eps = np.asarray(rho * stats.eps_sums, np.float64).reshape(N_USERS)
+        out = _aligned_empty(N_USERS, n)
+        sinr(out.ctypes.data, d.ctypes.data, neg_sigma.ctypes.data,
+             eps.ctypes.data, scheme_code,
+             N_USERS if far_rows is None else N_BS, rho, alpha * rho,
+             params.beta * rho, (1.0 - alpha) * rho, rho * params.upsilon, n)
+        return _log_rates(out, scheme_code, far_rows)
+
+    # compared as bytes: np.array_equal would page in code that nothing
+    # else runs, about 0.3 MB of resident memory
+    block = c_uniforms(*_SELF_CHECK)
+    if block.tobytes() != _numpy_uniforms(*_SELF_CHECK).tobytes():
+        return None
+    np.log(block, out=block)
+    draws = block.reshape(N_BS, N_USERS, -1).transpose(2, 0, 1)
+    point = _CHECK_POINT
+    for code in (OMA_CODE, NOMA_CODE, VPNOMA_CODE, COMP_VPNOMA_CODE):
+        far = _scheme_rates(draws, code, point, point).T[N_BS:].copy()
+        for far_rows in (None, far):
+            if c_rates(draws, code, point, point, far_rows).tobytes() != \
+                    _scheme_rates(draws, code, point, point,
+                                  far_rows).tobytes():
+                return None
+    return c_uniforms, c_rates
+
+
+_uniforms, _rates = _load_stages()
+
+
 def active_backend() -> str:
-    """Which stages the draw kernel runs: "numpy+c-uniforms" when the C
-    stage makes its uniforms, "numpy" when the numpy stage does."""
-    return "numpy" if _uniforms is _numpy_uniforms else "numpy+c-uniforms"
+    """Which stages the kernels run: "numpy+c" when the draw kernel's
+    uniforms and the rate kernel's 1 + SINR come from the C stages, "numpy"
+    when every stage is numpy's."""
+    return "numpy" if _uniforms is _numpy_uniforms else "numpy+c"

@@ -57,7 +57,7 @@ def far_lookups(monkeypatch):
     held short block, in order: True where they answered with the far
     users' rows, so that the kernel formed only the near users'."""
     lookups = []
-    far_key, scheme_rates = kernels._far_key, kernels._scheme_rates
+    far_key, rates = kernels._far_key, kernels._rates
 
     def keyed(*args):
         key = far_key(*args)
@@ -68,10 +68,10 @@ def far_lookups(monkeypatch):
     def forming(draws, code, params, stats, far_rows=None):
         if far_rows is not None:
             lookups[-1] = True
-        return scheme_rates(draws, code, params, stats, far_rows)
+        return rates(draws, code, params, stats, far_rows)
 
     monkeypatch.setattr(kernels, "_far_key", keyed)
-    monkeypatch.setattr(kernels, "_scheme_rates", forming)
+    monkeypatch.setattr(kernels, "_rates", forming)
     return lookups
 
 

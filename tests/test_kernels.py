@@ -254,38 +254,6 @@ def test_a_failing_pin_reports_its_change_and_its_sample(default_stats):
             if digest not in pins] == []
 
 
-def test_rate_kernel_restores_the_callers_buffer_size():
-    stats, params, seed = _rate_case("uneven")
-    # a stand-in whose sigma_hat has the wrong shape makes the kernel raise
-    broken = SimpleNamespace(sigma_hat=np.ones(5), eps_sums=stats.eps_sums)
-
-    def call(n, stats=stats):
-        return kernels.scheme_rates(
-            kernels.sample_gains(seed, 0, n), kernels.COMP_VPNOMA_CODE,
-            params, stats)
-
-    def sizes_after_calls(n, bufsize):
-        # (size after a call, size after a call that raises) under bufsize
-        with np.errstate():
-            np.setbufsize(bufsize)
-            call(n)
-            after_call = np.getbufsize()
-            with pytest.raises(ValueError):
-                call(n, stats=broken)
-            return after_call, np.getbufsize()
-
-    default = np.getbufsize()
-    for n in (1, 2000, kernels.CHUNK_TRIALS):
-        for bufsize in (default, 4096, 16):
-            assert sizes_after_calls(n, bufsize) == (bufsize, bufsize), n
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        assert pool.submit(sizes_after_calls, 2000, 4096).result() \
-            == (4096, 4096)
-        assert pool.submit(lambda: (call(2000), np.getbufsize())).result()[1] \
-            == default
-    assert np.getbufsize() == default
-
-
 @pytest.mark.parametrize("n", [576, 1696, 2000, 8192])
 def test_kernel_outputs_start_on_64_byte_boundaries(n):
     """Draws and rates start on a cache line, wherever the heap stands."""
@@ -362,57 +330,78 @@ def test_held_blocks_equal_fresh_draws_and_a_miss_frees_its_class(requests):
 
 
 @pytest.mark.parametrize("n", [576, 1696, 2000, 8192])
-def test_kernels_allocate_one_block_of_scratch(n):
+def test_kernels_allocate_one_block_of_scratch(monkeypatch, n):
     """Peak memory of one kernel call, in float64 rows of n trials.
 
-    Allowed: the call's output; one six-link scratch (for the draw kernel its
-    uint64 block, for the rate kernel the six SINR denominators); one 3-row
-    temporary; the buffers numpy's iterator may take for a broadcast (6, 1)
-    column, at most two of min(bufsize, 6n) elements; 4 KiB of small
-    objects. A temporary that spans all 18 links of the chunk breaks it. A
-    repeated draw of the block the draw kernel holds allocates under 4 KiB,
-    and a rate-kernel call shorter than a chunk takes no iterator buffers.
+    Allowed: the call's output; 4 KiB of small objects; for a rate-kernel
+    call that misses the far rows of the held short block, the three far
+    rows it then keeps. The numpy stages may also take one six-link
+    scratch (for the draw kernel its uint64 block, for the rate kernel the
+    six SINR denominators), one 3-row temporary, and the buffers numpy's
+    iterator may take for a broadcast (6, 1) column, at most two of
+    min(bufsize, 6n) elements. A temporary that spans all 18 links of the
+    chunk breaks it. The compiled rate stage allocates its (6, n) output
+    alone, and a repeated draw of the block the draw kernel holds under
+    4 KiB.
     """
     stats, params, seed = _rate_case("uneven")
     row = 8 * n
-    slack = 2 * min(np.getbufsize(), 6 * n) * 8 + 4096
+    small = 4096
+    numpy_scratch = 6 * row + 3 * row + 2 * min(np.getbufsize(), 6 * n) * 8
 
     draws, peak = _traced_peak(lambda: kernels.sample_gains(seed, 7 * n, n))
     assert peak < _draw_bound(n), peak / row
     again, peak = _traced_peak(lambda: kernels.sample_gains(seed, 7 * n, n))
     assert again is draws
-    assert peak < 4096, peak
-    rate_slack = 4096 if n < kernels.CHUNK_TRIALS else slack
-    for code in (kernels.OMA_CODE, kernels.NOMA_CODE, kernels.VPNOMA_CODE,
-                 kernels.COMP_VPNOMA_CODE):
-        _, peak = _traced_peak(lambda: kernels.scheme_rates(
-            draws, code, params, stats))
-        assert peak < (kernels.N_USERS + 6 + 3) * row + rate_slack, \
-            (code, peak / row)
+    assert peak < small, peak
+    kept = 3 * row if n < kernels.CHUNK_TRIALS else 0
+    for stage in {kernels._rates, kernels._scheme_rates}:
+        monkeypatch.setattr(kernels, "_rates", stage)
+        scratch = numpy_scratch if stage is kernels._scheme_rates else 0
+        for code in (kernels.OMA_CODE, kernels.NOMA_CODE, kernels.VPNOMA_CODE,
+                     kernels.COMP_VPNOMA_CODE):
+            if kept:
+                _far_rates().clear()
+            # a miss of the held far rows keeps them, and a repeat hits
+            for extra in (kept, 0):
+                _, peak = _traced_peak(lambda: kernels.scheme_rates(
+                    draws, code, params, stats))
+                assert peak < kernels.N_USERS * row + extra + scratch + small, \
+                    (stage.__name__, code, extra, peak / row)
 
 
 _radius = st.floats(1e-5, 1.0)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=100)
-@given(near=st.tuples(_radius, _radius, _radius),
-       far=st.tuples(_radius, _radius, _radius),
-       sigma_eps=st.lists(st.floats(0.0, 0.01), min_size=18, max_size=18),
-       exponent=st.floats(2.0, 6.0),
-       alpha=st.floats(1e-3, 0.249),
-       rho_db=st.floats(-10.0, 40.0),
-       upsilon=st.floats(0.0, 0.1),
-       seed=st.integers(0, 2**64 - 1))
-def test_rates_match_the_printed_formulas_on_generated_inputs(
-        near, far, sigma_eps, exponent, alpha, rho_db, upsilon, seed):
-    """Every scheme's rates equal rates_reference per draw, down to users a
-    hundred thousandth of the cell radius from their base station, where a
-    serving gain dwarfs the interference by many orders of magnitude."""
+# a generated layout, σ_ε per link, path-loss exponent, point and block seed
+_generated = dict(near=st.tuples(_radius, _radius, _radius),
+                  far=st.tuples(_radius, _radius, _radius),
+                  sigma_eps=st.lists(st.floats(0.0, 0.01), min_size=18,
+                                     max_size=18),
+                  exponent=st.floats(2.0, 6.0),
+                  alpha=st.floats(1e-3, 0.249),
+                  rho_db=st.floats(-10.0, 40.0),
+                  upsilon=st.floats(0.0, 0.1),
+                  seed=st.integers(0, 2**64 - 1))
+
+
+def _generated_point(near, far, sigma_eps, exponent, alpha, rho_db, upsilon):
+    """(stats, params) of a generated layout and point."""
     # every link's mean power d^-v is at least 3^-3 > 0.01, the largest σ_ε
     stats = link_statistics(build_layout(near, far), exponent,
                             np.reshape(sigma_eps, (3, 6)))
     params = SystemParams(alpha=alpha, rho=db_to_linear(rho_db),
                           upsilon=upsilon)
+    return stats, params
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(**_generated)
+def test_rates_match_the_printed_formulas_on_generated_inputs(seed, **point):
+    """Every scheme's rates equal rates_reference per draw, down to users a
+    hundred thousandth of the cell radius from their base station, where a
+    serving gain dwarfs the interference by many orders of magnitude."""
+    stats, params = _generated_point(**point)
     n = 64
     draws = kernels.sample_gains(seed, 0, n)
     gains = kernel_gains(seed, 0, n, stats.sigma_hat)
@@ -617,12 +606,34 @@ _WRAP = 2**64 // kernels.N_LINKS + 1
        | st.integers(_WRAP - kernels.CHUNK_TRIALS, 2**64 - 2**14),
        n=st.sampled_from([1, 576, 1696, 2000, 8191, 8192]))
 def test_c_uniforms_are_the_numpy_stages_bit_for_bit(seed, start, n):
-    assert kernels.active_backend() == "numpy+c-uniforms"
+    assert kernels.active_backend() == "numpy+c"
     c = kernels._uniforms(seed, start, n)
     reference = kernels._numpy_uniforms(seed, start, n)
     assert c.shape == reference.shape == (kernels.N_LINKS, n)
     assert c.ctypes.data % 64 == 0
     assert np.array_equal(c.view(np.uint64), reference.view(np.uint64))
+
+
+@_needs_c_stage
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(n=st.sampled_from([1, 37, 576, 2000, kernels.CHUNK_TRIALS]),
+       **_generated)
+def test_the_compiled_sinr_pass_gives_the_numpy_kernels_bytes(n, seed,
+                                                              **point):
+    """On generated layouts and points, the compiled rate stage gives the
+    bytes of the numpy _scheme_rates for every scheme, for all six rows and
+    for the three near rows beside held far rows."""
+    assert kernels.active_backend() == "numpy+c"
+    stats, params = _generated_point(**point)
+    draws = kernels._draws(seed, 0, n)
+    for code in range(4):
+        expected = kernels._scheme_rates(draws, code, params, stats)
+        far = expected.T[kernels.N_BS:].copy()
+        assert kernels._rates(draws, code, params, stats).tobytes() \
+            == expected.tobytes(), code
+        assert kernels._rates(draws, code, params, stats, far).tobytes() \
+            == kernels._scheme_rates(draws, code, params, stats,
+                                     far).tobytes(), code
 
 
 def _fail_to_load(monkeypatch, tmp_path):
@@ -634,7 +645,6 @@ def _fail_to_load(monkeypatch, tmp_path):
 def _fail_to_build(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise subprocess.CalledProcessError(1, args[0])
-    monkeypatch.setattr(kernels, "_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(subprocess, "run", refuse)
 
 
@@ -644,15 +654,35 @@ def _fail_to_write(monkeypatch, tmp_path):
     monkeypatch.setattr(kernels, "_CACHE_DIR", str(tmp_path / "file" / "c"))
 
 
+def _with_wrong(**functions):
+    """A stand-in for ctypes.CDLL that loads the library and swaps in the
+    given functions for its own."""
+    load = ctypes.CDLL
+
+    def loaded(path):
+        library = load(path)
+        return SimpleNamespace(**{
+            name: functions.get(name, getattr(library, name))
+            for name in ("comp_noma_uniforms", "comp_noma_sinr")})
+    return loaded
+
+
 def _fail_the_self_check(monkeypatch, tmp_path):
     def zeros(address, seed, start, n):
         ctypes.memset(address, 0, 8 * kernels.N_LINKS * n)
-    monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace(
-        comp_noma_uniforms=zeros))
+    monkeypatch.setattr(ctypes, "CDLL", _with_wrong(comp_noma_uniforms=zeros))
+
+
+def _fail_the_sinr_check(monkeypatch, tmp_path):
+    def constant(out, d, w, eps, code, users, *scalars_and_n):
+        # every 1 + SINR about 4.8e-4: a wrong value whose log2 is finite
+        ctypes.memset(out, 0x3F, 8 * users * scalars_and_n[-1])
+    monkeypatch.setattr(ctypes, "CDLL", _with_wrong(comp_noma_sinr=constant))
 
 
 @pytest.mark.parametrize("failure", [_fail_to_load, _fail_to_build,
-                                     _fail_to_write, _fail_the_self_check],
+                                     _fail_to_write, _fail_the_self_check,
+                                     _fail_the_sinr_check],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_a_c_stage_that_fails_leaves_the_numpy_stage_and_the_same_estimates(
         monkeypatch, tmp_path, default_stats, params_20db, failure):
@@ -660,11 +690,14 @@ def test_a_c_stage_that_fails_leaves_the_numpy_stage_and_the_same_estimates(
     expected = [estimate_esc(default_stats, params_20db, scheme, trials,
                              seed=11, workers=2) for scheme in SchemeId]
     with monkeypatch.context() as patched:
+        # built, if at all, beside this test's files, not the package's
+        patched.setattr(kernels, "_CACHE_DIR", str(tmp_path))
         failure(patched, tmp_path)
-        stage = kernels._load_uniforms()
-    assert stage is kernels._numpy_uniforms
+        stages = kernels._load_stages()
+    assert stages == kernels._NUMPY_STAGES
     assert list(tmp_path.glob("*.tmp")) == []
-    monkeypatch.setattr(kernels, "_uniforms", stage)
+    monkeypatch.setattr(kernels, "_uniforms", stages[0])
+    monkeypatch.setattr(kernels, "_rates", stages[1])
     assert kernels.active_backend() == "numpy"
     kernels._held.clear()
     for scheme, before in zip(SchemeId, expected):
@@ -680,22 +713,67 @@ def test_a_cache_miss_builds_one_library_under_its_own_name(monkeypatch,
                                                             tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
-    # a library of another source or command, and another build in progress
-    (cache / "_uniforms-00000000.so").write_bytes(b"stale")
-    (cache / "_uniforms-building.tmp").write_bytes(b"")
+    # libraries of another source, command or file name, and another build
+    # in progress
+    stale = {"_kernels-00000000.so", "_uniforms-00000000.so"}
+    for name in stale:
+        (cache / name).write_bytes(b"stale")
+    (cache / "_kernels-building.tmp").write_bytes(b"")
     monkeypatch.setattr(kernels, "_CACHE_DIR", str(cache))
-    stage = kernels._load_uniforms()
-    assert stage is not kernels._numpy_uniforms
+    stages = kernels._load_stages()
+    assert stages[0] is not kernels._numpy_uniforms
+    assert stages[1] is not kernels._scheme_rates
     # built under a temporary name and moved into place whole; the stale
-    # library is gone and the other build's file is left alone
+    # libraries are gone and the other build's file is left alone
     names = {path.name for path in cache.iterdir()}
-    assert "_uniforms-building.tmp" in names, names
-    built = sorted(names - {"_uniforms-building.tmp"})
-    assert len(built) == 1 and built[0].startswith("_uniforms-"), built
-    assert built[0].endswith(".so") and built[0] != "_uniforms-00000000.so"
+    assert "_kernels-building.tmp" in names, names
+    built = sorted(names - {"_kernels-building.tmp"})
+    assert built == [Path(kernels._library_path()).name], built
+    assert built[0].startswith("_kernels-") and built[0].endswith(".so")
+    assert not stale & names
     # a hit loads that library and compiles nothing
     monkeypatch.setattr(subprocess, "run", None)
-    assert kernels._load_uniforms() is not kernels._numpy_uniforms
+    assert kernels._load_stages()[0] is not kernels._numpy_uniforms
+
+
+# a library that loads but whose uniforms are all zero, so it fails its check
+_WRONG_LIBRARY = """
+#include <stdint.h>
+#include <string.h>
+void comp_noma_uniforms(double *out, uint64_t seed, uint64_t start, size_t n)
+{ memset(out, 0, 8 * 18 * n); }
+void comp_noma_sinr(void) {}
+"""
+
+
+@_needs_c_stage
+@pytest.mark.parametrize("planted", ["garbage", "a library that fails"])
+def test_a_bad_cached_library_is_built_again(monkeypatch, tmp_path, planted):
+    """A cached library that fails to load or to pass its check is removed
+    and built once more, and then the C stages run."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setattr(kernels, "_CACHE_DIR", str(cache))
+    library = Path(kernels._library_path())
+    if planted == "garbage":
+        library.write_bytes(b"not a shared library")
+    else:
+        source = tmp_path / "wrong.c"
+        source.write_text(_WRONG_LIBRARY)
+        subprocess.run([*kernels._BUILD, "-o", str(library), str(source)],
+                       check=True, capture_output=True, timeout=120)
+    planted_bytes = library.read_bytes()
+    stages = kernels._load_stages()
+    monkeypatch.setattr(kernels, "_uniforms", stages[0])
+    monkeypatch.setattr(kernels, "_rates", stages[1])
+    assert kernels.active_backend() == "numpy+c"
+    assert [path.name for path in cache.iterdir()] == [library.name]
+    assert library.read_bytes() != planted_bytes
+    # the rebuilt file passes its check; loaded under another name, since
+    # this process has loaded the planted library from the cached one
+    copy = tmp_path / "rebuilt.so"
+    shutil.copy(library, copy)
+    assert kernels._checked_stages(str(copy)) is not None
 
 
 def test_a_warm_import_loads_no_compiler_or_hashing_module():
