@@ -43,8 +43,9 @@ void comp_noma_uniforms(double *out, uint64_t seed, uint64_t start, size_t n)
  * block of draws, row i*6 + u for link (BS i, user u), and w the 18 links'
  * -sigma_hat, so a gain is d * w. eps holds each user's rho * sigma_eps
  * sum. User u is served by BS u % 3; its interference I is the sum of its
- * two other links' gains in BS order, and a far user's total is I + g. The
- * statements are kernels._scheme_rates', operation for operation.
+ * two other links' gains in BS order, and a far user's total is I + g.
+ * kernels._numpy_sinr takes the same arguments but n and runs these
+ * statements in numpy, in this order: an edit to one is made to both.
  */
 void comp_noma_sinr(double *restrict out, const double *d, const double *w,
                     const double *eps, int code, size_t users, double rho,

@@ -2,8 +2,10 @@
 
 Everything the Monte-Carlo estimator does per trial lives here, as
 vectorized numpy, except two compiled stages in _kernels.c: the draw
-kernel's uniforms and the rate kernel's 1 + SINR. Where the library
-builds and gives the numpy stages' bits on a small block, both run; the
+kernel's uniforms and the rate kernel's 1 + SINR. Each has a numpy stage
+of the same signature; the rate kernel's, _numpy_sinr, is the C function
+comp_noma_sinr statement for statement. Where the library builds and
+gives the numpy stages' bits on a small block, both C stages run; the
 numpy stages run everywhere else, to the same bits. Draws come from a
 counter-based stream, so a draw depends only on (seed, trial, link) and
 never on call order, chunking, thread count or the stage that ran.
@@ -11,6 +13,7 @@ never on call order, chunking, thread count or the stage that ran.
 
 import ctypes
 import os
+import shutil
 import tempfile
 import zlib
 from types import SimpleNamespace
@@ -37,12 +40,6 @@ _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _TO_UNIT = 2.0 ** -53
 _LINKS_GOLDEN = np.uint64(N_LINKS * 0x9E3779B97F4A7C15 % 2**64)
-
-# The serving links of the near users, (j, j), and of the far users,
-# (k, 3 + k), as rows of the link-major (18, n) view of the draws.
-_NEAR_LINKS = slice(0, None, N_USERS + 1)
-_FAR_LINKS = slice(N_BS, None, N_USERS + 1)
-
 
 # Links per block of the numpy uniform stage; N_LINKS is a multiple of it.
 # Every numpy call releases and retakes the GIL, so with two worker threads
@@ -184,14 +181,28 @@ def scheme_rates(draws, scheme_code, params, stats):
         far, key = held[2], _far_key(params, stats)
         held_key, rows = far.get(scheme_code, (None, None))
         far_rows = rows if held_key == key else None
-    rates = _rates(draws, scheme_code, params, stats, far_rows)
-    if far is not None and far_rows is None:
-        # copied after the kernel returns, its denominators freed, so that
-        # a miss allocates no more at its peak than the kernel itself
-        far_rows = rates.T[N_BS:].copy()
+    arrays, scalars = _sinr_inputs(draws, params, stats)
+    out = _aligned_empty(N_USERS, draws.shape[0])
+    # given the far users' rows, only the near users' are formed
+    formed = out if far_rows is None else out[:N_BS]
+    _sinr(out, *arrays, scheme_code, len(formed), *scalars)
+    # rate = share of the band * log2(1 + SINR): OMA gives each user half
+    # the band, VP-NOMA and CoMP each far user a third, and every other
+    # user has the whole band
+    np.log2(formed, out=formed)
+    if scheme_code == OMA_CODE:
+        formed *= 0.5
+    elif scheme_code != NOMA_CODE and far_rows is None:
+        out[N_BS:] *= 1.0 / 3.0
+    if far_rows is not None:
+        np.copyto(out[N_BS:], far_rows)
+    elif far is not None:
+        # copied after _sinr returns, so that a miss allocates no more at
+        # its peak than the kernel itself
+        far_rows = out[N_BS:].copy()
         far_rows.flags.writeable = False
         far[scheme_code] = key, far_rows
-    return rates
+    return out.T
 
 
 def _far_key(params, stats):
@@ -204,105 +215,49 @@ def _far_key(params, stats):
             far_sigma.tobytes() + stats.eps_sums[N_BS:].tobytes())
 
 
-def _scheme_rates(draws, scheme_code, params, stats, far_rows=None):
+def _sinr_inputs(draws, params, stats):
+    """The arguments of _sinr but out, code and users: the arrays (d, w,
+    eps) and the scalars (ρ, αρ, βρ, (1 − α)ρ, ρυ). d holds the draws as
+    link-major float64 (18, n), row i*N_USERS + u for link (BS i, user u),
+    copied only when the draws are not that already; w is −σ̂ per link, so
+    that a gain draw × w is the same IEEE product as −log(u)·σ̂, negation
+    being exact; eps is ρ·Σσ_ε per user."""
     alpha, rho = params.alpha, params.rho
-    n = draws.shape[0]
-    # Row i*N_USERS + u is link (BS i, user u); copied only when the draws
-    # are not link-major already.
-    d = np.ascontiguousarray(np.transpose(draws, (1, 2, 0))).reshape(N_LINKS, n)
-    # each gain is draw × (−σ̂), the same IEEE product as −log(u)·σ̂, since
-    # negation is exact; σ̂ is negated once for all 18 links
-    neg_sigma = -stats.sigma_hat.reshape(N_LINKS, 1)
-    # both as (BS, near/far, cell): user u is the near (u < 3) or the far
-    # user of cell u % 3
-    d_cells = d.reshape(N_BS, 2, N_BS, n)
-    w_cells = neg_sigma.reshape(N_BS, 2, N_BS, 1)
-    arho = alpha * rho
-    brho = params.beta * rho
-    # Given the far users' rate rows, a call forms only the near users': the
-    # first `classes` of (near, far), the first `users` rows, `formed` and
-    # `formed_den`; statements that touch only far rows are skipped.
-    classes = 2 if far_rows is None else 1
-    users = classes * N_BS
+    d = np.ascontiguousarray(np.transpose(draws, (1, 2, 0)),
+                             dtype=np.float64).reshape(N_LINKS, -1)
+    w = -np.asarray(stats.sigma_hat, np.float64).reshape(N_LINKS)
+    eps = np.asarray(rho * stats.eps_sums, np.float64).reshape(N_USERS)
+    return (d, w, eps), (rho, alpha * rho, params.beta * rho,
+                         (1.0 - alpha) * rho, rho * params.upsilon)
 
-    # One SINR denominator per user, built in place so that the whole chunk
-    # takes one pass of each step: row u is the sum of user u's two
-    # non-serving gains in BS order, as the formulas print it. No
-    # interference is formed as the total less the serving gain, which
-    # cancels when the serving gain dwarfs the other two. Each link's gain
-    # is formed once: den takes each cell's first interferer (BS0 for cells
-    # 1 and 2, BS1 for cell 0) and out its second (BS2 for cells 0 and 1,
-    # BS1 for cell 2); out then holds the six serving gains.
-    out = _aligned_empty(N_USERS, n)
-    den = _aligned_empty(N_USERS, n)
-    out_cells = out.reshape(2, N_BS, n)
-    den_cells = den.reshape(2, N_BS, n)
-    near, far = out[:N_BS], out[N_BS:]
-    near_den, far_den = den[:N_BS], den[N_BS:]
-    formed, formed_den = (out, den) if far_rows is None else (near, near_den)
-    np.multiply(d_cells[0, :classes, 1:], w_cells[0, :classes, 1:],
-                out=den_cells[:classes, 1:])
-    np.multiply(d_cells[1, :classes, :1], w_cells[1, :classes, :1],
-                out=den_cells[:classes, :1])
-    np.multiply(d_cells[2, :classes, :2], w_cells[2, :classes, :2],
-                out=out_cells[:classes, :2])
-    np.multiply(d_cells[1, :classes, 2:], w_cells[1, :classes, 2:],
-                out=out_cells[:classes, 2:])
-    formed_den += formed
-    np.multiply(d[_NEAR_LINKS], neg_sigma[_NEAR_LINKS], out=near)
-    if far_rows is None:
-        np.multiply(d[_FAR_LINKS], neg_sigma[_FAR_LINKS], out=far)
-    if scheme_code == OMA_CODE:
-        formed_den *= rho
-        formed *= rho
-    elif scheme_code == NOMA_CODE:
-        near *= arho
-        formed_den *= rho
-        if far_rows is None:
-            far_den += arho * far
-            far *= (1.0 - alpha) * rho
-    else:
-        near *= arho
-        # a far user's total gain is its cross interference plus its
-        # serving gain
-        if scheme_code == COMP_VPNOMA_CODE:
-            if far_rows is None:
-                far_den += far
-                np.multiply(far_den, brho, out=far)
-            formed_den *= arho
+
+def _numpy_sinr(out, d, w, eps, code, users, rho, arho, brho, far_rho,
+                ups_rho):
+    """comp_noma_sinr of _kernels.c in numpy, statement for statement: 1 +
+    S/D of the first `users` users into rows of out. The reference for the
+    C stage, and the stage that runs where that cannot be built."""
+    for u in range(users):
+        c = u % N_BS
+        s = c * N_USERS + u
+        i1 = (1 if c == 0 else 0) * N_USERS + u
+        i2 = (1 if c == 2 else 2) * N_USERS + u
+        e = eps[u]
+        g, i = d[s] * w[s], d[i1] * w[i1] + d[i2] * w[i2]
+        if code == OMA_CODE:
+            sinr = g * rho / ((i * rho + e) + 1.0)
+        elif u < N_BS:
+            m = rho if code == NOMA_CODE else arho
+            sinr = g * arho / (((i * m + e) + ups_rho) + 1.0)
+        elif code == NOMA_CODE:
+            sinr = g * far_rho / (((i * rho + arho * g) + e) + 1.0)
+        elif code == VPNOMA_CODE:
+            sinr = g * brho / (((i * brho + (i + g) * arho) + e) + 1.0)
         else:
-            if far_rows is None:
-                total = far_den + far
-                total *= arho
-                far_den *= brho
-                far_den += total
-                far *= brho
-            near_den *= arho
-    formed_den += (rho * stats.eps_sums)[:users, None]
-    if scheme_code != OMA_CODE:
-        near_den += rho * params.upsilon
-    formed_den += 1.0
-    formed /= formed_den
-    formed += 1.0
-    return _log_rates(out, scheme_code, far_rows)
-
-
-def _log_rates(out, scheme_code, far_rows):
-    """The (n, 6) rates from the (6, n) block out, whose formed rows hold
-    1 + SINR: the three near rows when far_rows are given, which fill the
-    far rows, else all six."""
-    # rate = share of the band * log2(1 + SINR): OMA gives each user half
-    # the band, VP-NOMA and CoMP each far user a third, and every other
-    # user has the whole band
-    formed = out if far_rows is None else out[:N_BS]
-    np.log2(formed, out=formed)
-    if scheme_code == OMA_CODE:
-        formed *= 0.5
-    elif scheme_code != NOMA_CODE and far_rows is None:
-        out[N_BS:] *= 1.0 / 3.0
-    if far_rows is not None:
-        np.copyto(out[N_BS:], far_rows)
-    return out.T
+            total = i + g
+            sinr = total * brho / ((total * arho + e) + 1.0)
+        np.add(sinr, 1.0, out=out[u])
+        # freed before the next user's: a call's peak is 12 rows of n, not 14
+        del g, i, sinr
 
 
 # The compiled stages, _kernels.c, are built once per source and command
@@ -322,7 +277,7 @@ _CHECK_POINT = SimpleNamespace(
     alpha=0.07, beta=(1.0 - 0.07) / 3.0, rho=77.0, upsilon=0.03,
     sigma_hat=np.linspace(0.05, 3.0, N_LINKS).reshape(N_BS, N_USERS),
     eps_sums=np.linspace(1e-3, 6e-3, N_USERS))
-_NUMPY_STAGES = _numpy_uniforms, _scheme_rates
+_NUMPY_STAGES = _numpy_uniforms, _numpy_sinr
 
 
 def _library_path():
@@ -332,7 +287,7 @@ def _library_path():
 
 
 def _load_stages():
-    """(uniforms, rates), the stages _draws and scheme_rates run: the C
+    """(uniforms, sinr), the stages _draws and scheme_rates run: the C
     stages when the library builds, loads and gives the numpy stages' bits,
     else the numpy stages, as on a host with no compiler or a read-only
     package directory. A cached library that fails to load or to pass that
@@ -346,7 +301,10 @@ def _load_stages():
             os.remove(library)
         except OSError:
             pass
-    # only on a miss: a warm import loads no subprocess module
+    if shutil.which(_BUILD[0]) is None:
+        return _NUMPY_STAGES
+    # only on a miss with a compiler: no other import loads the subprocess
+    # module
     import subprocess
     tmp = None
     try:
@@ -385,9 +343,9 @@ def _load_stages():
 
 
 def _checked_stages(path):
-    """The library's (uniforms, rates) when it loads and each gives its
-    numpy stage's bytes on _SELF_CHECK, rates for every scheme with and
-    without held far rows; None otherwise."""
+    """The library's (uniforms, sinr) when it loads and each gives its
+    numpy stage's bytes on _SELF_CHECK, sinr for every scheme code and for
+    six and three users; None otherwise."""
     try:
         library = ctypes.CDLL(path)
         fill, sinr = library.comp_noma_uniforms, library.comp_noma_sinr
@@ -400,27 +358,15 @@ def _checked_stages(path):
                      + (ctypes.c_double,) * 5 + (ctypes.c_size_t,))
     sinr.restype = None
 
+    # ctypes releases the GIL for each call
     def c_uniforms(seed, start_trial, n):
         out = _aligned_empty(N_LINKS, n)
-        # ctypes releases the GIL for the call
         fill(out.ctypes.data, seed, start_trial, n)
         return out
 
-    def c_rates(draws, scheme_code, params, stats, far_rows=None):
-        alpha, rho = params.alpha, params.rho
-        n = draws.shape[0]
-        # as in _scheme_rates; the reshapes and the float64 copies keep the
-        # C loop inside the arrays whatever the caller passed
-        d = np.ascontiguousarray(np.transpose(draws, (1, 2, 0)),
-                                 dtype=np.float64).reshape(N_LINKS, n)
-        neg_sigma = -np.asarray(stats.sigma_hat, np.float64).reshape(N_LINKS)
-        eps = np.asarray(rho * stats.eps_sums, np.float64).reshape(N_USERS)
-        out = _aligned_empty(N_USERS, n)
-        sinr(out.ctypes.data, d.ctypes.data, neg_sigma.ctypes.data,
-             eps.ctypes.data, scheme_code,
-             N_USERS if far_rows is None else N_BS, rho, alpha * rho,
-             params.beta * rho, (1.0 - alpha) * rho, rho * params.upsilon, n)
-        return _log_rates(out, scheme_code, far_rows)
+    def c_sinr(out, d, w, eps, *code_users_scalars):
+        sinr(out.ctypes.data, d.ctypes.data, w.ctypes.data, eps.ctypes.data,
+             *code_users_scalars, out.shape[1])
 
     # compared as bytes: np.array_equal would page in code that nothing
     # else runs, about 0.3 MB of resident memory
@@ -429,18 +375,19 @@ def _checked_stages(path):
         return None
     np.log(block, out=block)
     draws = block.reshape(N_BS, N_USERS, -1).transpose(2, 0, 1)
-    point = _CHECK_POINT
+    arrays, scalars = _sinr_inputs(draws, _CHECK_POINT, _CHECK_POINT)
     for code in (OMA_CODE, NOMA_CODE, VPNOMA_CODE, COMP_VPNOMA_CODE):
-        far = _scheme_rates(draws, code, point, point).T[N_BS:].copy()
-        for far_rows in (None, far):
-            if c_rates(draws, code, point, point, far_rows).tobytes() != \
-                    _scheme_rates(draws, code, point, point,
-                                  far_rows).tobytes():
+        for users in (N_USERS, N_BS):
+            c = _aligned_empty(N_USERS, _SELF_CHECK[2])
+            reference = _aligned_empty(N_USERS, _SELF_CHECK[2])
+            c_sinr(c, *arrays, code, users, *scalars)
+            _numpy_sinr(reference, *arrays, code, users, *scalars)
+            if c[:users].tobytes() != reference[:users].tobytes():
                 return None
-    return c_uniforms, c_rates
+    return c_uniforms, c_sinr
 
 
-_uniforms, _rates = _load_stages()
+_uniforms, _sinr = _load_stages()
 
 
 def active_backend() -> str:

@@ -57,7 +57,7 @@ def far_lookups(monkeypatch):
     held short block, in order: True where they answered with the far
     users' rows, so that the kernel formed only the near users'."""
     lookups = []
-    far_key, rates = kernels._far_key, kernels._rates
+    far_key, sinr = kernels._far_key, kernels._sinr
 
     def keyed(*args):
         key = far_key(*args)
@@ -65,13 +65,13 @@ def far_lookups(monkeypatch):
             lookups.append(False)
         return key
 
-    def forming(draws, code, params, stats, far_rows=None):
-        if far_rows is not None:
+    def forming(out, d, w, eps, code, users, *scalars):
+        if users == kernels.N_BS:
             lookups[-1] = True
-        return rates(draws, code, params, stats, far_rows)
+        return sinr(out, d, w, eps, code, users, *scalars)
 
     monkeypatch.setattr(kernels, "_far_key", keyed)
-    monkeypatch.setattr(kernels, "_rates", forming)
+    monkeypatch.setattr(kernels, "_sinr", forming)
     return lookups
 
 

@@ -335,19 +335,18 @@ def test_kernels_allocate_one_block_of_scratch(monkeypatch, n):
 
     Allowed: the call's output; 4 KiB of small objects; for a rate-kernel
     call that misses the far rows of the held short block, the three far
-    rows it then keeps. The numpy stages may also take one six-link
-    scratch (for the draw kernel its uint64 block, for the rate kernel the
-    six SINR denominators), one 3-row temporary, and the buffers numpy's
+    rows it then keeps. The numpy draw stage may also take its six-link
+    uint64 scratch block, one 3-row temporary, and the buffers numpy's
     iterator may take for a broadcast (6, 1) column, at most two of
-    min(bufsize, 6n) elements. A temporary that spans all 18 links of the
-    chunk breaks it. The compiled rate stage allocates its (6, n) output
-    alone, and a repeated draw of the block the draw kernel holds under
-    4 KiB.
+    min(bufsize, 6n) elements; a temporary that spans all 18 links of the
+    chunk breaks it. The numpy rate stage makes no broadcast and may take
+    six rows of one user's temporaries beside its (6, n) output, the
+    compiled rate stage that output alone, and a repeated draw of the
+    block the draw kernel holds under 4 KiB.
     """
     stats, params, seed = _rate_case("uneven")
     row = 8 * n
     small = 4096
-    numpy_scratch = 6 * row + 3 * row + 2 * min(np.getbufsize(), 6 * n) * 8
 
     draws, peak = _traced_peak(lambda: kernels.sample_gains(seed, 7 * n, n))
     assert peak < _draw_bound(n), peak / row
@@ -355,9 +354,9 @@ def test_kernels_allocate_one_block_of_scratch(monkeypatch, n):
     assert again is draws
     assert peak < small, peak
     kept = 3 * row if n < kernels.CHUNK_TRIALS else 0
-    for stage in {kernels._rates, kernels._scheme_rates}:
-        monkeypatch.setattr(kernels, "_rates", stage)
-        scratch = numpy_scratch if stage is kernels._scheme_rates else 0
+    for stage in {kernels._sinr, kernels._numpy_sinr}:
+        monkeypatch.setattr(kernels, "_sinr", stage)
+        scratch = 6 * row if stage is kernels._numpy_sinr else 0
         for code in (kernels.OMA_CODE, kernels.NOMA_CODE, kernels.VPNOMA_CODE,
                      kernels.COMP_VPNOMA_CODE):
             if kept:
@@ -621,19 +620,20 @@ def test_c_uniforms_are_the_numpy_stages_bit_for_bit(seed, start, n):
 def test_the_compiled_sinr_pass_gives_the_numpy_kernels_bytes(n, seed,
                                                               **point):
     """On generated layouts and points, the compiled rate stage gives the
-    bytes of the numpy _scheme_rates for every scheme, for all six rows and
-    for the three near rows beside held far rows."""
+    bytes of _numpy_sinr for every scheme, for all six users and for the
+    three near users that a call beside held far rows forms."""
     assert kernels.active_backend() == "numpy+c"
     stats, params = _generated_point(**point)
     draws = kernels._draws(seed, 0, n)
+    arrays, scalars = kernels._sinr_inputs(draws, params, stats)
     for code in range(4):
-        expected = kernels._scheme_rates(draws, code, params, stats)
-        far = expected.T[kernels.N_BS:].copy()
-        assert kernels._rates(draws, code, params, stats).tobytes() \
-            == expected.tobytes(), code
-        assert kernels._rates(draws, code, params, stats, far).tobytes() \
-            == kernels._scheme_rates(draws, code, params, stats,
-                                     far).tobytes(), code
+        for users in (kernels.N_USERS, kernels.N_BS):
+            c = np.empty((kernels.N_USERS, n))
+            reference = np.empty((kernels.N_USERS, n))
+            kernels._sinr(c, *arrays, code, users, *scalars)
+            kernels._numpy_sinr(reference, *arrays, code, users, *scalars)
+            assert c[:users].tobytes() == reference[:users].tobytes(), \
+                (code, users)
 
 
 def _fail_to_load(monkeypatch, tmp_path):
@@ -697,7 +697,7 @@ def test_a_c_stage_that_fails_leaves_the_numpy_stage_and_the_same_estimates(
     assert stages == kernels._NUMPY_STAGES
     assert list(tmp_path.glob("*.tmp")) == []
     monkeypatch.setattr(kernels, "_uniforms", stages[0])
-    monkeypatch.setattr(kernels, "_rates", stages[1])
+    monkeypatch.setattr(kernels, "_sinr", stages[1])
     assert kernels.active_backend() == "numpy"
     kernels._held.clear()
     for scheme, before in zip(SchemeId, expected):
@@ -722,7 +722,7 @@ def test_a_cache_miss_builds_one_library_under_its_own_name(monkeypatch,
     monkeypatch.setattr(kernels, "_CACHE_DIR", str(cache))
     stages = kernels._load_stages()
     assert stages[0] is not kernels._numpy_uniforms
-    assert stages[1] is not kernels._scheme_rates
+    assert stages[1] is not kernels._numpy_sinr
     # built under a temporary name and moved into place whole; the stale
     # libraries are gone and the other build's file is left alone
     names = {path.name for path in cache.iterdir()}
@@ -765,7 +765,7 @@ def test_a_bad_cached_library_is_built_again(monkeypatch, tmp_path, planted):
     planted_bytes = library.read_bytes()
     stages = kernels._load_stages()
     monkeypatch.setattr(kernels, "_uniforms", stages[0])
-    monkeypatch.setattr(kernels, "_rates", stages[1])
+    monkeypatch.setattr(kernels, "_sinr", stages[1])
     assert kernels.active_backend() == "numpy+c"
     assert [path.name for path in cache.iterdir()] == [library.name]
     assert library.read_bytes() != planted_bytes
@@ -776,17 +776,36 @@ def test_a_bad_cached_library_is_built_again(monkeypatch, tmp_path, planted):
     assert kernels._checked_stages(str(copy)) is not None
 
 
-def test_a_warm_import_loads_no_compiler_or_hashing_module():
-    src = Path(kernels.__file__).resolve().parents[1]
+def _fresh_import(src, **env):
+    """(backend, modules) that a fresh process importing comp_noma from src,
+    with env over this one's environment, prints: active_backend() and
+    which of the compiler and hashing modules it loaded."""
     probe = ("import sys, comp_noma\n"
              "from comp_noma import kernels\n"
              "print(kernels.active_backend())\n"
              "print(sorted({'subprocess', 'hashlib', 'sysconfig'}"
              " & set(sys.modules)))\n")
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(src), **env}
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=120,
                             check=True)
-    backend, loaded = result.stdout.splitlines()
-    assert backend == kernels.active_backend()
-    assert loaded == "[]"
+    return tuple(result.stdout.splitlines())
+
+
+def test_a_warm_import_loads_no_compiler_or_hashing_module():
+    src = Path(kernels.__file__).resolve().parents[1]
+    assert _fresh_import(src) == (kernels.active_backend(), "[]")
+
+
+def test_an_import_with_no_compiler_runs_numpy_and_loads_no_subprocess(
+        tmp_path):
+    """With no cached library and no cc on PATH, which holds only a python3
+    link, an import runs the numpy stages without starting a build."""
+    package = Path(kernels.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / "src" / package.name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "python3").symlink_to(sys.executable)
+    assert _fresh_import(tmp_path / "src", PATH=str(bin_dir)) \
+        == ("numpy", "[]")
