@@ -164,7 +164,7 @@ def scheme_rates(draws, scheme_code, params, stats):
 
     draws are sample_gains draws, params a schemes.SystemParams and stats a
     channel.LinkStatistics, whose (3, 6) per-link means sigma_hat turn each
-    draw into a gain while the SINR denominators are built. The result is a
+    draw into a gain inside the SINR statements. The result is a
     view of user-major memory: each user's rates over the chunk are
     contiguous. Each SINR is evaluated in the left-to-right order of its
     formula, so every rate is reproducible to the last bit: in one C pass
