@@ -10,6 +10,25 @@
 #include <stddef.h>
 #include <stdint.h>
 
+/* On x86-64 with GCC 12 or later and glibc, both stages are built for
+ * x86-64-v4 (AVX-512), x86-64-v3 (AVX2, FMA) and baseline x86-64, and the
+ * dynamic loader's ifunc resolver picks the first of these clones that the
+ * CPU runs when the library loads. The clones give the same bits: the
+ * SplitMix64 steps and the conversion are exact at any vector width, and
+ * -ffp-contract=off keeps v3's and v4's FMA out of the SINR. Elsewhere, or
+ * with COMP_NOMA_NO_CLONES defined, as the tests do to build each level
+ * alone, there is one target. (stdint.h defines __GLIBC__ under glibc.)
+ */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
+    && __GNUC__ >= 12 && defined(__GLIBC__) && !defined(COMP_NOMA_NO_CLONES)
+#define CLONES 1
+#define CLONED __attribute__((target_clones("arch=x86-64-v4", \
+                                            "arch=x86-64-v3", "default")))
+#else
+#define CLONES 0
+#define CLONED
+#endif
+
 #define N_BS 3
 #define N_USERS 6
 #define N_LINKS 18
@@ -17,11 +36,26 @@
 
 enum { OMA, NOMA, VPNOMA, COMP_VPNOMA };
 
+/* The level of the clones that run: 4 or 3 for x86-64-v4 or v3, 0 for the
+ * default clone or a build without clones. A clone cannot name itself, so
+ * this asks the CPU the resolver's questions in the resolver's order. */
+int comp_noma_isa(void)
+{
+#if CLONES
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("x86-64-v4") ? 4
+           : __builtin_cpu_supports("x86-64-v3") ? 3 : 0;
+#else
+    return 0;
+#endif
+}
+
 /* out is the C-ordered (18, n) block of links by trials. The draw of link l
  * in trial t is u = ((z >> 11) + 0.5) * 2^-53, with z the SplitMix64 output
  * for counter t*18 + l: finalize(seed + (counter + 1) * GOLDEN), mod 2^64.
  * The top 53 bits, the half and the power of two are exact in IEEE double.
  */
+CLONED
 void comp_noma_uniforms(double *out, uint64_t seed, uint64_t start, size_t n)
 {
     const uint64_t trial_step = N_LINKS * GOLDEN;
@@ -47,6 +81,7 @@ void comp_noma_uniforms(double *out, uint64_t seed, uint64_t start, size_t n)
  * kernels._numpy_sinr takes the same arguments but n and runs these
  * statements in numpy, in this order: an edit to one is made to both.
  */
+CLONED
 void comp_noma_sinr(double *restrict out, const double *d, const double *w,
                     const double *eps, int code, size_t users, double rho,
                     double arho, double brho, double far_rho, double ups_rho,

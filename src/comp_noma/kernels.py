@@ -263,9 +263,10 @@ def _numpy_sinr(out, d, w, eps, code, users, rho, arho, brho, far_rho,
 # The compiled stages, _kernels.c, are built once per source and command
 # into the package's own __pycache__, never a shared temporary directory,
 # and named by a CRC-32 of both, so an edit to either builds a new library.
-# No -march or -ffast-math: a cached library may be loaded on another CPU
-# of the same architecture, and -ffp-contract=off keeps every IEEE
-# operation as written.
+# No -march, since a cached library may be loaded on another CPU: where the
+# C file builds target clones, the loader picks the widest one the CPU
+# runs. No -ffast-math, and -ffp-contract=off keeps every IEEE operation as
+# written, so every clone gives the same bits.
 _SOURCE = os.path.join(os.path.dirname(__file__), "_kernels.c")
 _CACHE_DIR = os.path.join(os.path.dirname(__file__), "__pycache__")
 _BUILD = ("cc", "-O3", "-fPIC", "-shared", "-ffp-contract=off")
@@ -277,7 +278,9 @@ _CHECK_POINT = SimpleNamespace(
     alpha=0.07, beta=(1.0 - 0.07) / 3.0, rho=77.0, upsilon=0.03,
     sigma_hat=np.linspace(0.05, 3.0, N_LINKS).reshape(N_BS, N_USERS),
     eps_sums=np.linspace(1e-3, 6e-3, N_USERS))
-_NUMPY_STAGES = _numpy_uniforms, _numpy_sinr
+_NUMPY_STAGES = _numpy_uniforms, _numpy_sinr, None
+# comp_noma_isa's levels by the names of their clones' targets
+_ISA_NAMES = {4: "x86-64-v4", 3: "x86-64-v3", 0: "default"}
 
 
 def _library_path():
@@ -287,12 +290,16 @@ def _library_path():
 
 
 def _load_stages():
-    """(uniforms, sinr), the stages _draws and scheme_rates run: the C
-    stages when the library builds, loads and gives the numpy stages' bits,
-    else the numpy stages, as on a host with no compiler or a read-only
-    package directory. A cached library that fails to load or to pass that
-    check is removed and built once more."""
+    """(uniforms, sinr, isa), the stages _draws and scheme_rates run and
+    the target of the C stages' clone that runs: the C stages when the
+    library builds, loads and gives the numpy stages' bits, else the numpy
+    stages and None, as on a host with no compiler or a read-only package
+    directory. A cached library that fails to load or to pass that check is
+    removed and built once more; a new build that fails the check leaves a
+    .failed file of the library's name, so that later imports with the same
+    source and command build nothing."""
     library = _library_path()
+    failed = library[:-len(".so")] + ".failed"
     if os.path.exists(library):
         stages = _checked_stages(library)
         if stages is not None:
@@ -301,7 +308,7 @@ def _load_stages():
             os.remove(library)
         except OSError:
             pass
-    if shutil.which(_BUILD[0]) is None:
+    if os.path.exists(failed) or shutil.which(_BUILD[0]) is None:
         return _NUMPY_STAGES
     # only on a miss with a compiler: no other import loads the subprocess
     # module
@@ -318,6 +325,7 @@ def _load_stages():
         # back a library it has already loaded from the final path
         stages = _checked_stages(tmp)
         if stages is None:
+            open(failed, "wb").close()
             return _NUMPY_STAGES
         # mkstemp's 0600 would leave the library unreadable to other users
         os.chmod(tmp, 0o755)
@@ -329,12 +337,12 @@ def _load_stages():
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.remove(tmp)
-    # Every other library goes, but not a build in progress, a .tmp file.
-    # Another process may remove the same library first, and one that
-    # cannot be removed stays beside the new one.
+    # Every other library and .failed file goes, but not a build in
+    # progress, a .tmp file. Another process may remove the same file
+    # first, and one that cannot be removed stays beside the new library.
     for name in os.listdir(_CACHE_DIR):
         stale = os.path.join(_CACHE_DIR, name)
-        if name.endswith(".so") and stale != library:
+        if name.endswith((".so", ".failed")) and stale != library:
             try:
                 os.remove(stale)
             except OSError:
@@ -343,14 +351,17 @@ def _load_stages():
 
 
 def _checked_stages(path):
-    """The library's (uniforms, sinr) when it loads and each gives its
-    numpy stage's bytes on _SELF_CHECK, sinr for every scheme code and for
-    six and three users; None otherwise."""
+    """The library's (uniforms, sinr, isa) when it loads and each stage
+    gives its numpy stage's bytes on _SELF_CHECK, sinr for every scheme code
+    and for six and three users; None otherwise."""
     try:
         library = ctypes.CDLL(path)
         fill, sinr = library.comp_noma_uniforms, library.comp_noma_sinr
+        isa = library.comp_noma_isa
     except (OSError, AttributeError):
         return None
+    isa.argtypes = ()
+    isa.restype = ctypes.c_int
     fill.argtypes = (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64,
                      ctypes.c_size_t)
     fill.restype = None
@@ -384,10 +395,10 @@ def _checked_stages(path):
             _numpy_sinr(reference, *arrays, code, users, *scalars)
             if c[:users].tobytes() != reference[:users].tobytes():
                 return None
-    return c_uniforms, c_sinr
+    return c_uniforms, c_sinr, _ISA_NAMES[isa()]
 
 
-_uniforms, _sinr = _load_stages()
+_uniforms, _sinr, _isa = _load_stages()
 
 
 def active_backend() -> str:
@@ -395,3 +406,10 @@ def active_backend() -> str:
     uniforms and the rate kernel's 1 + SINR come from the C stages, "numpy"
     when every stage is numpy's."""
     return "numpy" if _uniforms is _numpy_uniforms else "numpy+c"
+
+
+def compiled_isa():
+    """The target of the C stages' clone that runs: "x86-64-v4",
+    "x86-64-v3" or "default" (also a library built without clones), or None
+    when the numpy stages run."""
+    return _isa

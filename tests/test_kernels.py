@@ -2,6 +2,7 @@ import ctypes
 import dataclasses
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -597,13 +598,20 @@ _needs_c_stage = pytest.mark.skipif(shutil.which("cc") is None,
 _WRAP = 2**64 // kernels.N_LINKS + 1
 
 
+# uniform blocks of either stage: seeds, starts whose trial counters wrap,
+# and lengths with and without a tail
+_blocks = dict(
+    seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+    start=st.sampled_from([0, _WRAP - 1, _WRAP])
+    | st.integers(0, 2**40).map(lambda k: k * kernels.CHUNK_TRIALS)
+    | st.integers(_WRAP - kernels.CHUNK_TRIALS, 2**64 - 2**14),
+    n=st.sampled_from([1, 576, 1696, 2000, 8191, 8192]))
+_rate_lengths = st.sampled_from([1, 37, 576, 2000, kernels.CHUNK_TRIALS])
+
+
 @_needs_c_stage
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
-@given(seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
-       start=st.sampled_from([0, _WRAP - 1, _WRAP])
-       | st.integers(0, 2**40).map(lambda k: k * kernels.CHUNK_TRIALS)
-       | st.integers(_WRAP - kernels.CHUNK_TRIALS, 2**64 - 2**14),
-       n=st.sampled_from([1, 576, 1696, 2000, 8191, 8192]))
+@given(**_blocks)
 def test_c_uniforms_are_the_numpy_stages_bit_for_bit(seed, start, n):
     assert kernels.active_backend() == "numpy+c"
     c = kernels._uniforms(seed, start, n)
@@ -615,8 +623,7 @@ def test_c_uniforms_are_the_numpy_stages_bit_for_bit(seed, start, n):
 
 @_needs_c_stage
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
-@given(n=st.sampled_from([1, 37, 576, 2000, kernels.CHUNK_TRIALS]),
-       **_generated)
+@given(n=_rate_lengths, **_generated)
 def test_the_compiled_sinr_pass_gives_the_numpy_kernels_bytes(n, seed,
                                                               **point):
     """On generated layouts and points, the compiled rate stage gives the
@@ -631,6 +638,97 @@ def test_the_compiled_sinr_pass_gives_the_numpy_kernels_bytes(n, seed,
             c = np.empty((kernels.N_USERS, n))
             reference = np.empty((kernels.N_USERS, n))
             kernels._sinr(c, *arrays, code, users, *scalars)
+            kernels._numpy_sinr(reference, *arrays, code, users, *scalars)
+            assert c[:users].tobytes() == reference[:users].tobytes(), \
+                (code, users)
+
+
+def _cc_macros():
+    """{name: value} of the macros that cc predefines for C; empty without
+    cc."""
+    if shutil.which("cc") is None:
+        return {}
+    result = subprocess.run(["cc", "-dM", "-E", "-x", "c", os.devnull],
+                            capture_output=True, text=True, timeout=60)
+    return dict(line.split(" ", 2)[1:] for line in result.stdout.splitlines()
+                if line.startswith("#define ") and line.count(" ") >= 2)
+
+
+_CC = _cc_macros()
+# _kernels.c's guard for its target clones
+_cc_builds_clones = pytest.mark.skipif(
+    "__x86_64__" not in _CC or "__clang__" in _CC
+    or int(_CC.get("__GNUC__", 0)) < 12 or platform.libc_ver()[0] != "glibc",
+    reason="cc builds no target clones here: not GCC 12+ on x86-64 glibc")
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:    # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+# the features of each x86-64 level beyond the one before
+_V3 = ("AVX", "AVX2", "BMI", "BMI2", "F16C", "FMA3", "LZCNT", "MOVBE")
+_V4 = ("AVX512F", "AVX512CD", "AVX512BW", "AVX512DQ", "AVX512VL")
+_LEVELS = {"x86-64": (), "x86-64-v3": _V3, "x86-64-v4": _V3 + _V4}
+
+
+def _cpu_runs(level):
+    return all(__cpu_features__.get(name) for name in _LEVELS[level])
+
+
+@_cc_builds_clones
+@pytest.mark.skipif(not _cpu_runs("x86-64-v4"), reason="no AVX-512 here")
+def test_the_loader_runs_the_x86_64_v4_clones_on_an_avx512_cpu():
+    """A build that silently drops the clones would run the default ones."""
+    assert kernels.active_backend() == "numpy+c"
+    assert kernels.compiled_isa() == "x86-64-v4"
+
+
+@pytest.fixture(scope="module")
+def one_target_stages(tmp_path_factory):
+    """{level: (uniforms, sinr)} of libraries built from _kernels.c with
+    the clones compiled out, for each x86-64 level that this CPU runs, each
+    after it gave the numpy stages' bytes on _SELF_CHECK (_checked_stages)."""
+    build = tmp_path_factory.mktemp("levels")
+    stages = {}
+    for level in filter(_cpu_runs, _LEVELS):
+        library = build / f"{level}.so"
+        subprocess.run([*kernels._BUILD, "-DCOMP_NOMA_NO_CLONES",
+                        f"-march={level}", "-o", str(library),
+                        kernels._SOURCE], check=True, capture_output=True,
+                       timeout=120)
+        checked = kernels._checked_stages(str(library))
+        assert checked is not None, level
+        # the clones are compiled out, so no clone runs
+        assert checked[2] == "default", level
+        stages[level] = checked[:2]
+    return stages
+
+
+@_cc_builds_clones
+@pytest.mark.parametrize("level", _LEVELS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(block=st.fixed_dictionaries(_blocks), n=_rate_lengths, **_generated)
+def test_every_clone_level_gives_the_numpy_stages_bytes(
+        one_target_stages, level, block, n, seed, **point):
+    """The load-time check runs only the clone that the loader picks, so
+    each level is built alone and run where this CPU can: its uniforms on
+    the blocks of test_c_uniforms_are_the_numpy_stages_bit_for_bit, and its
+    1 + SINR on the points of
+    test_the_compiled_sinr_pass_gives_the_numpy_kernels_bytes, for every
+    scheme with six and with three users."""
+    if level not in one_target_stages:
+        pytest.skip(f"this CPU does not run {level}")
+    uniforms, sinr = one_target_stages[level]
+    seed_start_n = block["seed"], block["start"], block["n"]
+    assert uniforms(*seed_start_n).tobytes() \
+        == kernels._numpy_uniforms(*seed_start_n).tobytes()
+    stats, params = _generated_point(**point)
+    draws = kernels._draws(seed, 0, n)
+    arrays, scalars = kernels._sinr_inputs(draws, params, stats)
+    for code in range(4):
+        for users in (kernels.N_USERS, kernels.N_BS):
+            c = np.empty((kernels.N_USERS, n))
+            reference = np.empty((kernels.N_USERS, n))
+            sinr(c, *arrays, code, users, *scalars)
             kernels._numpy_sinr(reference, *arrays, code, users, *scalars)
             assert c[:users].tobytes() == reference[:users].tobytes(), \
                 (code, users)
@@ -663,7 +761,8 @@ def _with_wrong(**functions):
         library = load(path)
         return SimpleNamespace(**{
             name: functions.get(name, getattr(library, name))
-            for name in ("comp_noma_uniforms", "comp_noma_sinr")})
+            for name in ("comp_noma_uniforms", "comp_noma_sinr",
+                         "comp_noma_isa")})
     return loaded
 
 
@@ -715,7 +814,8 @@ def test_a_cache_miss_builds_one_library_under_its_own_name(monkeypatch,
     cache.mkdir()
     # libraries of another source, command or file name, and another build
     # in progress
-    stale = {"_kernels-00000000.so", "_uniforms-00000000.so"}
+    stale = {"_kernels-00000000.so", "_uniforms-00000000.so",
+             "_kernels-00000000.failed"}
     for name in stale:
         (cache / name).write_bytes(b"stale")
     (cache / "_kernels-building.tmp").write_bytes(b"")
@@ -724,7 +824,8 @@ def test_a_cache_miss_builds_one_library_under_its_own_name(monkeypatch,
     assert stages[0] is not kernels._numpy_uniforms
     assert stages[1] is not kernels._numpy_sinr
     # built under a temporary name and moved into place whole; the stale
-    # libraries are gone and the other build's file is left alone
+    # libraries and failure marks are gone and the other build's file is
+    # left alone
     names = {path.name for path in cache.iterdir()}
     assert "_kernels-building.tmp" in names, names
     built = sorted(names - {"_kernels-building.tmp"})
@@ -736,6 +837,23 @@ def test_a_cache_miss_builds_one_library_under_its_own_name(monkeypatch,
     assert kernels._load_stages()[0] is not kernels._numpy_uniforms
 
 
+@_needs_c_stage
+def test_a_build_that_fails_its_check_is_not_tried_again(monkeypatch,
+                                                         tmp_path):
+    """A new library that fails its check leaves a mark of its name, so a
+    later import with the same source and command compiles nothing."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setattr(kernels, "_CACHE_DIR", str(cache))
+    _fail_the_self_check(monkeypatch, tmp_path)
+    assert kernels._load_stages() == kernels._NUMPY_STAGES
+    library = Path(kernels._library_path())
+    assert [path.name for path in cache.iterdir()] \
+        == [library.stem + ".failed"]
+    monkeypatch.setattr(subprocess, "run", None)
+    assert kernels._load_stages() == kernels._NUMPY_STAGES
+
+
 # a library that loads but whose uniforms are all zero, so it fails its check
 _WRONG_LIBRARY = """
 #include <stdint.h>
@@ -743,6 +861,7 @@ _WRONG_LIBRARY = """
 void comp_noma_uniforms(double *out, uint64_t seed, uint64_t start, size_t n)
 { memset(out, 0, 8 * 18 * n); }
 void comp_noma_sinr(void) {}
+int comp_noma_isa(void) { return 0; }
 """
 
 
