@@ -630,6 +630,12 @@ def test_the_compiled_sinr_pass_gives_the_numpy_kernels_bytes(n, seed,
     bytes of _numpy_sinr for every scheme, for all six users and for the
     three near users that a call beside held far rows forms."""
     assert kernels.active_backend() == "numpy+c"
+    _assert_numpy_sinr_bytes(kernels._sinr, n, seed, point)
+
+
+def _assert_numpy_sinr_bytes(sinr, n, seed, point):
+    """sinr gives _numpy_sinr's bytes on n trials of a generated point, for
+    every scheme, for six users and for three."""
     stats, params = _generated_point(**point)
     draws = kernels._draws(seed, 0, n)
     arrays, scalars = kernels._sinr_inputs(draws, params, stats)
@@ -637,7 +643,7 @@ def test_the_compiled_sinr_pass_gives_the_numpy_kernels_bytes(n, seed,
         for users in (kernels.N_USERS, kernels.N_BS):
             c = np.empty((kernels.N_USERS, n))
             reference = np.empty((kernels.N_USERS, n))
-            kernels._sinr(c, *arrays, code, users, *scalars)
+            sinr(c, *arrays, code, users, *scalars)
             kernels._numpy_sinr(reference, *arrays, code, users, *scalars)
             assert c[:users].tobytes() == reference[:users].tobytes(), \
                 (code, users)
@@ -664,7 +670,8 @@ try:
     from numpy._core._multiarray_umath import __cpu_features__
 except ImportError:    # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_features__
-# the features of each x86-64 level beyond the one before
+# numpy's names for the features that x86-64-v3 and v4 add, and those that
+# each level needs
 _V3 = ("AVX", "AVX2", "BMI", "BMI2", "F16C", "FMA3", "LZCNT", "MOVBE")
 _V4 = ("AVX512F", "AVX512CD", "AVX512BW", "AVX512DQ", "AVX512VL")
 _LEVELS = {"x86-64": (), "x86-64-v3": _V3, "x86-64-v4": _V3 + _V4}
@@ -721,17 +728,7 @@ def test_every_clone_level_gives_the_numpy_stages_bytes(
     seed_start_n = block["seed"], block["start"], block["n"]
     assert uniforms(*seed_start_n).tobytes() \
         == kernels._numpy_uniforms(*seed_start_n).tobytes()
-    stats, params = _generated_point(**point)
-    draws = kernels._draws(seed, 0, n)
-    arrays, scalars = kernels._sinr_inputs(draws, params, stats)
-    for code in range(4):
-        for users in (kernels.N_USERS, kernels.N_BS):
-            c = np.empty((kernels.N_USERS, n))
-            reference = np.empty((kernels.N_USERS, n))
-            sinr(c, *arrays, code, users, *scalars)
-            kernels._numpy_sinr(reference, *arrays, code, users, *scalars)
-            assert c[:users].tobytes() == reference[:users].tobytes(), \
-                (code, users)
+    _assert_numpy_sinr_bytes(sinr, n, seed, point)
 
 
 def _fail_to_load(monkeypatch, tmp_path):
