@@ -408,7 +408,7 @@ def active_backend() -> str:
     return "numpy" if _uniforms is _numpy_uniforms else "numpy+c"
 
 
-def compiled_isa():
+def compiled_isa() -> str | None:
     """The target of the C stages' clone that runs: "x86-64-v4",
     "x86-64-v3" or "default" (also a library built without clones), or None
     when the numpy stages run."""
