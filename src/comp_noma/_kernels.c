@@ -72,22 +72,21 @@ void comp_noma_uniforms(double *out, uint64_t seed, uint64_t start, size_t n)
     }
 }
 
-/* 1 + S/D of one scheme for the first `users` users (6, or the 3 near
- * users) into rows of the C-ordered (6, n) block out. d is the (18, n)
- * block of draws, row i*6 + u for link (BS i, user u), and w the 18 links'
- * -sigma_hat, so a gain is d * w. eps holds each user's rho * sigma_eps
- * sum. User u is served by BS u % 3; its interference I is the sum of its
- * two other links' gains in BS order, and a far user's total is I + g.
- * kernels._numpy_sinr takes the same arguments but n and runs these
- * statements in numpy, in this order: an edit to one is made to both.
+/* 1 + S/D of one scheme for each user into its row of the C-ordered (6, n)
+ * block out. d is the (18, n) block of draws, row i*6 + u for link (BS i,
+ * user u), and w the 18 links' -sigma_hat, so a gain is d * w. eps holds
+ * each user's rho * sigma_eps sum. User u is served by BS u % 3; its
+ * interference I is the sum of its two other links' gains in BS order, and
+ * a far user's total is I + g. kernels._numpy_sinr takes the same
+ * arguments but n and runs these statements in numpy, in this order: an
+ * edit to one is made to both.
  */
 CLONED
 void comp_noma_sinr(double *restrict out, const double *d, const double *w,
-                    const double *eps, int code, size_t users, double rho,
-                    double arho, double brho, double far_rho, double ups_rho,
-                    size_t n)
+                    const double *eps, int code, double rho, double arho,
+                    double brho, double far_rho, double ups_rho, size_t n)
 {
-    for (size_t u = 0; u < users; u++) {
+    for (size_t u = 0; u < N_USERS; u++) {
         size_t c = u % N_BS;
         size_t s = c * N_USERS + u;
         size_t i1 = (c == 0 ? 1 : 0) * N_USERS + u;

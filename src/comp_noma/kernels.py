@@ -115,14 +115,12 @@ def _draws(seed, start_trial, n):
 
 
 # The last block drawn of each size class, keyed by n < CHUNK_TRIALS, as
-# ((seed, start_trial, n), draws, far), each entry replaced whole so that a
+# ((seed, start_trial, n), draws), each entry replaced whole so that a
 # thread reads a key and its draws together; the draws are read-only, so
-# any thread may share them. far maps a scheme code to (_far_key, rows) of
-# scheme_rates' last call of that scheme on the short block, the tail that
-# a sweep's estimates at one seed and trial count share, and dies with it.
-# A miss drops its class's entry before drawing, so the held block is freed
-# before the next is allocated: a variant that kept full blocks alive while
-# it drew new ones made glibc trim and re-fault the heap on every chunk.
+# any thread may share them. A miss drops its class's entry before
+# drawing, so the held block is freed before the next is allocated: a
+# variant that kept full blocks alive while it drew new ones made glibc
+# trim and re-fault the heap on every chunk.
 _held = {}
 
 
@@ -142,7 +140,7 @@ def sample_gains(seed, start_trial, n):
     if held is None or held[0] != key:
         del held    # with the pop, frees the held block before the draw
         _held.pop(short, None)
-        held = _held[short] = key, _draws(seed, start_trial, n), {}
+        held = _held[short] = key, _draws(seed, start_trial, n)
     return held[1]
 
 
@@ -168,56 +166,27 @@ def scheme_rates(draws, scheme_code, params, stats):
     view of user-major memory: each user's rates over the chunk are
     contiguous. Each SINR is evaluated in the left-to-right order of its
     formula, so every rate is reproducible to the last bit: in one C pass
-    where the compiled stages run, in numpy passes where they do not. A
-    call on the short block sample_gains holds takes the far users' rows
-    that block keeps from the last such call of its scheme when everything
-    they read is unchanged.
+    where the compiled stages run, in numpy passes where they do not.
     """
     if scheme_code not in (OMA_CODE, NOMA_CODE, VPNOMA_CODE, COMP_VPNOMA_CODE):
         raise ValueError(f"unknown scheme code {scheme_code!r}")
-    far = key = far_rows = None
-    held = _held.get(True)
-    if held is not None and held[1] is draws:
-        far, key = held[2], _far_key(params, stats)
-        held_key, rows = far.get(scheme_code, (None, None))
-        far_rows = rows if held_key == key else None
     arrays, scalars = _sinr_inputs(draws, params, stats)
     out = _aligned_empty(N_USERS, draws.shape[0])
-    # given the far users' rows, only the near users' are formed
-    formed = out if far_rows is None else out[:N_BS]
-    _sinr(out, *arrays, scheme_code, len(formed), *scalars)
+    _sinr(out, *arrays, scheme_code, *scalars)
     # rate = share of the band * log2(1 + SINR): OMA gives each user half
     # the band, VP-NOMA and CoMP each far user a third, and every other
     # user has the whole band
-    np.log2(formed, out=formed)
+    np.log2(out, out=out)
     if scheme_code == OMA_CODE:
-        formed *= 0.5
-    elif scheme_code != NOMA_CODE and far_rows is None:
+        out *= 0.5
+    elif scheme_code != NOMA_CODE:
         out[N_BS:] *= 1.0 / 3.0
-    if far_rows is not None:
-        np.copyto(out[N_BS:], far_rows)
-    elif far is not None:
-        # copied after _sinr returns, so that a miss allocates no more at
-        # its peak than the kernel itself
-        far_rows = out[N_BS:].copy()
-        far_rows.flags.writeable = False
-        far[scheme_code] = key, far_rows
     return out.T
 
 
-def _far_key(params, stats):
-    """What the far users' rate rows read besides the draws: a far user's
-    SINR reads its own three links, its σ_ε sum, α (β follows from it) and
-    ρ, never υ or a near user."""
-    # σ̂ as (BS, near/far, cell): the far users' nine links
-    far_sigma = stats.sigma_hat.reshape(N_BS, 2, N_BS)[:, 1]
-    return (params.alpha, params.rho,
-            far_sigma.tobytes() + stats.eps_sums[N_BS:].tobytes())
-
-
 def _sinr_inputs(draws, params, stats):
-    """The arguments of _sinr but out, code and users: the arrays (d, w,
-    eps) and the scalars (ρ, αρ, βρ, (1 − α)ρ, ρυ). d holds the draws as
+    """The arguments of _sinr but out and code: the arrays (d, w, eps) and
+    the scalars (ρ, αρ, βρ, (1 − α)ρ, ρυ). d holds the draws as
     link-major float64 (18, n), row i*N_USERS + u for link (BS i, user u),
     copied only when the draws are not that already; w is −σ̂ per link, so
     that a gain draw × w is the same IEEE product as −log(u)·σ̂, negation
@@ -231,12 +200,11 @@ def _sinr_inputs(draws, params, stats):
                          (1.0 - alpha) * rho, rho * params.upsilon)
 
 
-def _numpy_sinr(out, d, w, eps, code, users, rho, arho, brho, far_rho,
-                ups_rho):
+def _numpy_sinr(out, d, w, eps, code, rho, arho, brho, far_rho, ups_rho):
     """comp_noma_sinr of _kernels.c in numpy, statement for statement: 1 +
-    S/D of the first `users` users into rows of out. The reference for the
-    C stage, and the stage that runs where that cannot be built."""
-    for u in range(users):
+    S/D of each user into its row of out. The reference for the C stage,
+    and the stage that runs where that cannot be built."""
+    for u in range(N_USERS):
         c = u % N_BS
         s = c * N_USERS + u
         i1 = (1 if c == 0 else 0) * N_USERS + u
@@ -352,8 +320,8 @@ def _load_stages():
 
 def _checked_stages(path):
     """The library's (uniforms, sinr, isa) when it loads and each stage
-    gives its numpy stage's bytes on _SELF_CHECK, sinr for every scheme code
-    and for six and three users; None otherwise."""
+    gives its numpy stage's bytes on _SELF_CHECK, sinr for every scheme
+    code; None otherwise."""
     try:
         library = ctypes.CDLL(path)
         fill, sinr = library.comp_noma_uniforms, library.comp_noma_sinr
@@ -365,7 +333,7 @@ def _checked_stages(path):
     fill.argtypes = (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64,
                      ctypes.c_size_t)
     fill.restype = None
-    sinr.argtypes = ((ctypes.c_void_p,) * 4 + (ctypes.c_int, ctypes.c_size_t)
+    sinr.argtypes = ((ctypes.c_void_p,) * 4 + (ctypes.c_int,)
                      + (ctypes.c_double,) * 5 + (ctypes.c_size_t,))
     sinr.restype = None
 
@@ -375,9 +343,9 @@ def _checked_stages(path):
         fill(out.ctypes.data, seed, start_trial, n)
         return out
 
-    def c_sinr(out, d, w, eps, *code_users_scalars):
+    def c_sinr(out, d, w, eps, *code_scalars):
         sinr(out.ctypes.data, d.ctypes.data, w.ctypes.data, eps.ctypes.data,
-             *code_users_scalars, out.shape[1])
+             *code_scalars, out.shape[1])
 
     # compared as bytes: np.array_equal would page in code that nothing
     # else runs, about 0.3 MB of resident memory
@@ -388,13 +356,12 @@ def _checked_stages(path):
     draws = block.reshape(N_BS, N_USERS, -1).transpose(2, 0, 1)
     arrays, scalars = _sinr_inputs(draws, _CHECK_POINT, _CHECK_POINT)
     for code in (OMA_CODE, NOMA_CODE, VPNOMA_CODE, COMP_VPNOMA_CODE):
-        for users in (N_USERS, N_BS):
-            c = _aligned_empty(N_USERS, _SELF_CHECK[2])
-            reference = _aligned_empty(N_USERS, _SELF_CHECK[2])
-            c_sinr(c, *arrays, code, users, *scalars)
-            _numpy_sinr(reference, *arrays, code, users, *scalars)
-            if c[:users].tobytes() != reference[:users].tobytes():
-                return None
+        c = _aligned_empty(N_USERS, _SELF_CHECK[2])
+        reference = _aligned_empty(N_USERS, _SELF_CHECK[2])
+        c_sinr(c, *arrays, code, *scalars)
+        _numpy_sinr(reference, *arrays, code, *scalars)
+        if c.tobytes() != reference.tobytes():
+            return None
     return c_uniforms, c_sinr, _ISA_NAMES[isa()]
 
 

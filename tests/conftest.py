@@ -27,11 +27,9 @@ def params_10db():
 
 @pytest.fixture(autouse=True)
 def no_held_blocks():
-    """A held draw block answers a draw call without drawing, an estimate's
-    chunk order follows the full block the draw kernel holds, and the held
-    short block's far rates answer a rate-kernel call on it, so every test
-    starts with no block and no far rates held, whichever tests ran
-    before."""
+    """A held draw block answers a draw call without drawing, and an
+    estimate's chunk order follows the full block the draw kernel holds, so
+    every test starts with no block held, whichever tests ran before."""
     kernels._held.clear()
 
 
@@ -49,30 +47,6 @@ def drawn(monkeypatch):
 
     monkeypatch.setattr(kernels, "_draws", counting)
     return blocks
-
-
-@pytest.fixture
-def far_lookups(monkeypatch):
-    """One entry per rate-kernel call that consults the far rates of the
-    held short block, in order: True where they answered with the far
-    users' rows, so that the kernel formed only the near users'."""
-    lookups = []
-    far_key, sinr = kernels._far_key, kernels._sinr
-
-    def keyed(*args):
-        key = far_key(*args)
-        if key is not None:
-            lookups.append(False)
-        return key
-
-    def forming(out, d, w, eps, code, users, *scalars):
-        if users == kernels.N_BS:
-            lookups[-1] = True
-        return sinr(out, d, w, eps, code, users, *scalars)
-
-    monkeypatch.setattr(kernels, "_far_key", keyed)
-    monkeypatch.setattr(kernels, "_sinr", forming)
-    return lookups
 
 
 @pytest.fixture

@@ -7,8 +7,6 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -48,11 +46,6 @@ def _held_draws(seed, start, n):
     if held is not None and held[0] == (seed, start, n):
         return held[1]
     return None
-
-
-def _far_rates():
-    """The far rates the held short block keeps, by scheme code."""
-    return kernels._held[True][2]
 
 
 def test_the_last_full_block_is_kept_and_never_displaces_the_short_one(
@@ -334,16 +327,14 @@ def test_held_blocks_equal_fresh_draws_and_a_miss_frees_its_class(requests):
 def test_kernels_allocate_one_block_of_scratch(monkeypatch, n):
     """Peak memory of one kernel call, in float64 rows of n trials.
 
-    Allowed: the call's output; 4 KiB of small objects; for a rate-kernel
-    call that misses the far rows of the held short block, the three far
-    rows it then keeps. The numpy draw stage may also take its six-link
-    uint64 scratch block, one 3-row temporary, and the buffers numpy's
-    iterator may take for a broadcast (6, 1) column, at most two of
-    min(bufsize, 6n) elements; a temporary that spans all 18 links of the
-    chunk breaks it. The numpy rate stage makes no broadcast and may take
-    six rows of one user's temporaries beside its (6, n) output, the
-    compiled rate stage that output alone, and a repeated draw of the
-    block the draw kernel holds under 4 KiB.
+    Allowed: the call's output and 4 KiB of small objects. The numpy draw
+    stage may also take its six-link uint64 scratch block, one 3-row
+    temporary, and the buffers numpy's iterator may take for a broadcast
+    (6, 1) column, at most two of min(bufsize, 6n) elements; a temporary
+    that spans all 18 links of the chunk breaks it. The numpy rate stage
+    makes no broadcast and may take six rows of one user's temporaries
+    beside its (6, n) output, the compiled rate stage that output alone,
+    and a repeated draw of the block the draw kernel holds under 4 KiB.
     """
     stats, params, seed = _rate_case("uneven")
     row = 8 * n
@@ -354,20 +345,15 @@ def test_kernels_allocate_one_block_of_scratch(monkeypatch, n):
     again, peak = _traced_peak(lambda: kernels.sample_gains(seed, 7 * n, n))
     assert again is draws
     assert peak < small, peak
-    kept = 3 * row if n < kernels.CHUNK_TRIALS else 0
     for stage in {kernels._sinr, kernels._numpy_sinr}:
         monkeypatch.setattr(kernels, "_sinr", stage)
         scratch = 6 * row if stage is kernels._numpy_sinr else 0
         for code in (kernels.OMA_CODE, kernels.NOMA_CODE, kernels.VPNOMA_CODE,
                      kernels.COMP_VPNOMA_CODE):
-            if kept:
-                _far_rates().clear()
-            # a miss of the held far rows keeps them, and a repeat hits
-            for extra in (kept, 0):
-                _, peak = _traced_peak(lambda: kernels.scheme_rates(
-                    draws, code, params, stats))
-                assert peak < kernels.N_USERS * row + extra + scratch + small, \
-                    (stage.__name__, code, extra, peak / row)
+            _, peak = _traced_peak(lambda: kernels.scheme_rates(
+                draws, code, params, stats))
+            assert peak < kernels.N_USERS * row + scratch + small, \
+                (stage.__name__, code, peak / row)
 
 
 _radius = st.floats(1e-5, 1.0)
@@ -400,77 +386,21 @@ def _generated_point(near, far, sigma_eps, exponent, alpha, rho_db, upsilon):
 def test_rates_match_the_printed_formulas_on_generated_inputs(seed, **point):
     """Every scheme's rates equal rates_reference per draw, down to users a
     hundred thousandth of the cell radius from their base station, where a
-    serving gain dwarfs the interference by many orders of magnitude."""
+    serving gain dwarfs the interference by many orders of magnitude. CoMP
+    forms its near users' rates as VP-NOMA does, to the byte."""
     stats, params = _generated_point(**point)
     n = 64
     draws = kernels.sample_gains(seed, 0, n)
     gains = kernel_gains(seed, 0, n, stats.sigma_hat)
+    rates = [kernels.scheme_rates(draws, code, params, stats)
+             for code in range(4)]
     for code in range(4):
         np.testing.assert_allclose(
-            kernels.scheme_rates(draws, code, params, stats),
-            rates_reference(gains, code, params, stats), rtol=5e-13, atol=0.0,
-            err_msg=f"scheme code {code}")
-
-
-def _rates_bits(draws, code, params, stats):
-    """The bytes of a rate-kernel call on the held short block and of the
-    same call made with its far rates empty; they are left as the first
-    call left them."""
-    rates = kernels.scheme_rates(draws, code, params, stats).tobytes()
-    far = _far_rates()
-    memo = dict(far)
-    far.clear()
-    fresh = kernels.scheme_rates(draws, code, params, stats).tobytes()
-    far.clear()
-    far.update(memo)
-    return rates, fresh
-
-
-_eps9 = st.lists(st.floats(0.0, 0.01), min_size=9, max_size=9)
-# what the far users' rates read, and what only the near users' read
-_far_inputs = st.tuples(st.tuples(_radius, _radius, _radius), _eps9,
-                        st.floats(2.0, 6.0), st.floats(1e-3, 0.249),
-                        st.floats(-10.0, 40.0))
-_near_inputs = st.tuples(st.tuples(_radius, _radius, _radius), _eps9,
-                         st.floats(0.0, 0.1))
-# which far inputs a step keeps: all of them, all but one, or any subset
-_keeps = st.one_of(
-    st.just((True,) * 5),
-    st.sampled_from([tuple(j != i for j in range(5)) for i in range(5)]),
-    st.tuples(*[st.booleans()] * 5))
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
-@given(seed=st.integers(0, 2**64 - 1),
-       n=st.sampled_from([1, 576, 1696, 2000, kernels.CHUNK_TRIALS - 1]),
-       first=_far_inputs,
-       steps=st.lists(st.tuples(_keeps, _near_inputs, _far_inputs),
-                      min_size=1, max_size=6))
-def test_held_far_rates_give_the_rates_of_an_empty_memo(seed, n, first,
-                                                        steps):
-    """Over a sequence of steps on the held short block, each keeping the
-    far users' inputs or changing some of them and calling every scheme,
-    each result is bit-identical to the same call made with the far-rate
-    memo empty, and a step that keeps every far input takes the held far
-    rows."""
-    kernels._held.clear()
-    draws = kernels.sample_gains(seed, 0, n)
-    far = first
-    for step, (keeps, (near, near_eps, upsilon), changed) in enumerate(steps):
-        far = tuple(old if keep else new
-                    for old, keep, new in zip(far, keeps, changed))
-        radii, far_eps, exponent, alpha, rho_db = far
-        eps = np.hstack([np.reshape(near_eps, (3, 3)),
-                         np.reshape(far_eps, (3, 3))])
-        stats = link_statistics(build_layout(near, radii), exponent, eps)
-        params = SystemParams(alpha=alpha, rho=db_to_linear(rho_db),
-                              upsilon=upsilon)
-        for code in range(4):
-            held = _far_rates().get(code)
-            rates, fresh = _rates_bits(draws, code, params, stats)
-            assert rates == fresh, (code, keeps)
-            if step and all(keeps):
-                assert _far_rates()[code] is held
+            rates[code], rates_reference(gains, code, params, stats),
+            rtol=5e-13, atol=0.0, err_msg=f"scheme code {code}")
+    near = slice(0, kernels.N_BS)
+    assert rates[kernels.COMP_VPNOMA_CODE].T[near].tobytes() \
+        == rates[kernels.VPNOMA_CODE].T[near].tobytes()
 
 
 def _variant(name, code):
@@ -505,89 +435,33 @@ def _variant(name, code):
     return seed, code, stats, params
 
 
-_FAR_KEY_CASES = {  # the input a second call changes -> whether it hits
-    "near radius": True, "near-link sigma_eps": True, "upsilon": True,
-    "far radius": False, "far-link sigma_eps": False,
-    "far-link sigma_eps, sigma_hat kept": False, "alpha": False,
-    "rho": False, "scheme": False, "block": False,
+# the input a second call changes -> the scheme codes whose far users'
+# SINRs read it. A far user's SINR reads its own three links, its σ_ε sum
+# and ρ, and α (β follows from it) unless the scheme is OMA, code 0; never
+# υ or a near user.
+_VARIANTS = {
+    "near radius": (), "near-link sigma_eps": (), "upsilon": (),
+    "far radius": range(4), "far-link sigma_eps": range(4),
+    "far-link sigma_eps, sigma_hat kept": range(4), "alpha": range(1, 4),
+    "rho": range(4), "scheme": range(4), "block": range(4),
 }
 
 
 @pytest.mark.parametrize("code", range(4))
-@pytest.mark.parametrize("name", list(_FAR_KEY_CASES))
-def test_a_change_to_a_far_input_misses_the_held_far_rates(
-        far_lookups, name, code):
-    """After a call of the "uneven" case on the held short block, a second
-    call that changes one input takes the held far rows exactly when the
-    far users' rates do not read that input, and gives the rates of an
-    empty memo either way."""
+@pytest.mark.parametrize("name", list(_VARIANTS))
+def test_a_change_to_a_far_input_misses_the_held_far_rates(name, code):
+    """After a call of the "uneven" case, a second call that changes one
+    input gives the far users' rate rows of the first, to the byte, exactly
+    when the scheme's far users' SINRs do not read that input."""
     stats, params, seed = _rate_case("uneven")
-    kernels.scheme_rates(kernels.sample_gains(seed, 0, 576), code, params,
-                         stats)
-    seed, code, stats, params = _variant(name, code)
-    rates, fresh = _rates_bits(kernels.sample_gains(seed, 0, 576), code,
-                               params, stats)
-    # the third lookup is the empty memo's
-    assert far_lookups == [False, _FAR_KEY_CASES[name], False]
-    assert rates == fresh
-
-
-def test_held_far_rates_are_three_rows_that_hold_no_draws(far_lookups):
-    """The held short block keeps, per scheme, the far users' three rows of
-    its last call in memory of their own, read-only, under a key that holds
-    no array; full chunks and arrays other than the held short block never
-    consult them, and the next short block drawn frees them."""
-    stats, params, seed = _rate_case("uneven")
-    draws = kernels.sample_gains(seed, 0, 2000)
-    for code in range(4):
-        rates = kernels.scheme_rates(draws, code, params, stats)
-        key, rows = _far_rates()[code]
-        assert not any(isinstance(field, np.ndarray) for field in key)
-        assert rows.base is None and not rows.flags.writeable
-        assert np.array_equal(rows, rates.T[kernels.N_BS:])
-    held = dict(_far_rates())
-    kernels.scheme_rates(np.ascontiguousarray(draws), 3, params, stats)
-    kernels.scheme_rates(kernels.sample_gains(seed, 0, kernels.CHUNK_TRIALS),
-                         3, params, stats)
-    assert far_lookups == [False] * 4
-    assert _far_rates() == held
-    assert all(_far_rates()[code] is held[code] for code in range(4))
-    freed = [weakref.ref(rows) for _, rows in held.values()]
-    del held, rows, rates, draws
-    kernels.sample_gains(seed + 1, 0, 2000)
-    assert _far_rates() == {}
-    assert [ref() for ref in freed] == [None] * 4
-
-
-def test_threads_that_share_the_far_rate_memo_get_the_rates_of_an_empty_memo():
-    """Four threads call every scheme on the held short block at three
-    inputs, one a far input, with a 1 µs switch interval; each result
-    equals the same call made with the block's far rates empty."""
-    stats, params, seed = _rate_case("uneven")
-    draws = kernels.sample_gains(seed, 0, 576)
-    cases = [(code, case_params) for code in range(4)
-             for case_params in (params, dataclasses.replace(params, rho=11.0),
-                                 dataclasses.replace(params, upsilon=0.05))]
-    expected = []
-    for code, case_params in cases:
-        _far_rates().clear()
-        expected.append(kernels.scheme_rates(draws, code, case_params,
-                                             stats).tobytes())
-    _far_rates().clear()
-
-    def call(code, case_params):
-        return kernels.scheme_rates(draws, code, case_params, stats).tobytes()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(call, *case) for _ in range(20)
-                       for case in cases]
-            results = [future.result(timeout=60) for future in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert results == expected * 20
+    first = kernels.scheme_rates(kernels.sample_gains(seed, 0, 576), code,
+                                 params, stats)
+    seed, changed_code, stats, params = _variant(name, code)
+    second = kernels.scheme_rates(kernels.sample_gains(seed, 0, 576),
+                                  changed_code, params, stats)
+    far = slice(kernels.N_BS, kernels.N_USERS)
+    assert (first.T[far].tobytes() == second.T[far].tobytes()) \
+        == (code not in _VARIANTS[name])
 
 
 # With a compiler on the path the C stage must build, load and pass its
@@ -627,26 +501,23 @@ def test_c_uniforms_are_the_numpy_stages_bit_for_bit(seed, start, n):
 def test_the_compiled_sinr_pass_gives_the_numpy_kernels_bytes(n, seed,
                                                               **point):
     """On generated layouts and points, the compiled rate stage gives the
-    bytes of _numpy_sinr for every scheme, for all six users and for the
-    three near users that a call beside held far rows forms."""
+    bytes of _numpy_sinr for every scheme."""
     assert kernels.active_backend() == "numpy+c"
     _assert_numpy_sinr_bytes(kernels._sinr, n, seed, point)
 
 
 def _assert_numpy_sinr_bytes(sinr, n, seed, point):
     """sinr gives _numpy_sinr's bytes on n trials of a generated point, for
-    every scheme, for six users and for three."""
+    every scheme."""
     stats, params = _generated_point(**point)
     draws = kernels._draws(seed, 0, n)
     arrays, scalars = kernels._sinr_inputs(draws, params, stats)
     for code in range(4):
-        for users in (kernels.N_USERS, kernels.N_BS):
-            c = np.empty((kernels.N_USERS, n))
-            reference = np.empty((kernels.N_USERS, n))
-            sinr(c, *arrays, code, users, *scalars)
-            kernels._numpy_sinr(reference, *arrays, code, users, *scalars)
-            assert c[:users].tobytes() == reference[:users].tobytes(), \
-                (code, users)
+        c = np.empty((kernels.N_USERS, n))
+        reference = np.empty((kernels.N_USERS, n))
+        sinr(c, *arrays, code, *scalars)
+        kernels._numpy_sinr(reference, *arrays, code, *scalars)
+        assert c.tobytes() == reference.tobytes(), code
 
 
 def _cc_macros():
@@ -721,7 +592,7 @@ def test_every_clone_level_gives_the_numpy_stages_bytes(
     the blocks of test_c_uniforms_are_the_numpy_stages_bit_for_bit, and its
     1 + SINR on the points of
     test_the_compiled_sinr_pass_gives_the_numpy_kernels_bytes, for every
-    scheme with six and with three users."""
+    scheme."""
     if level not in one_target_stages:
         pytest.skip(f"this CPU does not run {level}")
     uniforms, sinr = one_target_stages[level]
@@ -770,9 +641,9 @@ def _fail_the_self_check(monkeypatch, tmp_path):
 
 
 def _fail_the_sinr_check(monkeypatch, tmp_path):
-    def constant(out, d, w, eps, code, users, *scalars_and_n):
+    def constant(out, d, w, eps, code, *scalars_and_n):
         # every 1 + SINR about 4.8e-4: a wrong value whose log2 is finite
-        ctypes.memset(out, 0x3F, 8 * users * scalars_and_n[-1])
+        ctypes.memset(out, 0x3F, 8 * kernels.N_USERS * scalars_and_n[-1])
     monkeypatch.setattr(ctypes, "CDLL", _with_wrong(comp_noma_sinr=constant))
 
 

@@ -87,7 +87,7 @@ def test_two_workers_reproduce_one_exactly(default_stats, params_20db,
     tail = (6, 4 * kernels.CHUNK_TRIALS, 123)
     assert [block for block in drawn if block[2] < kernels.CHUNK_TRIALS] \
         == [tail]
-    key, held, _ = kernels._held[True]
+    key, held = kernels._held[True]
     assert key == tail and kernels.sample_gains(*tail) is held
     assert drawn.count(tail) == 1
 
@@ -142,9 +142,9 @@ def test_estimates_depend_on_neither_the_held_blocks_nor_the_workers(
     """After draw and rate-kernel calls on the estimate's own chunks, on
     them at the next seed and on blocks of other sizes at its chunk starts,
     at points that keep or change the far users' inputs and with its own
-    or another scheme, which leave the draw kernel holding any blocks and
-    far rates, an estimate at any worker count equals, field for field, a
-    one-worker estimate made with nothing held."""
+    or another scheme, which leave the draw kernel holding any blocks, an
+    estimate at any worker count equals, field for field, a one-worker
+    estimate made with nothing held."""
     stats, params = _POINTS[0]
     n_chunks = -(-trials // _CHUNK)
     kernels._held.clear()
