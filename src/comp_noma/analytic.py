@@ -6,17 +6,18 @@ That expectation reduces to a weighted sum of ln(shift) + exp(z)E1(z) values,
 which this module evaluates without ever forming exp(z) on its own: the
 continued fraction computes the scaled product exp(z)E1(z) directly, so large
 arguments neither overflow nor cancel. Closed forms exist only for the CoMP
-scheme; baselines are Monte-Carlo only.
+scheme; baselines are Monte-Carlo only. The six user rates that the total
+adds come from comp_noma_user_rates, a compiled stage of kernels, wherever
+the kernels' compiled stages run; the Python statements here are its twin,
+which runs everywhere else and wherever it defers.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .channel import LinkStatistics
 from .geometry import _all_real, _is_real
-from .schemes import SystemParams
 
 _LN2 = math.log(2.0)
 _EULER_GAMMA = 0.5772156649015328606
@@ -180,11 +181,11 @@ def hypoexp_log2_mean(rates, shift: float) -> float:
     return _log2_mean(rates.tolist(), shift, {})
 
 
-def _near_values(sigma: list, eps: list, params: SystemParams) -> list:
+def _near_values(sigma: list, eps: list, alpha: float, rho: float,
+                 upsilon: float) -> list:
     # rates of the three near users over the whole band
-    rho = params.rho
-    residual = rho * params.upsilon
-    scale = params.alpha * rho
+    residual = rho * upsilon
+    scale = alpha * rho
     e1 = {}
     values = []
     for j in range(3):
@@ -207,26 +208,41 @@ def _far_value(sigma: tuple, eps: float, alpha: float, beta: float,
         - _log2_mean(interference_rates, shift, e1)
 
 
-# The far users' three rates read nothing but these arguments, which a sweep
-# over the near users' radius keeps fixed.
-@lru_cache(maxsize=1)
-def _far_values(sigma: tuple, eps: tuple, alpha: float, beta: float,
-                rho: float) -> tuple:
+def _python_user_rates(sigma_hat, eps_sums, alpha: float, beta: float,
+                       rho: float, upsilon: float) -> list:
+    """comp_noma_user_rates of _kernels.c in Python, statement for
+    statement: the near users' rates (1, 2, 3) and the far users' (A, B, C)
+    over the whole band, from the (3, 6) sigma_hat and the (6,) sigma_eps
+    sums. The reference for the C stage, and the stage that runs where the
+    C stage does not or defers, so that it raises what it always raised."""
+    # per-user sigma_hat columns, as tuples, and sigma_eps sums, as Python
+    # floats
+    sigma = list(zip(*sigma_hat.tolist()))
+    eps = eps_sums.tolist()
     e1 = {}
-    return tuple(_far_value(s, e, alpha, beta, rho, e1)
-                 for s, e in zip(sigma, eps))
+    return _near_values(sigma, eps, alpha, rho, upsilon) + [
+        _far_value(s, e, alpha, beta, rho, e1)
+        for s, e in zip(sigma[3:], eps[3:])]
+
+
+# kernels checks its closed-form stage against _python_user_rates when it
+# loads, so it is imported once the statements above are defined; so is
+# schemes, which imports kernels.
+from . import kernels
+from .schemes import SystemParams
 
 
 def _user_rates(stats: LinkStatistics, params: SystemParams) -> tuple:
     """The near users' rates (1, 2, 3) and the far users' (A, B, C) over the
-    whole band, before a far user's third of it; the far ones from the memo."""
-    # per-user sigma_hat columns, as tuples, and sigma_eps sums, as Python
-    # floats
-    sigma = list(zip(*stats.sigma_hat.tolist()))
-    eps = stats.eps_sums.tolist()
-    return _near_values(sigma, eps, params), _far_values(
-        tuple(sigma[3:]), tuple(eps[3:]), params.alpha, params.beta,
-        params.rho)
+    whole band, before a far user's third of it: from one call of the
+    compiled stage, or from the Python statements where it does not run or
+    defers."""
+    inputs = (stats.sigma_hat, stats.eps_sums, params.alpha, params.beta,
+              params.rho, params.upsilon)
+    rates = kernels._rates(*inputs)
+    if rates is None:
+        rates = _python_user_rates(*inputs)
+    return rates[:3], rates[3:]
 
 
 def total_esc_closed(stats: LinkStatistics, params: SystemParams) -> float:
@@ -234,9 +250,10 @@ def total_esc_closed(stats: LinkStatistics, params: SystemParams) -> float:
 
     Adds twelve terms, sub-band by sub-band: the three near users' and then
     that sub-band's far user's, each max(rate * (1/3), 0.0), a third of
-    the user's whole-band rate. Each near user's rate and each
-    exp(z)E1(z) argument is evaluated once per call, and the far users'
-    rates once while their inputs stay the same.
+    the user's whole-band rate. The six rates come from one call of the
+    compiled stage or of the Python statements, which evaluate each
+    exp(z)E1(z) argument of the near users' rates, and each of the far
+    users', once.
     """
     near, far = _user_rates(stats, params)
     # each term is max(term, 0.0), which keeps a NaN or -0.0 term as it is

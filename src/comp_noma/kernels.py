@@ -4,9 +4,11 @@ Everything the Monte-Carlo estimator does per trial lives here, as
 vectorized numpy, except two compiled stages in _kernels.c: the draw
 kernel's uniforms and the rate kernel's 1 + SINR. Each has a numpy stage
 of the same signature; the rate kernel's, _numpy_sinr, is the C function
-comp_noma_sinr statement for statement. Where the library builds and
-gives the numpy stages' bits on a small block, both C stages run; the
-numpy stages run everywhere else, to the same bits. Draws come from a
+comp_noma_sinr statement for statement. The same library holds a third
+stage, the closed form's user rates, whose twin is
+analytic._python_user_rates. Where the library builds and gives its twins'
+bits on small inputs, all three C stages run; the numpy stages and the
+Python statements run everywhere else, to the same bits. Draws come from a
 counter-based stream, so a draw depends only on (seed, trial, link) and
 never on call order, chunking, thread count or the stage that ran.
 """
@@ -246,7 +248,23 @@ _CHECK_POINT = SimpleNamespace(
     alpha=0.07, beta=(1.0 - 0.07) / 3.0, rho=77.0, upsilon=0.03,
     sigma_hat=np.linspace(0.05, 3.0, N_LINKS).reshape(N_BS, N_USERS),
     eps_sums=np.linspace(1e-3, 6e-3, N_USERS))
-_NUMPY_STAGES = _numpy_uniforms, _numpy_sinr, None
+# The closed form's rate stage at a second point, _CHECK_POINT at -200 dB:
+# its exp(z)E1(z) arguments reach 1e20, where the continued fraction takes
+# its second pass; and at a third, whose links to each user are equal, so
+# that every user's rates are spread.
+_CHECK_RATES_POINTS = (
+    _CHECK_POINT, SimpleNamespace(**dict(vars(_CHECK_POINT), rho=1e-20)),
+    SimpleNamespace(**dict(vars(_CHECK_POINT), sigma_hat=np.repeat(
+        _CHECK_POINT.sigma_hat[:1], N_BS, axis=0))))
+
+
+def _uncompiled_rates(sigma_hat, eps_sums, alpha, beta, rho, upsilon):
+    """The closed-form rate stage where the C stages do not run: no rates,
+    so that analytic._user_rates runs its Python statements."""
+    return None
+
+
+_NUMPY_STAGES = _numpy_uniforms, _numpy_sinr, _uncompiled_rates, None
 # comp_noma_isa's levels by the names of their clones' targets
 _ISA_NAMES = {4: "x86-64-v4", 3: "x86-64-v3", 0: "default"}
 
@@ -258,14 +276,15 @@ def _library_path():
 
 
 def _load_stages():
-    """(uniforms, sinr, isa), the stages _draws and scheme_rates run and
-    the target of the C stages' clone that runs: the C stages when the
-    library builds, loads and gives the numpy stages' bits, else the numpy
-    stages and None, as on a host with no compiler or a read-only package
-    directory. A cached library that fails to load or to pass that check is
-    removed and built once more; a new build that fails the check leaves a
-    .failed file of the library's name, so that later imports with the same
-    source and command build nothing."""
+    """(uniforms, sinr, rates, isa), the stages that _draws, scheme_rates
+    and analytic._user_rates run and the target of the C stages' clone that
+    runs: the C stages when the library builds, loads and gives its twins'
+    bits, else the numpy stages, _uncompiled_rates and None, as on a host
+    with no compiler or a read-only package directory. A cached library
+    that fails to load or to pass that check is removed and built once
+    more; a new build that fails the check leaves a .failed file of the
+    library's name, so that later imports with the same source and command
+    build nothing."""
     library = _library_path()
     failed = library[:-len(".so")] + ".failed"
     if os.path.exists(library):
@@ -319,13 +338,14 @@ def _load_stages():
 
 
 def _checked_stages(path):
-    """The library's (uniforms, sinr, isa) when it loads and each stage
-    gives its numpy stage's bytes on _SELF_CHECK, sinr for every scheme
-    code; None otherwise."""
+    """The library's (uniforms, sinr, rates, isa) when it loads and each
+    stage gives its twin's bytes: uniforms and sinr their numpy stages' on
+    _SELF_CHECK, sinr for every scheme code, and rates
+    analytic._python_user_rates' at _CHECK_RATES_POINTS; None otherwise."""
     try:
         library = ctypes.CDLL(path)
         fill, sinr = library.comp_noma_uniforms, library.comp_noma_sinr
-        isa = library.comp_noma_isa
+        rates, isa = library.comp_noma_user_rates, library.comp_noma_isa
     except (OSError, AttributeError):
         return None
     isa.argtypes = ()
@@ -336,6 +356,9 @@ def _checked_stages(path):
     sinr.argtypes = ((ctypes.c_void_p,) * 4 + (ctypes.c_int,)
                      + (ctypes.c_double,) * 5 + (ctypes.c_size_t,))
     sinr.restype = None
+    links, users = ctypes.c_double * N_LINKS, ctypes.c_double * N_USERS
+    rates.argtypes = (users, links, users) + (ctypes.c_double,) * 4
+    rates.restype = ctypes.c_int
 
     # ctypes releases the GIL for each call
     def c_uniforms(seed, start_trial, n):
@@ -346,6 +369,19 @@ def _checked_stages(path):
     def c_sinr(out, d, w, eps, *code_scalars):
         sinr(out.ctypes.data, d.ctypes.data, w.ctypes.data, eps.ctypes.data,
              *code_scalars, out.shape[1])
+
+    def c_rates(sigma_hat, eps_sums, alpha, beta, rho, upsilon):
+        """The six rates as a list, or None where the C stage defers to
+        the Python statements. The arrays are copied: a ctypes copy of
+        144 bytes costs less than reading a numpy array's address."""
+        out = users()
+        if rates(out, links.from_buffer_copy(
+                     np.ascontiguousarray(sigma_hat, np.float64)),
+                 users.from_buffer_copy(
+                     np.ascontiguousarray(eps_sums, np.float64)),
+                 alpha, beta, rho, upsilon):
+            return None
+        return out[:]
 
     # compared as bytes: np.array_equal would page in code that nothing
     # else runs, about 0.3 MB of resident memory
@@ -362,17 +398,28 @@ def _checked_stages(path):
         _numpy_sinr(reference, *arrays, code, *scalars)
         if c.tobytes() != reference.tobytes():
             return None
-    return c_uniforms, c_sinr, _ISA_NAMES[isa()]
+    # analytic is imported by now at least as far as its Python statements
+    from .analytic import _python_user_rates
+    for point in _CHECK_RATES_POINTS:
+        inputs = (point.sigma_hat, point.eps_sums, point.alpha, point.beta,
+                  point.rho, point.upsilon)
+        c = c_rates(*inputs)
+        if c is None or np.array(c).tobytes() \
+                != np.array(_python_user_rates(*inputs)).tobytes():
+            return None
+    return c_uniforms, c_sinr, c_rates, _ISA_NAMES[isa()]
 
 
-_uniforms, _sinr, _isa = _load_stages()
+_uniforms, _sinr, _rates, _isa = _load_stages()
 
 
 def active_backend() -> str:
-    """Which stages the kernels run: "numpy+c" when the draw kernel's
-    uniforms and the rate kernel's 1 + SINR come from the C stages, "numpy"
-    when every stage is numpy's."""
-    return "numpy" if _uniforms is _numpy_uniforms else "numpy+c"
+    """Which stages run: "numpy+c" when the draw kernel's uniforms, the
+    rate kernel's 1 + SINR and the closed form's user rates all come from
+    the C stages, "numpy" otherwise."""
+    compiled = (_uniforms is not _numpy_uniforms and _sinr is not _numpy_sinr
+                and _rates is not _uncompiled_rates)
+    return "numpy+c" if compiled else "numpy"
 
 
 def compiled_isa() -> str | None:

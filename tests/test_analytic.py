@@ -405,12 +405,56 @@ def test_e1_scaled_matches_the_plain_loops_bitwise():
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("group", list(CLOSED_FORM_INPUTS))
+def test_the_python_statements_give_the_pinned_closed_form(monkeypatch,
+                                                          group):
+    """The Python statements, which run where the compiled rate stage does
+    not, give the digests of test_closed_form_is_bit_exact."""
+    monkeypatch.setattr(kernels, "_rates", kernels._uncompiled_rates)
+    values = [closed_form_values(stats, params)
+              for stats, params in CLOSED_FORM_INPUTS[group]]
+    assert_pinned(values, CLOSED_FORM_DIGESTS[group], group)
+
+
+def _rejected_inputs(name):
+    """(stats, params) on which the Python statements raise: every rate
+    1/inf = 0, which the spread cannot separate; a product alpha rho
+    sigma_hat that underflows to 0; and exp(z)E1(z) arguments z = inf, at
+    which the continued fraction never converges."""
+    if name == "DegenerateRatesError":
+        sigma_hat, sigma_eps, rho = np.full((3, 6), 1e308), 0.0, 100.0
+    elif name == "ZeroDivisionError":
+        sigma_hat, sigma_eps, rho = np.full((3, 6), 5e-324), 0.0, 1.0
+    else:
+        sigma_hat, sigma_eps, rho = np.full((3, 6), 1e-309), 1.0, 1e10
+    return (LinkStatistics(sigma_hat, np.full((3, 6), sigma_eps)),
+            SystemParams(alpha=0.1, rho=rho, upsilon=0.01))
+
+
+@pytest.mark.parametrize("name", ["DegenerateRatesError", "ZeroDivisionError",
+                                  "ArithmeticError"])
+def test_the_compiled_stage_defers_what_python_rejects(name):
+    """Where a Python statement raises, the compiled stage returns no rates,
+    and total_esc_closed raises what the Python statements raise."""
+    stats, params = _rejected_inputs(name)
+    inputs = (stats.sigma_hat, stats.eps_sums, params.alpha, params.beta,
+              params.rho, params.upsilon)
+    with pytest.raises(Exception) as python:
+        analytic._python_user_rates(*inputs)
+    assert type(python.value).__name__ == name
+    assert kernels._rates(*inputs) is None
+    with pytest.raises(type(python.value)) as total:
+        total_esc_closed(stats, params)
+    assert str(total.value) == str(python.value)
+
+
 def test_total_evaluates_each_e1_argument_once(monkeypatch, default_stats,
                                                params_20db):
     # 27 = three rates per near user plus three signal and three interference
     # rates per far user, since a near user's rates without its serving link
     # are a subset of its own. When the spread inside the log-mean moves
     # them differently, a near user has up to 3 + 2 arguments: 33 in all.
+    # Counted on the Python statements, which the compiled stage follows.
     arguments = []
     e1_scaled = analytic._e1_scaled
 
@@ -418,72 +462,13 @@ def test_total_evaluates_each_e1_argument_once(monkeypatch, default_stats,
         arguments.append(z)
         return e1_scaled(z)
 
+    monkeypatch.setattr(kernels, "_rates", kernels._uncompiled_rates)
     monkeypatch.setattr(analytic, "_e1_scaled", counted)
-    analytic._far_values.cache_clear()
     total_esc_closed(default_stats, params_20db)
     assert len(arguments) == len(set(arguments)) == 13
     for group, inputs in CLOSED_FORM_INPUTS.items():
         for stats, params in inputs:
             arguments.clear()
-            analytic._far_values.cache_clear()
             total_esc_closed(stats, params)
             bound = 33 if group == "coincident" else 27
             assert len(arguments) == len(set(arguments)) <= bound, group
-
-
-def test_far_values_are_kept_while_their_inputs_stay(monkeypatch,
-                                                     default_stats,
-                                                     params_20db):
-    arguments = []
-    e1_scaled = analytic._e1_scaled
-
-    def counted(z):
-        arguments.append(z)
-        return e1_scaled(z)
-
-    def cold(stats, params):
-        far_values.cache_clear()
-        return total_esc_closed(stats, params)
-
-    # records what each total_esc_closed call got from the far memo
-    far_values = analytic._far_values
-    returned = []
-
-    def recorded(*args):
-        returned.append(far_values(*args))
-        return returned[-1]
-
-    monkeypatch.setattr(analytic, "_far_values", recorded)
-    monkeypatch.setattr(analytic, "_e1_scaled", counted)
-    first = cold(default_stats, params_20db)
-    arguments.clear()
-    assert total_esc_closed(default_stats, params_20db) == first
-    # only the near users' arguments: 5 of the 13 at this point
-    assert len(arguments) == 5
-
-    def with_link(name, i, u, factor):
-        stats = {"sigma_hat": default_stats.sigma_hat.copy(),
-                 "sigma_eps": default_stats.sigma_eps.copy()}
-        stats[name][i, u] *= factor
-        return LinkStatistics(**stats)
-
-    replace = dataclasses.replace
-    far_inputs = [
-        (default_stats, replace(params_20db, alpha=0.12)),
-        (default_stats, replace(params_20db, rho=params_20db.rho * 1.01)),
-        (with_link("sigma_hat", 1, 4, 1.5), params_20db),
-        (with_link("sigma_eps", 2, 5, 2.0), params_20db),
-    ]
-    near_inputs = [
-        (with_link("sigma_hat", 0, 0, 1.5), params_20db),
-        (with_link("sigma_eps", 1, 2, 2.0), params_20db),
-        (default_stats, replace(params_20db, upsilon=0.02)),
-    ]
-    for inputs, hit in ((far_inputs, False), (near_inputs, True)):
-        for stats, params in inputs:
-            total_esc_closed(default_stats, params_20db)
-            hits = far_values.cache_info().hits
-            warm = total_esc_closed(stats, params)
-            assert far_values.cache_info().hits == hits + hit
-            assert (returned[-1] is returned[-2]) == hit
-            assert warm == cold(stats, params)

@@ -10,7 +10,7 @@ from comp_noma import (ConfigError, InfeasibleCsiError, SchemeId, SweepConfig,
                        SweepKind, SystemParams, build_layout, db_to_linear,
                        derive_link_statistics, emit_plot, parse_config,
                        read_results, run_sweep, write_results)
-from comp_noma import analytic, harness, kernels
+from comp_noma import harness, kernels
 from comp_noma.montecarlo import estimate_esc
 from oracles import largest_accepted, sweep_point_passes
 
@@ -276,9 +276,9 @@ class TestRunSweep:
         assert rows[-1].esc_mc > rows[0].esc_mc
 
     def test_memo_hit_shares_match_the_readme(self, monkeypatch, drawn):
-        """Over five sweeps, each started cold: the draw calls, the short
-        and the full blocks drawn, and the far-term memo's hits and misses.
-        A draw call that draws no block is answered by a held one."""
+        """Over five sweeps, each started cold: the draw calls and the
+        short and the full blocks drawn. A draw call that draws no block is
+        answered by a held one."""
         calls = []
         sample_gains = kernels.sample_gains
 
@@ -290,32 +290,29 @@ class TestRunSweep:
 
         def hits(config):
             cfg = parse_config(config)
-            analytic._far_values.cache_clear()
             kernels._held.clear()
             calls.clear()
             drawn.clear()
             run_sweep(cfg)
             short = sum(n < kernels.CHUNK_TRIALS for _, _, n in drawn)
-            return [len(calls), short, len(drawn) - short,
-                    analytic._far_values.cache_info()[:2]]
+            return [len(calls), short, len(drawn) - short]
 
-        # 200 one-chunk CoMP estimates: only the near users move
+        # 200 one-chunk CoMP estimates
         assert hits("sweep=near-radius\nsteps=200\ntrials=2000\n"
-                    "schemes=comp-vpnoma") == [200, 1, 0, (199, 1)]
+                    "schemes=comp-vpnoma") == [200, 1, 0]
         # the default SNR sweep's 36 estimates, each a full chunk and the
-        # default tail of 1,696 trials; rho moves at every point. Each
-        # estimate after the first starts on the full chunk the one before
-        # it ended on.
+        # default tail of 1,696 trials. Each estimate after the first starts
+        # on the full chunk the one before it ended on.
         trials = kernels.CHUNK_TRIALS + 100_000 % kernels.CHUNK_TRIALS
-        assert hits(f"trials={trials}") == [72, 1, 1, (0, 9)]
+        assert hits(f"trials={trials}") == [72, 1, 1]
         # the default SNR sweep itself: 12 full chunks per estimate, 432
         # drawn when every estimate drew all of its own
-        assert hits("") == [468, 1, 397, (0, 9)]
+        assert hits("") == [468, 1, 397]
         # three points of the same 13-chunk estimates: 12 estimates, 144
         # full chunks less the 11 each later one starts on
-        assert hits("from=0\nto=20\nsteps=3") == [156, 1, 133, (0, 3)]
-        # the default near-radius sweep: only the near users move
-        assert hits("sweep=near-radius") == [468, 1, 397, (8, 1)]
+        assert hits("from=0\nto=20\nsteps=3") == [156, 1, 133]
+        # the default near-radius sweep
+        assert hits("sweep=near-radius") == [468, 1, 397]
 
     @pytest.mark.parametrize("kind", list(SweepKind))
     def test_swept_values_reach_the_estimator_as_python_floats(

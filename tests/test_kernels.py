@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from comp_noma import (LinkStatistics, SchemeId, SystemParams, build_layout,
                        db_to_linear, derive_link_statistics, estimate_esc)
-from comp_noma import kernels
+from comp_noma import analytic, kernels
 from oracles import (PIN_SAMPLES, assert_pinned, kernel_gains,
                      link_statistics, per_link, pin_sample, rates_reference)
+from test_analytic import CLOSED_FORM_INPUTS
 
 
 def test_chunked_and_whole_stream_agree():
@@ -560,11 +561,29 @@ def test_the_loader_runs_the_x86_64_v4_clones_on_an_avx512_cpu():
     assert kernels.compiled_isa() == "x86-64-v4"
 
 
+def _assert_python_rates_bytes(rates, stats, params):
+    """The closed-form rate stage rates gives the bytes of the Python
+    statements at one point, or defers where they raise."""
+    inputs = (stats.sigma_hat, stats.eps_sums, params.alpha, params.beta,
+              params.rho, params.upsilon)
+    try:
+        reference = analytic._python_user_rates(*inputs)
+    except ArithmeticError:
+        assert rates(*inputs) is None
+        return
+    c = rates(*inputs)
+    assert c is not None
+    assert np.array(c).tobytes() == np.array(reference).tobytes()
+
+
 @pytest.fixture(scope="module")
 def one_target_stages(tmp_path_factory):
-    """{level: (uniforms, sinr)} of libraries built from _kernels.c with
-    the clones compiled out, for each x86-64 level that this CPU runs, each
-    after it gave the numpy stages' bytes on _SELF_CHECK (_checked_stages)."""
+    """{level: (uniforms, sinr, rates)} of libraries built from _kernels.c
+    with the clones compiled out, for each x86-64 level that this CPU runs,
+    each after it gave its twins' bytes on _SELF_CHECK and
+    _CHECK_RATES_POINTS (_checked_stages), and its rates the Python
+    statements' on all 303 CLOSED_FORM_INPUTS: the radius, SNR and alpha
+    grids, random layouts and the rates the spread moves twice."""
     build = tmp_path_factory.mktemp("levels")
     stages = {}
     for level in filter(_cpu_runs, _LEVELS):
@@ -576,8 +595,11 @@ def one_target_stages(tmp_path_factory):
         checked = kernels._checked_stages(str(library))
         assert checked is not None, level
         # the clones are compiled out, so no clone runs
-        assert checked[2] == "default", level
-        stages[level] = checked[:2]
+        assert checked[3] == "default", level
+        for group, inputs in CLOSED_FORM_INPUTS.items():
+            for stats, params in inputs:
+                _assert_python_rates_bytes(checked[2], stats, params)
+        stages[level] = checked[:3]
     return stages
 
 
@@ -589,17 +611,19 @@ def test_every_clone_level_gives_the_numpy_stages_bytes(
         one_target_stages, level, block, n, seed, **point):
     """The load-time check runs only the clone that the loader picks, so
     each level is built alone and run where this CPU can: its uniforms on
-    the blocks of test_c_uniforms_are_the_numpy_stages_bit_for_bit, and its
+    the blocks of test_c_uniforms_are_the_numpy_stages_bit_for_bit, its
     1 + SINR on the points of
     test_the_compiled_sinr_pass_gives_the_numpy_kernels_bytes, for every
-    scheme."""
+    scheme, and its closed-form rates on the same points, with per-cell
+    radii (one_target_stages has compared them on CLOSED_FORM_INPUTS)."""
     if level not in one_target_stages:
         pytest.skip(f"this CPU does not run {level}")
-    uniforms, sinr = one_target_stages[level]
+    uniforms, sinr, rates = one_target_stages[level]
     seed_start_n = block["seed"], block["start"], block["n"]
     assert uniforms(*seed_start_n).tobytes() \
         == kernels._numpy_uniforms(*seed_start_n).tobytes()
     _assert_numpy_sinr_bytes(sinr, n, seed, point)
+    _assert_python_rates_bytes(rates, *_generated_point(**point))
 
 
 def _fail_to_load(monkeypatch, tmp_path):
@@ -630,7 +654,7 @@ def _with_wrong(**functions):
         return SimpleNamespace(**{
             name: functions.get(name, getattr(library, name))
             for name in ("comp_noma_uniforms", "comp_noma_sinr",
-                         "comp_noma_isa")})
+                         "comp_noma_user_rates", "comp_noma_isa")})
     return loaded
 
 
@@ -647,12 +671,23 @@ def _fail_the_sinr_check(monkeypatch, tmp_path):
     monkeypatch.setattr(ctypes, "CDLL", _with_wrong(comp_noma_sinr=constant))
 
 
+def _fail_the_rates_check(monkeypatch, tmp_path):
+    def zeros(out, *inputs):
+        # out is a fresh ctypes array, so every rate reads 0, and no rate
+        # of the Python statements at _CHECK_RATES_POINTS is 0
+        return 0
+    monkeypatch.setattr(ctypes, "CDLL", _with_wrong(comp_noma_user_rates=zeros))
+
+
 @pytest.mark.parametrize("failure", [_fail_to_load, _fail_to_build,
                                      _fail_to_write, _fail_the_self_check,
-                                     _fail_the_sinr_check],
+                                     _fail_the_sinr_check,
+                                     _fail_the_rates_check],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_a_c_stage_that_fails_leaves_the_numpy_stage_and_the_same_estimates(
         monkeypatch, tmp_path, default_stats, params_20db, failure):
+    """Whichever stage fails, every stage falls back, and the estimates,
+    the CoMP closed form (analytic_total) among them, keep their bits."""
     trials = 2 * kernels.CHUNK_TRIALS + 576
     expected = [estimate_esc(default_stats, params_20db, scheme, trials,
                              seed=11, workers=2) for scheme in SchemeId]
@@ -665,6 +700,7 @@ def test_a_c_stage_that_fails_leaves_the_numpy_stage_and_the_same_estimates(
     assert list(tmp_path.glob("*.tmp")) == []
     monkeypatch.setattr(kernels, "_uniforms", stages[0])
     monkeypatch.setattr(kernels, "_sinr", stages[1])
+    monkeypatch.setattr(kernels, "_rates", stages[2])
     assert kernels.active_backend() == "numpy"
     kernels._held.clear()
     for scheme, before in zip(SchemeId, expected):
@@ -691,6 +727,7 @@ def test_a_cache_miss_builds_one_library_under_its_own_name(monkeypatch,
     stages = kernels._load_stages()
     assert stages[0] is not kernels._numpy_uniforms
     assert stages[1] is not kernels._numpy_sinr
+    assert stages[2] is not kernels._uncompiled_rates
     # built under a temporary name and moved into place whole; the stale
     # libraries and failure marks are gone and the other build's file is
     # left alone
@@ -729,6 +766,7 @@ _WRONG_LIBRARY = """
 void comp_noma_uniforms(double *out, uint64_t seed, uint64_t start, size_t n)
 { memset(out, 0, 8 * 18 * n); }
 void comp_noma_sinr(void) {}
+int comp_noma_user_rates(void) { return 1; }
 int comp_noma_isa(void) { return 0; }
 """
 
@@ -753,6 +791,7 @@ def test_a_bad_cached_library_is_built_again(monkeypatch, tmp_path, planted):
     stages = kernels._load_stages()
     monkeypatch.setattr(kernels, "_uniforms", stages[0])
     monkeypatch.setattr(kernels, "_sinr", stages[1])
+    monkeypatch.setattr(kernels, "_rates", stages[2])
     assert kernels.active_backend() == "numpy+c"
     assert [path.name for path in cache.iterdir()] == [library.name]
     assert library.read_bytes() != planted_bytes
