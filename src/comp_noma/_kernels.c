@@ -133,10 +133,11 @@ void comp_noma_sinr(double *restrict out, const double *d, const double *w,
  * _log2_mean, _ensure_distinct, _e1_scaled, _ei_series, _e1_scaled_cf). An
  * edit to one is made to both. Where a Python statement would raise
  * (ZeroDivisionError, a math domain error, DegenerateRatesError or the
- * fraction's ArithmeticError), or a rate is not a positive finite number
- * (which leaves Python's sort of a NaN and its dict of NaN keys out of
- * play), the stage stops and returns DEFER: analytic then runs the Python
- * statements, which raise or return as they always have.
+ * fraction's ArithmeticError), where a rate is not a positive finite
+ * number (which leaves Python's sort of a NaN and its dict of NaN keys out
+ * of play) and where a user's rate is not finite, the stage stops and
+ * returns DEFER: analytic then runs the Python statements, which raise or
+ * return as they always have.
  */
 enum { RATES_OK, DEFER };
 
@@ -175,8 +176,6 @@ static int e1_scaled_cf(double z, double tolerance, double *scaled)
     const double tiny = 1e-300;
     double b = z + 1.0;
     double c = 1.0 / tiny;
-    if (b == 0.0)
-        return DEFER;
     double d = 1.0 / b;
     double h = d;
     double low = -tolerance;
@@ -296,15 +295,13 @@ static int log2_mean(const double *rates, int n, double shift, e1_memo *e1,
 }
 
 /* 1/(scale * s) for the three links of a user's column of sigma_hat;
- * DEFER where a product is 0 or a rate is not positive and finite */
+ * DEFER where a rate is not positive and finite, which includes every
+ * product of 0, where Python raises ZeroDivisionError */
 static int column_rates(const double *sigma_hat, int u, double scale,
                         double *rates)
 {
     for (int i = 0; i < N_BS; i++) {
-        double den = scale * sigma_hat[i * N_USERS + u];
-        if (den == 0.0)
-            return DEFER;
-        rates[i] = 1.0 / den;
+        rates[i] = 1.0 / (scale * sigma_hat[i * N_USERS + u]);
         if (!(rates[i] > 0.0 && rates[i] < INFINITY))
             return DEFER;
     }
