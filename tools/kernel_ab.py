@@ -1,14 +1,14 @@
 """Compare one callable of two revisions, interleaved in one process.
 
-    python tools/kernel_ab.py A B [--call total_esc_closed] [--rounds 40]
-                              [--repeat 5] [--seed 1] [--json]
+    python tools/kernel_ab.py A B [--json]
 
 Each revision's src/ is unpacked with `git archive` into its own
 temporary directory and its package imported under its own name (ab_a,
 ab_b), so each side builds, checks and loads its own _kernels.c into its
-own __pycache__. A round times the named callable on side A, B, B, A (ABBA)
-and reads B's time over A's; the verdict is the median of the rounds'
-ratios with a 95% percentile-bootstrap interval. Times are the thread's
+own __pycache__. A round times the callable REPEAT times on side A, B, B, A
+(ABBA) and reads B's time over A's; the verdict is the median of ROUNDS
+rounds' ratios with a 95% percentile-bootstrap interval (seeded with
+SEED). Times are the thread's
 CPU time (time.thread_time_ns), so that time this process spends
 descheduled on a shared host is not counted.
 
@@ -17,10 +17,10 @@ compared the same way. Its interval must contain 1; where it does not,
 the host is too noisy for a verdict, no A/B round runs and the exit status
 is 1. pytest does not collect this file: it lies outside tests/.
 
-Callables, each built from a side's own public API:
-  total_esc_closed  one warm call per point of the 200-point near-radius
-                    grid of the radius_fine workload (near radius 0.1 to
-                    0.9, every other key at its default), in sweep order
+The callable, built from each side's own public API, is total_esc_closed:
+one warm call per point of the 200-point near-radius grid of the
+radius_fine workload (near radius 0.1 to 0.9, every other key at its
+default), in sweep order.
 """
 
 import argparse
@@ -37,6 +37,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+ROUNDS = 40
+REPEAT = 5    # runs of the callable per timing
+SEED = 1      # of the bootstrap resampling
 
 
 def unpack(rev, into):
@@ -77,35 +80,32 @@ def radius_grid_closed_form(pkg):
     return run, len(points)
 
 
-CALLABLES = {"total_esc_closed": radius_grid_closed_form}
-
-
-def timed(run, repeat):
+def timed(run):
     start = time.thread_time_ns()
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         run()
     return time.thread_time_ns() - start
 
 
-def compare(a, b, rounds, repeat, rng):
+def compare(a, b, rng):
     """{median ratio B/A, its 95% bootstrap interval, each side's median and
-    quartiles in microseconds per call} over rounds ABBA rounds."""
+    quartiles in microseconds per call} over ROUNDS ABBA rounds."""
     (run_a, calls), (run_b, _) = a, b
     for _ in range(3):    # warm both sides' caches and lazy set-up
-        timed(run_a, repeat)
-        timed(run_b, repeat)
+        timed(run_a)
+        timed(run_b)
     ratios, times_a, times_b = [], [], []
-    for _ in range(rounds):
-        a1 = timed(run_a, repeat)
-        b1 = timed(run_b, repeat)
-        b2 = timed(run_b, repeat)
-        a2 = timed(run_a, repeat)
+    for _ in range(ROUNDS):
+        a1 = timed(run_a)
+        b1 = timed(run_b)
+        b2 = timed(run_b)
+        a2 = timed(run_a)
         ratios.append((b1 + b2) / (a1 + a2))
         times_a += [a1, a2]
         times_b += [b1, b2]
     medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
                      for _ in range(2000))
-    per_call = 1e-3 / (repeat * calls)
+    per_call = 1e-3 / (REPEAT * calls)
 
     def spread(times):
         q1, q2, q3 = statistics.quantiles(times, n=4, method="inclusive")
@@ -121,36 +121,27 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", help="the base revision")
     parser.add_argument("b", help="the revision compared with it")
-    parser.add_argument("--call", choices=sorted(CALLABLES),
-                        default="total_esc_closed")
-    parser.add_argument("--rounds", type=int, default=40)
-    parser.add_argument("--repeat", type=int, default=5,
-                        help="runs of the callable per timing")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="seed of the bootstrap resampling")
     parser.add_argument("--json", action="store_true",
                         help="end with the results as one JSON line")
     args = parser.parse_args(argv)
-    build = CALLABLES[args.call]
-    rng = random.Random(args.seed)
-    result = {"call": args.call, "a": args.a, "b": args.b,
-              "rounds": args.rounds, "repeat": args.repeat}
+    rng = random.Random(SEED)
+    result = {"call": "total_esc_closed", "a": args.a, "b": args.b,
+              "rounds": ROUNDS, "repeat": REPEAT}
     with tempfile.TemporaryDirectory(prefix="kernel-ab-") as scratch:
         sides = {}
         for name, rev in (("ab_a", args.a), ("ab_aa", args.a),
                           ("ab_b", args.b)):
             unpack(rev, Path(scratch, name))
             pkg = import_as(name, Path(scratch, name, "src", "comp_noma"))
-            sides[name] = build(pkg)
+            sides[name] = radius_grid_closed_form(pkg)
             result.setdefault("backend", {})[name] = \
                 pkg.kernels.active_backend()
         for label, first, second in (("a/a", "ab_a", "ab_aa"),
                                      ("a/b", "ab_a", "ab_b")):
-            verdict = compare(sides[first], sides[second], args.rounds,
-                              args.repeat, rng)
+            verdict = compare(sides[first], sides[second], rng)
             result[label] = verdict
             low, high = verdict["interval"]
-            print(f"{label}: {args.call} B/A {verdict['ratio']:.4f} "
+            print(f"{label}: total_esc_closed B/A {verdict['ratio']:.4f} "
                   f"[{low:.4f}, {high:.4f}], us per call (quartiles) "
                   f"A {verdict['us_per_call_quartiles']['a']} "
                   f"B {verdict['us_per_call_quartiles']['b']}", flush=True)
